@@ -49,7 +49,6 @@ from .solver import (
     cluster_count,
     coloring_success_estimate,
     enumerate_color_partitions,
-    merge_families,
     solve_bruteforce,
     solve_color_coding,
 )

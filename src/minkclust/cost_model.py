@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import mpmath
 
@@ -146,16 +146,6 @@ def cost_eq(a: Cost, b: Cost, tol: float = DEFAULT_TOL) -> bool:
     if a.exact is not None and b.exact is not None:
         return a.exact == b.exact
     return abs(cost_eval(a) - cost_eval(b)) <= tol
-
-
-def cost_min(costs: Iterable[Cost], tol: float = DEFAULT_TOL) -> Cost:
-    best = None
-    for c in costs:
-        if best is None or (not cost_le(best, c, tol)):
-            best = c
-    if best is None:
-        raise ValueError("empty cost iterable")
-    return best
 
 
 def int_root_floor(value: Fraction, p: Fraction) -> int:

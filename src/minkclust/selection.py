@@ -5,7 +5,9 @@ vector can be picked from each group so that the optimally-centered composite
 cluster costs at most the budget.  A brute-force oracle covers every distance
 order; the specialized solvers implement the parameterized algorithms for
 exponents p in (0, 1], the squared Euclidean cost, the max distance, and the
-Hamming distance.  Inner enumeration loops run on raw integer arithmetic and
+Hamming distance.  Each specialized solver also has a minimising form, a
+branch and bound in which the best witness so far takes the budget's place in
+the pruning tests.  Inner enumeration loops run on raw integer arithmetic and
 every accepted witness is re-verified through the exact cost path before it
 is returned.
 """
@@ -110,13 +112,11 @@ class SelectionResult:
     stats: dict = field(default_factory=dict)
 
 
-def select_fixed_centroid(
-    inst: SelectionInstance, centroid: Sequence[Number], tol: float = DEFAULT_TOL
-) -> SelectionResult:
-    """Greedy completion for a fixed centroid: from each group take the vector
-    of minimum weighted distance (lowest index on ties)."""
-    if len(centroid) != inst.dimension:
-        raise ValueError("centroid dimension mismatch")
+def _greedy_completion(
+    inst: SelectionInstance, centroid: Sequence[Number], tol: float
+) -> tuple[tuple[int, ...], Cost]:
+    """From each group the vector of minimum weighted distance to the centroid
+    (lowest index on ties), and the total of those distances."""
     total = Cost.of(0)
     indices: list[int] = []
     for pts, ws in zip(inst.groups, inst.weights):
@@ -128,8 +128,19 @@ def select_fixed_centroid(
                 best_i, best_cost = i, c
         indices.append(best_i)
         total = total + best_cost
+    return tuple(indices), total
+
+
+def select_fixed_centroid(
+    inst: SelectionInstance, centroid: Sequence[Number], tol: float = DEFAULT_TOL
+) -> SelectionResult:
+    """Greedy completion for a fixed centroid: from each group take the vector
+    of minimum weighted distance (lowest index on ties)."""
+    if len(centroid) != inst.dimension:
+        raise ValueError("centroid dimension mismatch")
+    indices, total = _greedy_completion(inst, centroid, tol)
     decision = cost_le(total, inst.budget, tol)
-    return SelectionResult(decision, tuple(indices), tuple(centroid), total)
+    return SelectionResult(decision, indices, tuple(centroid), total)
 
 
 def select_bruteforce(
@@ -153,17 +164,54 @@ def select_bruteforce(
     return best
 
 
+class _Incumbent:
+    """The acceptance bound of a kernel's search.
+
+    A candidate is admitted while it costs at most the budget.  In decision
+    mode the first admitted witness ends the search.  In minimise mode each
+    admitted witness becomes the incumbent: its cost takes the budget's place
+    as the bound, and later candidates must cost strictly less.  Rational
+    costs compare exactly; basis costs go through ``cost_le``.
+    """
+
+    def __init__(self, inst: SelectionInstance, minimize: bool, tol: float):
+        self.bound = inst.budget
+        self.best: SelectionResult | None = None
+        self.minimize = minimize
+        self.tol = tol
+
+    def admits(self, cost: Cost) -> bool:
+        if self.best is None:
+            return cost_le(cost, self.bound, self.tol)
+        return not cost_le(self.bound, cost, self.tol)
+
+    def limit(self, scale: int = 1) -> int:
+        """Largest integer n whose cost n / scale is admitted (rational bounds)."""
+        value = self.bound.exact * scale
+        if self.best is None:
+            return math.floor(value)
+        return math.ceil(value) - 1
+
+    def take(self, res: SelectionResult) -> bool:
+        """Record an admitted witness; true when the search is over."""
+        self.best, self.bound = res, res.cost
+        return not self.minimize or res.cost.exact == 0
+
+    def result(self, stats: dict) -> SelectionResult:
+        return self.best or SelectionResult(False, stats=stats)
+
+
 def _verified(inst: SelectionInstance, centroid: Sequence[Number], stats: dict,
-              tol: float) -> SelectionResult | None:
-    res = select_fixed_centroid(inst, centroid, tol)
-    if res.decision:
-        # report the chosen tuple at its own optimal centroid (never worse
-        # than the enumerated one, so the decision stands)
-        best_c, best_cost = optimal_cluster_cost(
-            inst.order, inst.chosen_cluster(res.indices)
-        )
-        return SelectionResult(True, res.indices, best_c, best_cost, stats)
-    return None
+              inc: _Incumbent) -> bool:
+    """Complete ``centroid`` greedily and offer the tuple to the incumbent if
+    it is admitted; true when the search is over."""
+    indices, total = _greedy_completion(inst, centroid, inc.tol)
+    if not inc.admits(total):
+        return False
+    # report the chosen tuple at its own optimal centroid (never worse than
+    # the enumerated one, so the admission stands)
+    best_c, best_cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(indices))
+    return inc.take(SelectionResult(True, indices, best_c, best_cost, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +247,20 @@ def _greedy_float_lp(inst: SelectionInstance, centroid: Point, powp) -> float:
     return total
 
 
+def _lp_limits(bound: Cost, p: Fraction) -> tuple[float, int, int]:
+    """Float value of the bound, the number of coordinates a centroid can
+    move off the pivot (each moved coordinate costs at least 1), and the
+    largest per-coordinate move."""
+    value = cost_eval(bound)
+    d_limit = int(mpmath.floor(value * (1 + 1e-30)))
+    if bound.exact is not None:
+        radius = int_root_floor(bound.exact, p)
+    else:
+        with mpmath.workdps(50):
+            radius = int(mpmath.ceil(value ** (1 / float(p))))
+    return float(value), d_limit, radius
+
+
 def select_lp01(
     inst: SelectionInstance,
     mode: str = "auto",
@@ -206,6 +268,7 @@ def select_lp01(
     pattern_max_vertices: int | None = None,
     pattern_max_edges: int | None = None,
     tol: float = DEFAULT_TOL,
+    minimize: bool = False,
 ) -> SelectionResult:
     """Solver for exponents p in (0, 1].
 
@@ -215,36 +278,32 @@ def select_lp01(
     deviate from the pivot only there, within the budget's per-coordinate
     radius.  ``mode`` selects exhaustive or pattern-based subset enumeration
     ("auto" goes exhaustive while the active coordinates are few).
+
+    With ``minimize`` a yes carries a minimum-cost tuple: the input-vector
+    phase seeds the incumbent, and the enumeration then runs to the end,
+    bounded by the incumbent's cost instead of the budget.
     """
     if inst.order.kind != "lp":
         raise ValueError("solver requires an exponent p in (0, 1]")
     p = inst.order.p
-    budget = inst.budget
+    inc = _Incumbent(inst, minimize, tol)
     stats = {"phase2_entered": False, "centroids_tried": 0, "pivots": 0,
              "candidate_sets": 0, "phase": None}
 
     for _, _, pt, _ in inst.iter_vectors():
-        res = _verified(inst, pt, stats, tol)
-        if res is not None:
-            res.stats["phase"] = "input-vector"
-            return res
+        if _verified(inst, pt, stats, inc):
+            stats["phase"] = "input-vector"
+            return inc.best
 
-    budget_f = float(cost_eval(budget))
-    d_limit = int(mpmath.floor(cost_eval(budget) * (1 + 1e-30)))
-    if budget.exact is not None:
-        radius = int_root_floor(budget.exact, p)
-    else:
-        with mpmath.workdps(50):
-            radius = int(mpmath.ceil(cost_eval(budget) ** (1 / float(p))))
     stats["phase2_entered"] = True
     stats["phase"] = "enumerated"
 
     eligible: list[list[tuple[int, Point, int]]] = []
     for pts, ws in zip(inst.groups, inst.weights):
         rows = [(i, pt, w) for i, (pt, w) in enumerate(zip(pts, ws))
-                if cost_le(Cost.of(w), budget, tol)]
+                if cost_le(Cost.of(w), inc.bound, tol)]
         if not rows:
-            return SelectionResult(False, stats=stats)
+            return inc.result(stats)
         eligible.append(rows)
 
     powp = _pow_cache_fn(p)
@@ -252,15 +311,19 @@ def select_lp01(
     gmin = [min(pt[i] for pt in all_points) for i in range(inst.dimension)]
     gmax = [max(pt[i] for pt in all_points) for i in range(inst.dimension)]
     seen: set[Point] = set()
+    limits_of = None
     for i1, pt1, w1 in eligible[0]:
         stats["pivots"] += 1
+        if limits_of is not inc.bound:  # the bound shrinks only in minimise mode
+            limits_of = inc.bound
+            budget_f, d_limit, radius = _lp_limits(inc.bound, p)
         others = [
             (pt, w)
             for g, rows in enumerate(eligible)
             for i, pt, w in rows
             if not (g == 0 and i == i1)
         ]
-        host = build_difference_hypergraph(pt1, others, budget)
+        host = build_difference_hypergraph(pt1, others, inc.bound)
         if d_limit < 1:
             continue  # centroid equal to the pivot was already tried
         host_mode = mode
@@ -278,21 +341,25 @@ def select_lp01(
             coords = sorted(subset)
             offsets = [0] * len(coords)
 
-            def rec(pos: int, used: float) -> SelectionResult | None:
+            def rec(pos: int, used: float) -> bool:
+                nonlocal budget_f
                 if pos == len(coords):
                     candidate = list(pt1)
                     for c, off in zip(coords, offsets):
                         candidate[c] = pt1[c] + off
                     key = tuple(candidate)
                     if key in seen:
-                        return None
+                        return False
                     seen.add(key)
                     stats["centroids_tried"] += 1
                     if stats["centroids_tried"] > centroid_cap:
                         raise EnumerationCapExceeded("centroid cap exceeded")
-                    if _greedy_float_lp(inst, key, powp) <= budget_f + 1e-6:
-                        return _verified(inst, key, stats, tol)
-                    return None
+                    if _greedy_float_lp(inst, key, powp) > budget_f + 1e-6:
+                        return False
+                    if _verified(inst, key, stats, inc):
+                        return True
+                    budget_f = float(cost_eval(inc.bound))
+                    return False
                 coord = coords[pos]
                 for mag in range(1, radius + 1):
                     term = powp(mag)
@@ -303,15 +370,13 @@ def select_lp01(
                         if value < gmin[coord] or value > gmax[coord]:
                             continue  # clamping into the box never loses an optimum
                         offsets[pos] = off
-                        hit = rec(pos + 1, used + term)
-                        if hit is not None:
-                            return hit
-                return None
+                        if rec(pos + 1, used + term):
+                            return True
+                return False
 
-            hit = rec(0, 0.0)
-            if hit is not None:
-                return hit
-    return SelectionResult(False, stats=stats)
+            if rec(0, 0.0):
+                return inc.best
+    return inc.result(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +398,7 @@ def select_l2(
     inst: SelectionInstance,
     centroid_cap: int = 5_000_000,
     tol: float = DEFAULT_TOL,
+    minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the squared Euclidean cost, parameterized by dimension and
     budget.
@@ -341,22 +407,20 @@ def select_l2(
     enumerates the heaviest chosen vector, the total cluster weight W, and all
     centroids with coordinates y / W inside both the structural numerator
     bound 16 D^2 (t - 1) and the per-pivot radius (W x - y)^2 <= W^2 D / w.
+    With ``minimize`` the incumbent's cost takes D's place in every bound
+    once a witness is found, and a yes carries a minimum-cost tuple.
     """
     if inst.order.kind != "l2":
         raise ValueError("solver requires the squared Euclidean order")
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    d_budget = inst.budget.exact
     t = inst.num_groups
+    inc = _Incumbent(inst, minimize, tol)
     stats = {"centroids_tried": 0, "pivots": 0}
-    if Fraction(t) > 4 * d_budget + 1:
+    if Fraction(t) > 4 * inst.budget.exact + 1:
         stats["rejected"] = "group-count"
         return SelectionResult(False, stats=stats)
 
-    max_other = int(4 * d_budget)
-    if t >= 2 and max_other < 1:
-        return SelectionResult(False, stats=stats)
-    numerator_bound = int(16 * d_budget * d_budget * (t - 1))
     d = inst.dimension
     all_points = [pt for _, _, pt, _ in inst.iter_vectors()]
     gmin = [min(pt[i] for pt in all_points) for i in range(d)]
@@ -367,6 +431,11 @@ def select_l2(
         list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)
     ]
     for g_star, i_star, x_star, w_star in inst.iter_vectors():
+        d_bound = inc.bound.exact
+        max_other = int(4 * d_bound)
+        if t >= 2 and max_other < 1:
+            break
+        numerator_bound = int(16 * d_bound * d_bound * (t - 1))
         # weight filtering only shapes the enumerated W range; candidates are
         # always tested greedily against the full groups
         limit_w = min(w_star, max_other) if t >= 2 else 0
@@ -387,7 +456,7 @@ def select_l2(
 
         for r in range(r_lo, r_hi + 1):
             w_total = w_star + r
-            limit_sq = Fraction(w_total**2) * d_budget / w_star
+            limit_sq = Fraction(w_total**2) * inc.bound.exact / w_star
             b = min(_isqrt_fraction(limit_sq), numerator_bound)
             if b < 0:
                 continue
@@ -409,7 +478,7 @@ def select_l2(
             stats["centroids_tried"] += size
             if stats["centroids_tried"] > centroid_cap:
                 raise EnumerationCapExceeded("centroid cap exceeded")
-            budget_num = d_budget * w_total**2
+            limit_num = inc.limit(w_total**2)  # totals are numerators over W^2
             for y in itertools.product(*ranges):
                 centroid = tuple(Fraction(v, w_total) for v in y)
                 if centroid in seen:
@@ -427,13 +496,13 @@ def select_l2(
                         if best is None or s < best:
                             best = s
                     total += best
-                    if Fraction(total) > budget_num:
+                    if total > limit_num:
                         break
-                if Fraction(total) <= budget_num:
-                    hit = _verified(inst, centroid, stats, tol)
-                    if hit is not None:
-                        return hit
-    return SelectionResult(False, stats=stats)
+                if total <= limit_num:
+                    if _verified(inst, centroid, stats, inc):
+                        return inc.best
+                    limit_num = inc.limit(w_total**2)
+    return inc.result(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +513,7 @@ def select_linf(
     inst: SelectionInstance,
     centroid_cap: int = 5_000_000,
     tol: float = DEFAULT_TOL,
+    minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the max distance: for each pivot in the first group, search
     the half-integral centroids within the budget radius per coordinate.
@@ -452,14 +522,16 @@ def select_linf(
     the coordinates assigned so far only grows as more are fixed, so branches
     whose running total already exceeds the budget are cut.  Candidates are
     also clamped into the instance's coordinate-wise bounding box, which never
-    loses an optimum.
+    loses an optimum.  With ``minimize`` the incumbent's cost takes the
+    budget's place in the cut and the radius, and a yes carries a
+    minimum-cost tuple.
     """
     if inst.order.kind != "linf":
         raise ValueError("solver requires the max-distance order")
     if inst.budget.exact is None or (2 * inst.budget.exact).denominator != 1:
         raise ValueError("budget must be half-integral in this regime")
-    d_budget = inst.budget.exact
     d = inst.dimension
+    inc = _Incumbent(inst, minimize, tol)
     stats = {"nodes": 0, "pivots": 0}
     flat: list[tuple[int, list[int], int]] = []
     for g, (pts, ws) in enumerate(zip(inst.groups, inst.weights)):
@@ -468,12 +540,12 @@ def select_linf(
     n_groups = inst.num_groups
     gmin2 = [min(row[1][j] for row in flat) for j in range(d)]
     gmax2 = [max(row[1][j] for row in flat) for j in range(d)]
-    budget2 = int(2 * d_budget)  # totals are integer numbers of halves
+    budget2 = inc.limit(2)  # totals are integer numbers of halves
     seen: set[tuple[int, ...]] = set()
 
     for pt1, w1 in zip(inst.groups[0], inst.weights[0]):
         stats["pivots"] += 1
-        h_max = int(2 * d_budget / w1)
+        h_max = budget2 // w1
         base = [2 * v for v in pt1]
         value_lists = []
         feasible = True
@@ -499,17 +571,21 @@ def select_linf(
                     best[g] = s
             return sum(best)
 
-        def rec(j: int) -> SelectionResult | None:
+        def rec(j: int) -> bool:
+            nonlocal budget2
             stats["nodes"] += 1
             if stats["nodes"] > centroid_cap:
                 raise EnumerationCapExceeded("search node cap exceeded")
             if j == d:
                 c2 = tuple(chosen)
                 if c2 in seen:
-                    return None
+                    return False
                 seen.add(c2)
                 centroid = tuple(Fraction(v, 2) for v in c2)
-                return _verified(inst, centroid, stats, tol)
+                if _verified(inst, centroid, stats, inc):
+                    return True
+                budget2 = inc.limit(2)
+                return False
             for v in value_lists[j]:
                 saved = cur_max[:]
                 for idx, (_, pt2, _) in enumerate(flat):
@@ -518,16 +594,14 @@ def select_linf(
                         cur_max[idx] = gap
                 if group_total() <= budget2:
                     chosen[j] = v
-                    hit = rec(j + 1)
-                    if hit is not None:
-                        return hit
+                    if rec(j + 1):
+                        return True
                 cur_max[:] = saved
-            return None
+            return False
 
-        hit = rec(0)
-        if hit is not None:
-            return hit
-    return SelectionResult(False, stats=stats)
+        if rec(0):
+            return inc.best
+    return inc.result(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +612,18 @@ def select_l0(
     inst: SelectionInstance,
     centroid_cap: int = 5_000_000,
     tol: float = DEFAULT_TOL,
+    minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the Hamming distance: try every centroid assembled from
-    values present per coordinate anywhere in the instance."""
+    values present per coordinate anywhere in the instance.  With
+    ``minimize`` each witness lowers the bound later centroids must beat, and
+    a yes carries a minimum-cost tuple."""
     if inst.order.kind != "l0":
         raise ValueError("solver requires the Hamming order")
+    if inst.budget.exact is None:
+        raise ValueError("budget must be rational in this regime")
     d = inst.dimension
+    inc = _Incumbent(inst, minimize, tol)
     stats = {"centroids_tried": 0}
     columns = [sorted({pt[i] for _, _, pt, _ in inst.iter_vectors()}) for i in range(d)]
     size = 1
@@ -551,7 +631,7 @@ def select_l0(
         size *= len(col)
     if size > centroid_cap:
         raise EnumerationCapExceeded("present-value grid exceeds the cap")
-    budget_f = int(mpmath.floor(cost_eval(inst.budget) * (1 + 1e-30)))
+    limit = inc.limit()
     for centroid in itertools.product(*columns):
         stats["centroids_tried"] += 1
         total = 0
@@ -563,17 +643,21 @@ def select_l0(
                 if best is None or s < best:
                     best = s
             total += best
-            if total > budget_f:
+            if total > limit:
                 break
-        if total <= budget_f:
-            hit = _verified(inst, centroid, stats, tol)
-            if hit is not None:
-                return hit
-    return SelectionResult(False, stats=stats)
+        if total <= limit:
+            if _verified(inst, centroid, stats, inc):
+                return inc.best
+            limit = inc.limit()
+    return inc.result(stats)
 
 
 def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:
-    """Dispatch to the specialized solver for the instance's distance order."""
+    """Dispatch to the specialized solver for the instance's distance order.
+
+    Pass ``minimize=True`` for the optimisation form: the budget is only an
+    upper bound, and a yes carries a tuple of minimum optimal cost.
+    """
     if inst.order.kind == "lp":
         return select_lp01(inst, **kwargs)
     if inst.order.kind == "l2":

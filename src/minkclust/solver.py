@@ -1,10 +1,11 @@
 """k-Clustering solvers.
 
-The main solver reduces clustering to repeated Cluster Selection via color
-coding over initial clusters: color the initial clusters, enumerate families
-of disjoint color subsets (each future composite cluster), and search the
-candidate cost set for the cheapest feasible budget per part.  A brute-force
-partition oracle over initial clusters provides ground truth at desk scale.
+The main solver reduces clustering to Cluster Selection via color coding over
+initial clusters: color the initial clusters, enumerate families of disjoint
+color subsets (each future composite cluster), and ask the minimising
+selection solver once per distinct bundle of groups for the cheapest cost of
+that part.  A brute-force partition oracle over initial clusters provides
+ground truth at desk scale.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import mpmath
 
 from .centroids import WeightedCluster, optimal_cluster_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
-from .cost_model import Cost, DEFAULT_TOL, cost_eval, cost_le, enumerate_cost_set
+from .cost_model import Cost, DEFAULT_TOL, cost_eval, cost_le
+from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
 from .selection import SelectionInstance, SelectionResult, solve_selection
 
 
@@ -90,26 +92,6 @@ def enumerate_color_partitions(colors: Iterable[int]) -> Iterator[tuple[frozense
                     yield (part,) + tail
 
     yield from rec(tuple(pool))
-
-
-def merge_families(num_items: int, excess: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Families of disjoint subsets (size >= 2) of range(num_items) whose total
-    merge excess sum(len - 1) equals ``excess``, canonically ordered."""
-    def rec(pool: tuple[int, ...], left: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if left == 0:
-            yield ()
-            return
-        for ai in range(len(pool)):
-            anchor = pool[ai]
-            rest = pool[ai + 1:]
-            for extra_size in range(1, min(left, len(rest)) + 1):
-                for extra in itertools.combinations(rest, extra_size):
-                    part = (anchor,) + extra
-                    leftover = tuple(x for x in rest if x not in extra)
-                    for tail in rec(leftover, left - extra_size):
-                        yield (part,) + tail
-
-    yield from rec(tuple(range(num_items)), excess)
 
 
 def _assemble_clustering(
@@ -261,6 +243,10 @@ def _rainbow_colorings(n: int, max_colors: int) -> Iterator[tuple[int, ...]]:
             yield tuple(coloring)
 
 
+# counters of the selection solvers that the clustering stats sum
+SELECTION_COUNTERS = ("centroids_tried", "pivots", "nodes", "candidate_sets")
+
+
 def _ceil_ratio(budget: Cost, alpha: Fraction) -> int:
     if budget.exact is not None:
         val = 2 * budget.exact / alpha
@@ -272,11 +258,13 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     """Color-coding clustering solver.
 
     Regularizes the dataset, colors the initial clusters with T colors
-    (T from the budget and the per-merge cost floor), enumerates valid color
-    families, and per part searches the candidate cost set for the minimum
-    feasible Cluster Selection budget.  A yes always carries a verified
-    witness clustering.  Under the randomized policies a no is one sided;
-    the exhaustive policy is exact.
+    (T from the budget and the per-merge cost floor), and enumerates valid
+    color families.  Each part's cost is the exact optimum of its Cluster
+    Selection bundle, found by one minimising selection call per distinct
+    bundle with the instance budget as the bound.  A yes always carries a
+    verified witness clustering.  Under the randomized policies a no is one
+    sided; the exhaustive policy is exact.  The stats sum the selection
+    solvers' counters under their own names.
     """
     cfg = cfg or SolveConfig()
     order = inst.order
@@ -292,29 +280,23 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     alpha = merge_cost_bound(order)
     t_colors = max(1, _ceil_ratio(inst.budget, alpha))
     stats["T"] = t_colors
-    cost_set = enumerate_cost_set(order, inst.budget, n=inst.dataset.total_count,
-                                  tol=cfg.tol)
-    stats["cost_set_size"] = len(cost_set)
+    stats.update(dict.fromkeys(SELECTION_COUNTERS, 0))
 
-    # cache: per bundle of groups, the smallest feasible cost index and witness
-    min_cache: dict[tuple, tuple[int, SelectionResult] | None] = {}
+    # per bundle of groups: its minimum-cost selection, or None when even that
+    # exceeds the budget
+    min_cache: dict[tuple, SelectionResult | None] = {}
 
-    def min_feasible(groups: tuple, weights: tuple) -> tuple[Cost, SelectionResult] | None:
+    def min_feasible(groups: tuple, weights: tuple) -> SelectionResult | None:
         key = (groups, weights)
-        if key in min_cache:
-            hit = min_cache[key]
-            return None if hit is None else (cost_set.members[hit[0]], hit[1])
-        found = None
-        for idx, d_cost in enumerate(cost_set.members):
+        if key not in min_cache:
             sel = SelectionInstance(groups, weights, inst.dataset.dimension,
-                                    d_cost, order)
+                                    inst.budget, order)
             stats["selection_calls"] += 1
-            res = solve_selection(sel, **cfg.selection_kwargs)
-            if res.decision:
-                found = (idx, res)
-                break
-        min_cache[key] = found
-        return None if found is None else (cost_set.members[found[0]], found[1])
+            res = solve_selection(sel, minimize=True, **cfg.selection_kwargs)
+            for name in SELECTION_COUNTERS:
+                stats[name] += res.stats.get(name, 0)
+            min_cache[key] = res if res.decision else None
+        return min_cache[key]
 
     def try_coloring(coloring: Sequence[int]) -> SolveResult | None:
         classes: dict[int, list[int]] = {}
@@ -337,12 +319,11 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                     groups.append(tuple(initial[i].representative for i in members))
                     weights.append(tuple(initial[i].size for i in members))
                     index_map.append(members)
-                hit = min_feasible(tuple(groups), tuple(weights))
-                if hit is None:
+                witness = min_feasible(tuple(groups), tuple(weights))
+                if witness is None:
                     ok = False
                     break
-                d_cost, witness = hit
-                running = running + d_cost
+                running = running + witness.cost
                 if not cost_le(running, inst.budget, cfg.tol):
                     ok = False
                     break

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from minkclust import (
     ClusteringInstance,
@@ -12,6 +13,27 @@ from minkclust import (
     Graph,
     SelectionInstance,
 )
+
+
+# criterion-2 envelopes per order: (order, instance shape, budgets, seed)
+SELECTION_ENVELOPES = {
+    "p=1/2": (DistanceOrder.lp(Fraction(1, 2)),
+              dict(t_max=3, per_group=3, d_max=4, coord_hi=3, weight_max=2),
+              [Cost.of(v) for v in range(0, 5)], 811),
+    "p=1": (DistanceOrder.l1(),
+            dict(t_max=3, per_group=3, d_max=4, coord_hi=3, weight_max=2),
+            [Cost.of(v) for v in range(0, 5)], 812),
+    "p=2": (DistanceOrder.l2(),
+            dict(t_max=3, per_group=3, d_max=3, coord_hi=2, weight_max=2),
+            [Cost.of(Fraction(z, 4)) for z in range(0, 13)], 813),
+    "p=inf": (DistanceOrder.linf(),
+              dict(t_max=3, per_group=3, d_max=3, coord_lo=-2, coord_hi=2,
+                   weight_max=2),
+              [Cost.of(Fraction(h, 2)) for h in range(0, 5)], 814),
+    "p=0": (DistanceOrder.l0(),
+            dict(t_max=3, per_group=3, d_max=3, coord_hi=4, weight_max=2),
+            [Cost.of(v) for v in range(0, 4)], 815),
+}
 
 
 def random_selection_instance(

@@ -49,6 +49,7 @@ from tests.helpers import (
     EX_CLIQUE_GRAPH,
     EX_LINF_GRAPH,
     EX_OCT_GRAPH,
+    SELECTION_ENVELOPES,
     atlas_graphs,
     random_clustering_instance,
     random_colored_graph,
@@ -118,25 +119,6 @@ def test_criterion1_lp_selection_figure():
 
 # ---------------------------------------------------------------------------
 # criterion 2: selection solvers vs the oracle, >= 500 instances per order
-
-SELECTION_ENVELOPES = {
-    "p=1/2": (DistanceOrder.lp(Fraction(1, 2)),
-              dict(t_max=3, per_group=3, d_max=4, coord_hi=3, weight_max=2),
-              [Cost.of(v) for v in range(0, 5)], 811),
-    "p=1": (DistanceOrder.l1(),
-            dict(t_max=3, per_group=3, d_max=4, coord_hi=3, weight_max=2),
-            [Cost.of(v) for v in range(0, 5)], 812),
-    "p=2": (DistanceOrder.l2(),
-            dict(t_max=3, per_group=3, d_max=3, coord_hi=2, weight_max=2),
-            [Cost.of(Fraction(z, 4)) for z in range(0, 13)], 813),
-    "p=inf": (DistanceOrder.linf(),
-              dict(t_max=3, per_group=3, d_max=3, coord_lo=-2, coord_hi=2,
-                   weight_max=2),
-              [Cost.of(Fraction(h, 2)) for h in range(0, 5)], 814),
-    "p=0": (DistanceOrder.l0(),
-            dict(t_max=3, per_group=3, d_max=3, coord_hi=4, weight_max=2),
-            [Cost.of(v) for v in range(0, 4)], 815),
-}
 
 _CRIT2: dict[str, list] = {}
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,14 @@ from minkclust import (
     DistanceOrder,
     EnumerationCapExceeded,
     SelectionInstance,
+    cost_eq,
+    cost_eval,
     cost_le,
     gen_l0_selection_from_mcc,
     gen_l1_selection_from_mcc,
     gen_linf_selection_from_mcc,
     gen_lp_selection_from_mcc,
+    optimal_cluster_cost,
     select_bruteforce,
     select_fixed_centroid,
     select_l0,
@@ -25,6 +29,7 @@ from minkclust import (
 from tests.helpers import (
     EX_CLIQUE_COLORED,
     EX_LINF_COLORED,
+    SELECTION_ENVELOPES,
     random_selection_instance,
 )
 
@@ -226,3 +231,48 @@ def test_enumeration_caps_raise():
     inst_lp = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l1())
     with pytest.raises(EnumerationCapExceeded):
         select_lp01(inst_lp, centroid_cap=1)
+
+
+def just_below(inst: SelectionInstance, cost: Cost) -> Cost:
+    """A budget strictly below a positive optimal cost: the next value down in
+    the order's cost regime, or for irrational basis costs the nearest
+    multiple of 1e-6 below."""
+    kind = inst.order.kind
+    if kind == "l0" or (kind == "lp" and inst.order.p == 1):
+        return Cost.of(cost.exact - 1)
+    if kind == "linf":
+        return Cost.of(cost.exact - Fraction(1, 2))
+    if kind == "l2":
+        # costs are z / W**2, W at most the heaviest possible tuple weight
+        w_max = sum(max(ws) for ws in inst.weights)
+        return Cost.of(max(Fraction(math.ceil(cost.exact * s * s) - 1, s * s)
+                           for s in range(1, w_max + 1)))
+    scaled = math.ceil(float(cost_eval(cost)) * 10**6) - 1
+    return Cost.of(Fraction(scaled, 10**6))
+
+
+@pytest.mark.parametrize("name", list(SELECTION_ENVELOPES), ids=str)
+def test_minimize_equals_oracle_optimum(name):
+    """On the criterion-2 sample, the minimising form returns the oracle's
+    optimum whenever it is within the bound (the drawn budget, or the optimum
+    itself) and says no when the bound is just below it."""
+    order, kwargs, budgets, seed = SELECTION_ENVELOPES[name]
+    rnd = random.Random(seed)
+    for trial in range(500):
+        budget = budgets[rnd.randrange(len(budgets))]
+        inst = random_selection_instance(rnd, order, budget, **kwargs)
+        opt = select_bruteforce(inst).cost
+        bounds = [(budget, cost_le(opt, budget)), (opt, True)]
+        if opt != Cost.of(0):
+            bounds.append((just_below(inst, opt), False))
+        for bound, feasible in bounds:
+            res = solve_selection(dataclasses.replace(inst, budget=bound), minimize=True)
+            assert res.decision == feasible, (trial, bound, inst)
+            if not res.decision:
+                continue
+            if opt.is_exact:
+                assert res.cost == opt, (trial, bound, inst)
+            else:
+                assert cost_eq(res.cost, opt), (trial, bound, inst)
+            _, again = optimal_cluster_cost(order, inst.chosen_cluster(res.indices))
+            assert again == res.cost

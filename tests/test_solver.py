@@ -1,9 +1,11 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from minkclust import solver
 from minkclust import (
     ClusteringInstance,
     Cost,
@@ -19,7 +21,6 @@ from minkclust import (
     gen_linf2_from_hioct,
     gen_linf_clustering_from_clique,
     HioctInstance,
-    merge_families,
     optimal_cluster_cost,
     regularize,
     solve_bruteforce,
@@ -46,14 +47,6 @@ def test_enumerate_color_partitions_examples():
     assert fam_set([7]) == {()}
     # family counts over n colors follow the Bell numbers
     assert [len(fam_set(range(n))) for n in range(1, 6)] == [1, 2, 5, 15, 52]
-
-
-def test_merge_families_counts():
-    fams = list(merge_families(4, 2))
-    # one triple (4 ways) or two disjoint pairs (3 ways)
-    assert len(fams) == 4 + 3
-    assert all(sum(len(p) - 1 for p in fam) == 2 for fam in fams)
-    assert len(set(fams)) == len(fams)
 
 
 def test_cluster_count_examples():
@@ -180,6 +173,37 @@ def test_color_coding_equals_bruteforce_sample(order, budgets, seed):
             expected = {ic.representative: ic.size for ic in regularize(inst.dataset)}
             assert sizes == expected
             assert cost_le(clustering.total_cost, inst.budget, 1e-9)
+
+
+@pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
+def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed):
+    """The colour-coding solver asks the selection solver once per distinct
+    bundle of groups, and its stats sum the selection counters."""
+    calls = []
+    inner = Counter()
+    real = solver.solve_selection
+
+    def counting(sel, **kwargs):
+        calls.append((sel.groups, sel.weights))
+        res = real(sel, **kwargs)
+        inner.update({name: res.stats.get(name, 0) for name in solver.SELECTION_COUNTERS})
+        return res
+
+    monkeypatch.setattr(solver, "solve_selection", counting)
+    rnd = random.Random(seed)
+    total = 0
+    for _ in range(15):
+        budget = Cost.of(budgets[rnd.randrange(len(budgets))])
+        inst = random_clustering_instance(rnd, order, budget, max_initial=6)
+        calls.clear()
+        inner.clear()
+        stats = solve_color_coding(inst, SolveConfig(policy="exhaustive")).stats
+        assert stats["selection_calls"] == len(calls) == len(set(calls))
+        for name in solver.SELECTION_COUNTERS:
+            assert stats.get(name, 0) == inner[name]
+        assert "cost_set_size" not in stats
+        total += len(calls)
+    assert total > 0
 
 
 def test_randomized_no_is_one_sided():
