@@ -112,11 +112,13 @@ class SelectionResult:
     stats: dict = field(default_factory=dict)
 
 
-def _greedy_completion(
-    inst: SelectionInstance, centroid: Sequence[Number], tol: float
-) -> tuple[tuple[int, ...], Cost]:
-    """From each group the vector of minimum weighted distance to the centroid
-    (lowest index on ties), and the total of those distances."""
+def select_fixed_centroid(
+    inst: SelectionInstance, centroid: Sequence[Number], tol: float = DEFAULT_TOL
+) -> SelectionResult:
+    """Greedy completion for a fixed centroid: from each group take the vector
+    of minimum weighted distance (lowest index on ties)."""
+    if len(centroid) != inst.dimension:
+        raise ValueError("centroid dimension mismatch")
     total = Cost.of(0)
     indices: list[int] = []
     for pts, ws in zip(inst.groups, inst.weights):
@@ -128,19 +130,8 @@ def _greedy_completion(
                 best_i, best_cost = i, c
         indices.append(best_i)
         total = total + best_cost
-    return tuple(indices), total
-
-
-def select_fixed_centroid(
-    inst: SelectionInstance, centroid: Sequence[Number], tol: float = DEFAULT_TOL
-) -> SelectionResult:
-    """Greedy completion for a fixed centroid: from each group take the vector
-    of minimum weighted distance (lowest index on ties)."""
-    if len(centroid) != inst.dimension:
-        raise ValueError("centroid dimension mismatch")
-    indices, total = _greedy_completion(inst, centroid, tol)
     decision = cost_le(total, inst.budget, tol)
-    return SelectionResult(decision, indices, tuple(centroid), total)
+    return SelectionResult(decision, tuple(indices), tuple(centroid), total)
 
 
 def select_bruteforce(
@@ -205,13 +196,13 @@ def _verified(inst: SelectionInstance, centroid: Sequence[Number], stats: dict,
               inc: _Incumbent) -> bool:
     """Complete ``centroid`` greedily and offer the tuple to the incumbent if
     it is admitted; true when the search is over."""
-    indices, total = _greedy_completion(inst, centroid, inc.tol)
-    if not inc.admits(total):
+    res = select_fixed_centroid(inst, centroid, inc.tol)
+    if not inc.admits(res.cost):
         return False
     # report the chosen tuple at its own optimal centroid (never worse than
     # the enumerated one, so the admission stands)
-    best_c, best_cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(indices))
-    return inc.take(SelectionResult(True, indices, best_c, best_cost, stats))
+    best_c, best_cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(res.indices))
+    return inc.take(SelectionResult(True, res.indices, best_c, best_cost, stats))
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +519,8 @@ def select_linf(
     """
     if inst.order.kind != "linf":
         raise ValueError("solver requires the max-distance order")
-    if inst.budget.exact is None or (2 * inst.budget.exact).denominator != 1:
-        raise ValueError("budget must be half-integral in this regime")
+    if inst.budget.exact is None:
+        raise ValueError("budget must be rational in this regime")
     d = inst.dimension
     inc = _Incumbent(inst, minimize, tol)
     stats = {"nodes": 0, "pivots": 0}
@@ -540,7 +531,8 @@ def select_linf(
     n_groups = inst.num_groups
     gmin2 = [min(row[1][j] for row in flat) for j in range(d)]
     gmax2 = [max(row[1][j] for row in flat) for j in range(d)]
-    budget2 = inc.limit(2)  # totals are integer numbers of halves
+    # totals are integer numbers of halves, so any rational bound floors to one
+    budget2 = inc.limit(2)
     seen: set[tuple[int, ...]] = set()
 
     for pt1, w1 in zip(inst.groups[0], inst.weights[0]):

@@ -150,6 +150,11 @@ ORDER_BUDGETS = [
     (DistanceOrder.l2(), [0, Fraction(1, 2), 1, 2], 203),
     (DistanceOrder.linf(), [0, Fraction(1, 2), 1, Fraction(3, 2)], 204),
     (DistanceOrder.l0(), [0, 1, 2, 3], 205),
+    # budgets no cluster cost can equal, e.g. 5/3 under the half-integral max
+    (DistanceOrder.l1(), [Fraction(3, 2), Fraction(7, 3)], 211),
+    (DistanceOrder.l2(), [Fraction(1, 3), Fraction(5, 3)], 213),
+    (DistanceOrder.linf(), [Fraction(1, 3), Fraction(5, 3)], 214),
+    (DistanceOrder.l0(), [Fraction(3, 2), Fraction(5, 3)], 215),
 ]
 
 
