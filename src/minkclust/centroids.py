@@ -3,19 +3,21 @@
 Every distance regime has its own centroid rule: weighted medians for p = 1,
 a present input value per coordinate for p in (0, 1), the weighted mean for
 the squared Euclidean cost, the weighted mode for the Hamming cost, and for
-the max distance a small exact linear program (plus an exhaustive
-half-integral grid used as an independent check).
+the max distance a small linear program solved exactly as an integer
+min-cost flow (plus an exhaustive half-integral grid used as an independent
+check).
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath
 
-from . import simplex
 from .core import DistanceOrder, Number, Point
 from .cost_model import Cost, cost_eval, DEFAULT_DIGITS
 
@@ -140,45 +142,116 @@ def centroid_l0(cluster: WeightedCluster) -> tuple[Point, Cost]:
     return tuple(centroid), Cost.of(total)
 
 
-def _pairwise_gap(x: Point, y: Point) -> Number:
-    return max(abs(a - b) for a, b in zip(x, y))
+def _add_arc(graph: list[list[list[int]]], x: int, y: int, cap: int, cost: int,
+             flow: int = 0) -> None:
+    """Residual arc x -> y carrying ``flow`` of ``cap``, and its reverse.
+
+    An arc is ``[head, residual capacity, cost, index of the reverse arc]``.
+    """
+    graph[x].append([y, cap - flow, cost, len(graph[y])])
+    graph[y].append([x, flow, -cost, len(graph[x]) - 1])
+
+
+def _bellman_ford(graph: list[list[list[int]]], dist: list[int | None]) -> list:
+    """Shortest distances over the arcs with residual capacity, in place.
+
+    Nodes whose ``dist`` is not None are the sources, at that distance.
+    Returns each reached node's last arc as ``(tail, arc)``.  A residual
+    network of a min-cost flow has no negative cycle; meeting one raises.
+    """
+    pred: list = [None] * len(graph)
+    queue = deque(x for x, d in enumerate(dist) if d is not None)
+    queued = [d is not None for d in dist]
+    # in FIFO order every label settles within |V| passes over the nodes
+    pops = len(graph) * (len(graph) + 1)
+    while queue:
+        x = queue.popleft()
+        queued[x] = False
+        dx = dist[x]
+        for arc in graph[x]:
+            y = arc[0]
+            if arc[1] and (dist[y] is None or dx + arc[2] < dist[y]):
+                dist[y] = dx + arc[2]
+                pred[y] = (x, arc)
+                if not queued[y]:
+                    queue.append(y)
+                    queued[y] = True
+        pops -= 1
+        if pops < 0:
+            raise AssertionError("negative cycle in the residual network")
+    return pred
 
 
 def centroid_linf_lp(cluster: WeightedCluster) -> tuple[Point, Cost]:
-    """Exact optimum of the max-distance cluster cost via a rational LP.
+    """Exact optimum of the max-distance cluster cost via integer min-cost flow.
 
     Minimizing sum w_i * max_j |x_i[j] - c_j| is equivalent to choosing
     per-point radii d_i >= 0 with d_u + d_v >= max-gap(x_u, x_v) for every
-    pair (the per-coordinate intervals then intersect), so only a tiny LP on
-    one variable per point has to be solved; a centroid is read back off the
-    interval intersections.
+    pair (the per-coordinate intervals then intersect): a fractional vertex
+    cover with edge demands.  On the bipartite double cover (rows u, columns
+    v') it becomes totally unimodular, so twice its optimum is the optimum of
+    the transportation problem whose row and column u both hold w_u and whose
+    arc u -> v' gains gap(u, v).  Successive shortest paths solve that flow
+    in integers; the potentials p of the final residual network (with a
+    zero-cost sink-to-source arc) give the dual a_u = max(0, p_u - p_s),
+    b_v = max(0, p_s - p_v') and the doubled radii a_u + b_u, which is the
+    half-integrality of Nemhauser and Trotter.  A centroid is read back off
+    the interval intersections.  Strong duality and the centroid's cost are
+    both checked exactly before the values are returned.
     """
-    n = len(cluster.points)
+    points, weights = cluster.points, cluster.weights
+    n = len(points)
     if n == 1:
-        return cluster.points[0], Cost.of(0)
-    a_ub: list[list[int]] = []
-    b_ub: list[Number] = []
+        return points[0], Cost.of(0)
+    source, sink = 2 * n, 2 * n + 1
+    graph: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
+    for u, w in enumerate(weights):
+        _add_arc(graph, source, u, w, 0)
+        _add_arc(graph, n + u, sink, w, 0)
+    # total weight bounds any flow, so the gain arcs never saturate: every
+    # pair's dual constraint stays in the residual network
+    total = sum(weights)
     for u in range(n):
         for v in range(u + 1, n):
-            gap = _pairwise_gap(cluster.points[u], cluster.points[v])
+            gap = max(abs(a - b) for a, b in zip(points[u], points[v]))
             if gap > 0:
-                row = [0] * n
-                row[u] = -1
-                row[v] = -1
-                a_ub.append(row)
-                b_ub.append(-gap)
-    value, radii = simplex.minimize(list(cluster.weights), a_ub, b_ub)
-    centroid = tuple(
-        max(Fraction(pt[j]) - radii[i] for i, pt in enumerate(cluster.points))
-        for j in range(cluster.dimension)
-    )
-    check = sum(
-        w * max(abs(Fraction(v) - c) for v, c in zip(pt, centroid))
-        for pt, w in zip(cluster.points, cluster.weights)
-    )
-    if check != value:
+                _add_arc(graph, u, n + v, total, -gap)
+                _add_arc(graph, v, n + u, total, -gap)
+    while True:
+        dist: list[int | None] = [None] * len(graph)
+        dist[source] = 0
+        pred = _bellman_ford(graph, dist)
+        if dist[sink] is None or dist[sink] >= 0:
+            break
+        path = []
+        y = sink
+        while y != source:
+            x, arc = pred[y]
+            path.append(arc)
+            y = x
+        delta = min(arc[1] for arc in path)
+        for arc in path:
+            arc[1] -= delta
+            graph[arc[0]][arc[3]][1] += delta
+
+    # the flow on an arc is its reverse arc's residual capacity
+    gain = sum(-arc[2] * graph[arc[0]][arc[3]][1]
+               for u in range(n) for arc in graph[u] if arc[0] < 2 * n)
+    moved = sum(graph[arc[0]][arc[3]][1] for arc in graph[source])
+    _add_arc(graph, sink, source, total, 0, moved)
+    potential: list[int | None] = [0] * len(graph)
+    _bellman_ford(graph, potential)
+    p_s = potential[source]
+    radii2 = [max(0, potential[u] - p_s) + max(0, p_s - potential[n + u]) for u in range(n)]
+    if gain != sum(w * r for w, r in zip(weights, radii2)):
+        raise AssertionError("flow gain and dual radii disagree")
+    centroid2 = [max(2 * x[j] - r for x, r in zip(points, radii2))
+                 for j in range(cluster.dimension)]
+    attained = sum(w * max(abs(2 * v - c) for v, c in zip(x, centroid2))
+                   for x, w in zip(points, weights))
+    if attained != gain:
         raise AssertionError("recovered centroid does not attain the LP optimum")
-    return centroid, Cost.of(value)
+    return tuple(Fraction(c, 2) for c in centroid2), Cost.of(Fraction(gain, 2))
 
 
 def centroid_linf_grid(cluster: WeightedCluster, cap: int = 2_000_000) -> tuple[Point, Cost]:
@@ -204,8 +277,6 @@ def centroid_linf_grid(cluster: WeightedCluster, cap: int = 2_000_000) -> tuple[
         for pt, w in zip(cluster.points, cluster.weights):
             total += w * max(abs(2 * v - c) for v, c in zip(pt, c2))
         return total
-
-    import itertools
 
     for c2 in itertools.product(*ranges):
         val = cost2_at(list(c2))

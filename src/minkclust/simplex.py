@@ -1,9 +1,11 @@
-"""Exact linear programming over rationals.
+"""Exact linear programming over rationals, kept as a test reference.
 
 A plain dense two-phase simplex on Fraction arithmetic, with Bland's rule so
 cycling cannot occur.  All variables are nonnegative; constraints are given
-as A_ub x <= b_ub and A_eq x = b_eq.  Problem sizes in this package are tiny
-(tens of rows), which is exactly where a textbook tableau is the right tool.
+as A_ub x <= b_ub and A_eq x = b_eq.  It is on no solve path: the
+max-distance centroid LP is solved by integer min-cost flow in
+``centroids.centroid_linf_lp``, and the tests solve the same pairwise-gap LP
+here to check it.
 """
 
 from __future__ import annotations

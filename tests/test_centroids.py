@@ -14,6 +14,7 @@ from minkclust import (
     centroid_lp,
     cost_eval,
 )
+from minkclust import simplex
 
 
 def test_median_examples():
@@ -200,6 +201,48 @@ def test_linf_lp_equals_grid():
         _, by_lp = centroid_linf_lp(cluster)
         _, by_grid = centroid_linf_grid(cluster)
         assert by_lp.exact == by_grid.exact
+
+
+def _simplex_linf_value(cluster):
+    """The pairwise-gap LP of the max-distance cost, solved by the rational
+    simplex: minimize sum w_i d_i subject to d_u + d_v >= gap(u, v)."""
+    n = len(cluster.points)
+    a_ub, b_ub = [], []
+    for u in range(n):
+        for v in range(u + 1, n):
+            gap = max(abs(a - b) for a, b in zip(cluster.points[u], cluster.points[v]))
+            if gap > 0:
+                row = [0] * n
+                row[u] = row[v] = -1
+                a_ub.append(row)
+                b_ub.append(-gap)
+    return simplex.minimize(list(cluster.weights), a_ub, b_ub)[0]
+
+
+def test_linf_flow_equals_simplex_reference():
+    """The flow-based centroid against the simplex on clusters past the
+    grid's cap: up to 12 points in up to 12 dimensions, weights up to 10**6,
+    repeated points, and an all-identical cluster where no flow moves."""
+    rnd = random.Random(16)
+    clusters = []
+    for _ in range(40):
+        n = rnd.randint(2, 8)
+        d = rnd.randint(1, 12)
+        pool = [tuple(rnd.randint(-6, 6) for _ in range(d)) for _ in range(rnd.randint(1, n))]
+        pts = [rnd.choice(pool) for _ in range(n)]  # repeats are likely
+        ws = [rnd.choice((1, rnd.randint(1, 10**6))) for _ in range(n)]
+        clusters.append(WeightedCluster(tuple(pts), tuple(ws)))
+    wide = [tuple(rnd.randint(-40, 40) for _ in range(12)) for _ in range(11)]
+    clusters.append(WeightedCluster(tuple(wide + [wide[3]]),
+                                    tuple(rnd.randint(1, 10**6) for _ in range(12))))
+    clusters.append(WeightedCluster.of([(7, -3, 2)] * 12, [10**6 - i for i in range(12)]))
+    for cluster in clusters:
+        centroid, cost = centroid_linf_lp(cluster)
+        assert cost.exact == _simplex_linf_value(cluster)
+        assert all((2 * c).denominator == 1 for c in centroid)
+        attained = sum(w * max(abs(v - c) for v, c in zip(pt, centroid))
+                       for pt, w in zip(cluster.points, cluster.weights))
+        assert attained == cost.exact
 
 
 def test_l2_mean_first_order():

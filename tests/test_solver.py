@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkclust import solver
+from minkclust import simplex, solver
 from minkclust import (
     ClusteringInstance,
     Cost,
@@ -23,6 +23,9 @@ from minkclust import (
     HioctInstance,
     optimal_cluster_cost,
     regularize,
+    select_bruteforce,
+    select_linf,
+    SelectionInstance,
     solve_bruteforce,
     solve_color_coding,
 )
@@ -84,6 +87,32 @@ def test_solve_bruteforce_linfoct_suppressed():
     shown = (optimal_cluster_cost(inst.order, pair_a)[1].exact
              + optimal_cluster_cost(inst.order, pair_b)[1].exact)
     assert shown == 6
+
+
+def test_linf_costs_never_call_the_simplex(monkeypatch):
+    """Every max-distance cost comes from the flow-based centroid: with the
+    rational simplex disabled, the solvers and the oracles still give the
+    figure's optimum 5 and the half-integral optima of two small instances."""
+    def disabled(*args, **kwargs):
+        raise AssertionError("simplex.minimize called on a solve path")
+
+    monkeypatch.setattr(simplex, "minimize", disabled)
+    figure = gen_linf2_from_hioct(HioctInstance(EX_OCT_GRAPH, 2),
+                                  include_isolated_edges=False)
+    ds = Dataset(2, ((0, 0), (3, 0), (0, 3), (7, 7), (9, 8)), (1, 1, 1, 2, 1))
+    small = ClusteringInstance(ds, 2, Cost.of(Fraction(13, 2)), DistanceOrder.linf())
+    for inst, optimum in ((figure, 5), (small, Fraction(13, 2))):
+        res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
+        assert res.decision and res.clustering.total_cost.exact == optimum
+        assert solve_bruteforce(inst).min_cost.exact == optimum
+
+    sel = SelectionInstance.of([[(0, 0), (6, 6)], [(3, 0), (9, 9)], [(0, 3), (1, 8)]],
+                               Cost.of(10), DistanceOrder.linf(),
+                               [[1, 2], [1, 1], [1, 2]])
+    fast = select_linf(sel, minimize=True)
+    brute = select_bruteforce(sel)
+    assert fast.decision and fast.cost.exact == brute.cost.exact == Fraction(9, 2)
+    assert fast.indices == brute.indices == (0, 0, 0)
 
 
 def test_solve_bruteforce_respects_k():
