@@ -561,7 +561,7 @@ def linf2_witness_cost(h: HioctInstance, delta: Sequence[int],
     if not ok:
         raise ValueError("assignment is not a valid transversal")
     side = [coloring[v - 1] for v in range(1, n + 1)]
-    centroids = [[Fraction(0)] * len(edges) for _ in range(2)]
+    centroids = [[0] * len(edges) for _ in range(2)]
     for idx, (u, v) in enumerate(edges):
         for cl in range(2):
             u_in = side[u - 1] == cl
@@ -569,26 +569,22 @@ def linf2_witness_cost(h: HioctInstance, delta: Sequence[int],
             if u_in and v_in:
                 du, dv = full_delta[u - 1], full_delta[v - 1]
                 if du == 1 and dv == 1:
-                    centroids[cl][idx] = Fraction(0)
+                    centroids[cl][idx] = 0
                 elif du == 2:
-                    centroids[cl][idx] = Fraction(-1)
+                    centroids[cl][idx] = -1
                 else:
-                    centroids[cl][idx] = Fraction(1)
+                    centroids[cl][idx] = 1
             elif u_in:
-                centroids[cl][idx] = Fraction(1)
+                centroids[cl][idx] = 1
             elif v_in:
-                centroids[cl][idx] = Fraction(-1)
-    total = Fraction(0)
+                centroids[cl][idx] = -1
+    # every value is an integer; only the returned total is a Fraction
+    total = 0
     for v in range(1, n + 1):
-        vec = [Fraction(0)] * len(edges)
-        for idx, (a, b) in enumerate(edges):
-            if a == v:
-                vec[idx] = Fraction(2)
-            elif b == v:
-                vec[idx] = Fraction(-2)
         c = centroids[side[v - 1]]
-        total += max(abs(x - y) for x, y in zip(vec, c))
-    return total
+        total += max(abs((2 if a == v else -2 if b == v else 0) - y)
+                     for (a, b), y in zip(edges, c))
+    return Fraction(total)
 
 
 def l0_cluster_diagnostics(cluster: WeightedCluster, num_vertices: int) -> tuple[int, int, Fraction]:

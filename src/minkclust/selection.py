@@ -7,18 +7,21 @@ order; the specialized solvers implement the parameterized algorithms for
 exponents p in (0, 1], the squared Euclidean cost, the max distance, and the
 Hamming distance.  Each specialized solver also has a minimising form, a
 branch and bound in which the best witness so far takes the budget's place in
-the pruning tests.  Inner enumeration loops run on raw integer arithmetic and
-every accepted witness is re-verified through the exact cost path before it
-is returned.
+the pruning tests.  The Hamming, squared Euclidean and p in (0, 1] solvers
+price their centroids one coordinate at a time (``_coordinate_search``), in
+integers for the first two and in floats for p in (0, 1], where the float
+total is only a filter.  Every candidate that passes is re-costed through the
+exact cost path, which alone decides, before it is returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import mpmath
 
@@ -205,8 +208,80 @@ def _verified(inst: SelectionInstance, centroid: Sequence[Number], stats: dict,
     return inc.take(SelectionResult(True, res.indices, best_c, best_cost, stats))
 
 
+def _coordinate_search(
+    groups: Sequence[Sequence[tuple[Point, int]]],
+    columns: Sequence[tuple[int, Sequence[int]]],
+    coord_cost: Callable[[int, int], Number],
+    start: Sequence[Number],
+    limit: Callable[[], Number],
+    leaf: Callable[[tuple[int, ...]], bool],
+    stats: dict,
+    cap: int,
+    memo: dict | None = None,
+) -> bool:
+    """Depth-first search over centroid coordinates, priced incrementally.
+
+    Each row (a vector ``pt`` of weight ``w``) carries a partial cost, starting
+    at ``start`` (rows in group order).  ``columns`` lists the coordinates to
+    set, each with its values in visiting order; setting coordinate ``j`` to
+    ``v`` adds ``w * coord_cost(pt[j], v)`` to every row.  A node is cut once
+    the greedy total, the sum over groups of each group's smallest partial,
+    exceeds ``limit()``, which is re-read only after a leaf.  Costs only grow
+    as coordinates are set, so a cut never loses a leaf that passes, and a
+    leaf's total is the greedy cost of its centroid over ``groups``.  ``leaf`` receives the
+    values of each surviving leaf, one per column, and returns true to end
+    the search.  Nodes count against ``cap``; leaves count as centroids tried.
+    Each (coordinate, value) pair's weighted costs are computed on first use
+    and kept in ``memo``, which calls over the same rows may share.
+    """
+    rows = [row for grp in groups for row in grp]
+    spans = []
+    pos = 0
+    for grp in groups:
+        spans.append(slice(pos, pos + len(grp)))
+        pos += len(grp)
+    if memo is None:
+        memo = {}
+    depth = len(columns)
+    chosen = [0] * depth
+    lim = limit()
+
+    def rec(k: int, partial: list) -> bool:
+        nonlocal lim
+        stats["nodes"] += 1
+        if stats["nodes"] > cap:
+            raise EnumerationCapExceeded("search node cap exceeded")
+        if k == depth:
+            stats["centroids_tried"] += 1
+            done = leaf(tuple(chosen))
+            lim = limit()
+            return done
+        j, values = columns[k]
+        for v in values:
+            costs = memo.get((j, v))
+            if costs is None:
+                costs = memo[j, v] = [w * coord_cost(pt[j], v) for pt, w in rows]
+            nxt = list(map(operator.add, partial, costs))
+            if sum(map(min, map(nxt.__getitem__, spans))) > lim:
+                continue
+            chosen[k] = v
+            if rec(k + 1, nxt):
+                return True
+        return False
+
+    partial = list(start)
+    if sum(map(min, map(partial.__getitem__, spans))) > lim:
+        return False
+    return rec(0, partial)
+
+
 # ---------------------------------------------------------------------------
 # exponents p in (0, 1]
+
+
+# Float totals filter candidates before the exact check; they may exceed the
+# exact cost by rounding, so a candidate is dropped only beyond this slack.
+_FLOAT_SLACK = 1e-6
 
 
 def _pow_cache_fn(p: Fraction):
@@ -270,21 +345,32 @@ def select_lp01(
     radius.  ``mode`` selects exhaustive or pattern-based subset enumeration
     ("auto" goes exhaustive while the active coordinates are few).
 
+    Each subset is searched coordinate by coordinate (``_coordinate_search``)
+    with the pivot alone standing for the first group, so the pivot's own cost
+    bounds its moves.  Float costs only filter, within ``_FLOAT_SLACK`` of
+    the bound, in both phases; the exact greedy cost decides every candidate.
+
     With ``minimize`` a yes carries a minimum-cost tuple: the input-vector
     phase seeds the incumbent, and the enumeration then runs to the end,
-    bounded by the incumbent's cost instead of the budget.
+    bounded by the incumbent's cost instead of the budget.  ``centroid_cap``
+    bounds the search nodes.
     """
     if inst.order.kind != "lp":
         raise ValueError("solver requires an exponent p in (0, 1]")
     p = inst.order.p
     inc = _Incumbent(inst, minimize, tol)
-    stats = {"phase2_entered": False, "centroids_tried": 0, "pivots": 0,
+    stats = {"phase2_entered": False, "centroids_tried": 0, "nodes": 0, "pivots": 0,
              "candidate_sets": 0, "phase": None}
+    powp = _pow_cache_fn(p)
+    budget_f = float(cost_eval(inc.bound))
 
     for _, _, pt, _ in inst.iter_vectors():
+        if _greedy_float_lp(inst, pt, powp) > budget_f + _FLOAT_SLACK:
+            continue
         if _verified(inst, pt, stats, inc):
             stats["phase"] = "input-vector"
             return inc.best
+        budget_f = float(cost_eval(inc.bound))
 
     stats["phase2_entered"] = True
     stats["phase"] = "enumerated"
@@ -297,12 +383,20 @@ def select_lp01(
             return inc.result(stats)
         eligible.append(rows)
 
-    powp = _pow_cache_fn(p)
+    d = inst.dimension
     all_points = [pt for _, _, pt, _ in inst.iter_vectors()]
-    gmin = [min(pt[i] for pt in all_points) for i in range(inst.dimension)]
-    gmax = [max(pt[i] for pt in all_points) for i in range(inst.dimension)]
+    gmin = [min(pt[i] for pt in all_points) for i in range(d)]
+    gmax = [max(pt[i] for pt in all_points) for i in range(d)]
+    rest = [list(zip(pts, ws)) for pts, ws in zip(inst.groups[1:], inst.weights[1:])]
     seen: set[Point] = set()
     limits_of = None
+
+    def coord_cost(a: int, v: int) -> float:
+        return powp(abs(a - v))
+
+    def limit() -> float:
+        return budget_f + _FLOAT_SLACK
+
     for i1, pt1, w1 in eligible[0]:
         stats["pivots"] += 1
         if limits_of is not inc.bound:  # the bound shrinks only in minimise mode
@@ -324,48 +418,50 @@ def select_lp01(
             host, d_limit, host_mode, pattern_max_vertices, pattern_max_edges
         )
         stats["candidate_sets"] += len(cands)
-        limit1 = budget_f / w1 + 1e-9
+
+        # the first group is the pivot alone: a tuple that contains the pivot
+        # costs at most the bound at its centroid, so this cut loses no optimum
+        groups = [[(pt1, w1)]] + rest
+        memo: dict = {}
+        # each row's weighted cost per coordinate left at the pivot's value; a
+        # subset's search starts from the sum over the coordinates outside it
+        pivot_cost = [[w * coord_cost(a, b) for a, b in zip(pt, pt1)]
+                      for grp in groups for pt, w in grp]
+        values = []
+        for j in range(d):
+            col = []
+            for mag in range(1, radius + 1):
+                if w1 * powp(mag) > budget_f + _FLOAT_SLACK:
+                    break
+                for off in (mag, -mag):
+                    # clamping into the box never loses an optimum
+                    if gmin[j] <= pt1[j] + off <= gmax[j]:
+                        col.append(pt1[j] + off)
+            values.append(col)
 
         for subset in cands:
             if not subset:
                 continue
             coords = sorted(subset)
-            offsets = [0] * len(coords)
 
-            def rec(pos: int, used: float) -> bool:
+            def leaf(vals: tuple[int, ...]) -> bool:
                 nonlocal budget_f
-                if pos == len(coords):
-                    candidate = list(pt1)
-                    for c, off in zip(coords, offsets):
-                        candidate[c] = pt1[c] + off
-                    key = tuple(candidate)
-                    if key in seen:
-                        return False
-                    seen.add(key)
-                    stats["centroids_tried"] += 1
-                    if stats["centroids_tried"] > centroid_cap:
-                        raise EnumerationCapExceeded("centroid cap exceeded")
-                    if _greedy_float_lp(inst, key, powp) > budget_f + 1e-6:
-                        return False
-                    if _verified(inst, key, stats, inc):
-                        return True
-                    budget_f = float(cost_eval(inc.bound))
+                candidate = list(pt1)
+                for c, v in zip(coords, vals):
+                    candidate[c] = v
+                key = tuple(candidate)
+                if key in seen:
                     return False
-                coord = coords[pos]
-                for mag in range(1, radius + 1):
-                    term = powp(mag)
-                    if used + term > limit1:
-                        break
-                    for off in (mag, -mag):
-                        value = pt1[coord] + off
-                        if value < gmin[coord] or value > gmax[coord]:
-                            continue  # clamping into the box never loses an optimum
-                        offsets[pos] = off
-                        if rec(pos + 1, used + term):
-                            return True
+                seen.add(key)
+                if _verified(inst, key, stats, inc):
+                    return True
+                budget_f = float(cost_eval(inc.bound))
                 return False
 
-            if rec(0, 0.0):
+            outside = [j for j in range(d) if j not in subset]
+            start = [sum([row[j] for j in outside]) for row in pivot_cost]
+            if _coordinate_search(groups, [(j, values[j]) for j in coords], coord_cost,
+                                  start, limit, leaf, stats, centroid_cap, memo):
                 return inc.best
     return inc.result(stats)
 
@@ -398,8 +494,12 @@ def select_l2(
     enumerates the heaviest chosen vector, the total cluster weight W, and all
     centroids with coordinates y / W inside both the structural numerator
     bound 16 D^2 (t - 1) and the per-pivot radius (W x - y)^2 <= W^2 D / w.
-    With ``minimize`` the incumbent's cost takes D's place in every bound
-    once a witness is found, and a yes carries a minimum-cost tuple.
+    Each (pivot, W) grid is searched coordinate by coordinate
+    (``_coordinate_search``) on integer numerators over W^2, cutting a branch
+    once its greedy total exceeds the bound; ``centroid_cap`` bounds the
+    search nodes.  With ``minimize`` the incumbent's cost takes D's place in
+    every bound once a witness is found, and a yes carries a minimum-cost
+    tuple.
     """
     if inst.order.kind != "l2":
         raise ValueError("solver requires the squared Euclidean order")
@@ -407,7 +507,7 @@ def select_l2(
         raise ValueError("budget must be rational in this regime")
     t = inst.num_groups
     inc = _Incumbent(inst, minimize, tol)
-    stats = {"centroids_tried": 0, "pivots": 0}
+    stats = {"centroids_tried": 0, "nodes": 0, "pivots": 0}
     if Fraction(t) > 4 * inst.budget.exact + 1:
         stats["rejected"] = "group-count"
         return SelectionResult(False, stats=stats)
@@ -416,11 +516,9 @@ def select_l2(
     all_points = [pt for _, _, pt, _ in inst.iter_vectors()]
     gmin = [min(pt[i] for pt in all_points) for i in range(d)]
     gmax = [max(pt[i] for pt in all_points) for i in range(d)]
-    seen: set[tuple[Fraction, ...]] = set()
+    groups = [list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)]
+    zeros = [0] * inst.num_vectors
 
-    full_rows = [
-        list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)
-    ]
     for g_star, i_star, x_star, w_star in inst.iter_vectors():
         d_bound = inc.bound.exact
         max_other = int(4 * d_bound)
@@ -451,48 +549,21 @@ def select_l2(
             b = min(_isqrt_fraction(limit_sq), numerator_bound)
             if b < 0:
                 continue
-            centers = [w_total * x_star[i] for i in range(d)]
-            ranges = []
-            size = 1
-            empty = False
-            for i, c in enumerate(centers):
-                # the mean of any cluster stays inside the coordinate box
-                lo = max(c - b, w_total * gmin[i])
-                hi = min(c + b, w_total * gmax[i])
-                if lo > hi:
-                    empty = True
-                    break
-                ranges.append(range(lo, hi + 1))
-                size *= hi - lo + 1
-            if empty:
+            # the mean of any cluster stays inside the coordinate box
+            columns = [(i, range(max(w_total * x_star[i] - b, w_total * gmin[i]),
+                                 min(w_total * x_star[i] + b, w_total * gmax[i]) + 1))
+                       for i in range(d)]
+            if not all(values for _, values in columns):
                 continue
-            stats["centroids_tried"] += size
-            if stats["centroids_tried"] > centroid_cap:
-                raise EnumerationCapExceeded("centroid cap exceeded")
-            limit_num = inc.limit(w_total**2)  # totals are numerators over W^2
-            for y in itertools.product(*ranges):
-                centroid = tuple(Fraction(v, w_total) for v in y)
-                if centroid in seen:
-                    continue
-                seen.add(centroid)
-                total = 0
-                for rows in full_rows:
-                    best = None
-                    for pt, w in rows:
-                        s = 0
-                        for v, yo in zip(pt, y):
-                            diff = w_total * v - yo
-                            s += diff * diff
-                        s *= w
-                        if best is None or s < best:
-                            best = s
-                    total += best
-                    if total > limit_num:
-                        break
-                if total <= limit_num:
-                    if _verified(inst, centroid, stats, inc):
-                        return inc.best
-                    limit_num = inc.limit(w_total**2)
+
+            def leaf(y: tuple[int, ...]) -> bool:
+                return _verified(inst, tuple(Fraction(v, w_total) for v in y), stats, inc)
+
+            # totals are numerators over W^2: a row pays w (W a - y)^2
+            if _coordinate_search(groups, columns, lambda a, y: (w_total * a - y) ** 2,
+                                  zeros, lambda: inc.limit(w_total**2), leaf, stats,
+                                  centroid_cap):
+                return inc.best
     return inc.result(stats)
 
 
@@ -523,7 +594,7 @@ def select_linf(
         raise ValueError("budget must be rational in this regime")
     d = inst.dimension
     inc = _Incumbent(inst, minimize, tol)
-    stats = {"nodes": 0, "pivots": 0}
+    stats = {"centroids_tried": 0, "nodes": 0, "pivots": 0}
     flat: list[tuple[int, list[int], int]] = []
     for g, (pts, ws) in enumerate(zip(inst.groups, inst.weights)):
         for pt, w in zip(pts, ws):
@@ -573,6 +644,7 @@ def select_linf(
                 if c2 in seen:
                     return False
                 seen.add(c2)
+                stats["centroids_tried"] += 1
                 centroid = tuple(Fraction(v, 2) for v in c2)
                 if _verified(inst, centroid, stats, inc):
                     return True
@@ -606,41 +678,27 @@ def select_l0(
     tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
-    """Solver for the Hamming distance: try every centroid assembled from
-    values present per coordinate anywhere in the instance.  With
-    ``minimize`` each witness lowers the bound later centroids must beat, and
-    a yes carries a minimum-cost tuple."""
+    """Solver for the Hamming distance: search every centroid assembled from
+    values present per coordinate anywhere in the instance, one coordinate at
+    a time (``_coordinate_search``), cutting a branch once its greedy
+    mismatch count exceeds the bound.  ``centroid_cap`` bounds the search
+    nodes.  With ``minimize`` each witness lowers the bound later centroids
+    must beat, and a yes carries a minimum-cost tuple."""
     if inst.order.kind != "l0":
         raise ValueError("solver requires the Hamming order")
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
     d = inst.dimension
     inc = _Incumbent(inst, minimize, tol)
-    stats = {"centroids_tried": 0}
-    columns = [sorted({pt[i] for _, _, pt, _ in inst.iter_vectors()}) for i in range(d)]
-    size = 1
-    for col in columns:
-        size *= len(col)
-    if size > centroid_cap:
-        raise EnumerationCapExceeded("present-value grid exceeds the cap")
-    limit = inc.limit()
-    for centroid in itertools.product(*columns):
-        stats["centroids_tried"] += 1
-        total = 0
-        for pts, ws in zip(inst.groups, inst.weights):
-            best = None
-            for pt, w in zip(pts, ws):
-                mism = sum(1 for a, b in zip(pt, centroid) if a != b)
-                s = w * mism
-                if best is None or s < best:
-                    best = s
-            total += best
-            if total > limit:
-                break
-        if total <= limit:
-            if _verified(inst, centroid, stats, inc):
-                return inc.best
-            limit = inc.limit()
+    stats = {"centroids_tried": 0, "nodes": 0}
+    columns = [(i, sorted({pt[i] for _, _, pt, _ in inst.iter_vectors()})) for i in range(d)]
+    groups = [list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)]
+
+    def leaf(centroid: tuple[int, ...]) -> bool:
+        return _verified(inst, centroid, stats, inc)
+
+    _coordinate_search(groups, columns, lambda a, v: a != v, [0] * inst.num_vectors,
+                       inc.limit, leaf, stats, centroid_cap)
     return inc.result(stats)
 
 

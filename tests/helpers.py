@@ -46,14 +46,16 @@ def random_selection_instance(
     coord_lo: int = 0,
     coord_hi: int = 3,
     weight_max: int = 1,
+    d_min: int = 1,
+    per_group_min: int = 1,
 ) -> SelectionInstance:
-    d = rnd.randint(1, d_max)
+    d = rnd.randint(d_min, d_max)
     t = rnd.randint(1, t_max)
     pool = set()
     groups = []
     weights = []
     for _ in range(t):
-        size = rnd.randint(1, per_group)
+        size = rnd.randint(per_group_min, per_group)
         grp = []
         ws = []
         tries = 0
@@ -67,7 +69,8 @@ def random_selection_instance(
             ws.append(rnd.randint(1, weight_max))
         if not grp:  # coordinate space exhausted; force a fresh dimension value
             return random_selection_instance(
-                rnd, order, budget, t_max, per_group, d_max, coord_lo, coord_hi, weight_max
+                rnd, order, budget, t_max, per_group, d_max, coord_lo, coord_hi, weight_max,
+                d_min, per_group_min
             )
         groups.append(grp)
         weights.append(ws)

@@ -233,6 +233,21 @@ def test_enumeration_caps_raise():
         select_lp01(inst_lp, centroid_cap=1)
 
 
+def test_l0_search_cuts_the_present_value_grid():
+    """On a "no" instance the coordinate search prunes every branch long
+    before it reaches the leaves of the present-value grid."""
+    groups = [
+        [tuple((i + j) % 5 for j in range(6)) for i in range(3)],
+        [tuple((i + j + 7) % 11 for j in range(6)) for i in range(3)],
+    ]
+    inst = SelectionInstance.of(groups, Cost.of(2), DistanceOrder.l0())  # optimum 3
+    res = select_l0(inst)
+    assert not res.decision
+    grid = math.prod(len({pt[j] for grp in groups for pt in grp}) for j in range(6))
+    assert res.stats["nodes"] < grid
+    assert res.stats["centroids_tried"] == 0
+
+
 def just_below(inst: SelectionInstance, cost: Cost) -> Cost:
     """A budget strictly below a positive optimal cost: the next value down in
     the order's cost regime, or for irrational basis costs the nearest
@@ -251,14 +266,31 @@ def just_below(inst: SelectionInstance, cost: Cost) -> Cost:
     return Cost.of(Fraction(scaled, 10**6))
 
 
-@pytest.mark.parametrize("name", list(SELECTION_ENVELOPES), ids=str)
+# beyond the criterion-2 envelope: up to 4 groups of 3-4 vectors, d of 5-6
+LARGE = dict(t_max=4, per_group_min=3, per_group=4, d_min=5, d_max=6, weight_max=2)
+# name: (order, instance shape, budgets, seed, trials)
+MINIMIZE_SAMPLES = {name: (*env, 500) for name, env in SELECTION_ENVELOPES.items()}
+MINIMIZE_SAMPLES.update({
+    "large-p=1/2": (DistanceOrder.lp(Fraction(1, 2)), dict(LARGE, coord_hi=3),
+                    [Cost.of(v) for v in range(0, 9)], 821, 60),
+    "large-p=1": (DistanceOrder.l1(), dict(LARGE, coord_hi=3),
+                  [Cost.of(v) for v in range(0, 9)], 822, 60),
+    "large-p=2": (DistanceOrder.l2(), dict(LARGE, coord_hi=1),
+                  [Cost.of(Fraction(z, 4)) for z in range(0, 13)], 823, 12),
+    "large-p=0": (DistanceOrder.l0(), dict(LARGE, coord_hi=3),
+                  [Cost.of(v) for v in range(0, 9)], 825, 60),
+})
+
+
+@pytest.mark.parametrize("name", list(MINIMIZE_SAMPLES), ids=str)
 def test_minimize_equals_oracle_optimum(name):
-    """On the criterion-2 sample, the minimising form returns the oracle's
-    optimum whenever it is within the bound (the drawn budget, or the optimum
-    itself) and says no when the bound is just below it."""
-    order, kwargs, budgets, seed = SELECTION_ENVELOPES[name]
+    """On the criterion-2 sample and on larger shapes, the minimising form
+    returns the oracle's optimum whenever it is within the bound (the drawn
+    budget, or the optimum itself) and says no when the bound is just below
+    it."""
+    order, kwargs, budgets, seed, trials = MINIMIZE_SAMPLES[name]
     rnd = random.Random(seed)
-    for trial in range(500):
+    for trial in range(trials):
         budget = budgets[rnd.randrange(len(budgets))]
         inst = random_selection_instance(rnd, order, budget, **kwargs)
         opt = select_bruteforce(inst).cost
