@@ -431,7 +431,7 @@ def select_lp01(
         for j in range(d):
             col = []
             for mag in range(1, radius + 1):
-                if w1 * powp(mag) > budget_f + _FLOAT_SLACK:
+                if w1 * powp(mag) > limit():
                     break
                 for off in (mag, -mag):
                     # clamping into the box never loses an optimum
