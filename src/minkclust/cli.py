@@ -464,7 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--cap-centroids", dest="cap_centroids", type=int,
-                       default=5_000_000)
+                       default=5_000_000,
+                       help="bound on the search nodes of every selection "
+                            "kernel (centroid or tuple search)")
         p.add_argument("--cap-tuples", dest="cap_tuples", type=int,
                        default=1_000_000)
         p.add_argument("--cap-families", dest="cap_families", type=int,

@@ -11,7 +11,10 @@ the pruning tests.  The Hamming, squared Euclidean and p in (0, 1] solvers
 price their centroids one coordinate at a time (``_coordinate_search``), in
 integers for the first two and in floats for p in (0, 1], where the float
 total is only a filter.  Every candidate that passes is re-costed through the
-exact cost path, which alone decides, before it is returned.
+exact cost path, which alone decides, before it is returned.  The
+max-distance solver searches tuples instead of centroids and prices each
+partial tuple through the exact cost path directly.  An instance with one
+vector per group is priced at its single tuple without running a solver.
 """
 
 from __future__ import annotations
@@ -577,94 +580,48 @@ def select_linf(
     tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
-    """Solver for the max distance: for each pivot in the first group, search
-    the half-integral centroids within the budget radius per coordinate.
+    """Solver for the max distance: a depth-first branch and bound over tuples.
 
-    The centroid grid is walked coordinate by coordinate; the greedy cost of
-    the coordinates assigned so far only grows as more are fixed, so branches
-    whose running total already exceeds the budget are cut.  Candidates are
-    also clamped into the instance's coordinate-wise bounding box, which never
-    loses an optimum.  With ``minimize`` the incumbent's cost takes the
-    budget's place in the cut and the radius, and a yes carries a
-    minimum-cost tuple.
+    k-Clustering under the max distance is W[1]-hard parameterized by the
+    budget, so no centroid search is owed here, only exactness.  The search
+    picks one vector per group, in group order and index order, and prices
+    every partial tuple at its exact optimum (``optimal_cluster_cost``, an
+    integer min-cost flow).  Adding a vector never lowers a cluster's optimal
+    cost, so a partial tuple the incumbent rejects bounds every completion
+    and its branch is cut.  ``nodes`` counts the partial tuples expanded,
+    bounded by ``centroid_cap``, and ``centroids_tried`` the complete tuples
+    priced.  With ``minimize`` the search runs on under the strict incumbent
+    and a yes carries the first minimum-cost tuple in lexicographic order,
+    the one ``select_bruteforce`` returns.
     """
     if inst.order.kind != "linf":
         raise ValueError("solver requires the max-distance order")
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    d = inst.dimension
     inc = _Incumbent(inst, minimize, tol)
-    stats = {"centroids_tried": 0, "nodes": 0, "pivots": 0}
-    flat: list[tuple[int, list[int], int]] = []
-    for g, (pts, ws) in enumerate(zip(inst.groups, inst.weights)):
-        for pt, w in zip(pts, ws):
-            flat.append((g, [2 * v for v in pt], w))
-    n_groups = inst.num_groups
-    gmin2 = [min(row[1][j] for row in flat) for j in range(d)]
-    gmax2 = [max(row[1][j] for row in flat) for j in range(d)]
-    # totals are integer numbers of halves, so any rational bound floors to one
-    budget2 = inc.limit(2)
-    seen: set[tuple[int, ...]] = set()
+    stats = {"centroids_tried": 0, "nodes": 0}
+    last = inst.num_groups - 1
+    chosen: list[int] = []
 
-    for pt1, w1 in zip(inst.groups[0], inst.weights[0]):
-        stats["pivots"] += 1
-        h_max = budget2 // w1
-        base = [2 * v for v in pt1]
-        value_lists = []
-        feasible = True
-        for j in range(d):
-            lo = max(base[j] - h_max, gmin2[j])
-            hi = min(base[j] + h_max, gmax2[j])
-            if lo > hi:
-                feasible = False
-                break
-            value_lists.append(sorted(range(lo, hi + 1),
-                                      key=lambda v, b=base[j]: (abs(v - b), v)))
-        if not feasible:
-            continue
-
-        cur_max = [0] * len(flat)
-        chosen = [0] * d
-
-        def group_total() -> int:
-            best = [None] * n_groups
-            for (g, _, w), m in zip(flat, cur_max):
-                s = w * m
-                if best[g] is None or s < best[g]:
-                    best[g] = s
-            return sum(best)
-
-        def rec(j: int) -> bool:
-            nonlocal budget2
-            stats["nodes"] += 1
-            if stats["nodes"] > centroid_cap:
-                raise EnumerationCapExceeded("search node cap exceeded")
-            if j == d:
-                c2 = tuple(chosen)
-                if c2 in seen:
-                    return False
-                seen.add(c2)
-                stats["centroids_tried"] += 1
-                centroid = tuple(Fraction(v, 2) for v in c2)
-                if _verified(inst, centroid, stats, inc):
+    def rec(g: int) -> bool:
+        stats["nodes"] += 1
+        if stats["nodes"] > centroid_cap:
+            raise EnumerationCapExceeded("search node cap exceeded")
+        for i in range(len(inst.groups[g])):
+            chosen.append(i)
+            centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(chosen))
+            if g < last:
+                if inc.admits(cost) and rec(g + 1):
                     return True
-                budget2 = inc.limit(2)
-                return False
-            for v in value_lists[j]:
-                saved = cur_max[:]
-                for idx, (_, pt2, _) in enumerate(flat):
-                    gap = pt2[j] - v if pt2[j] >= v else v - pt2[j]
-                    if gap > cur_max[idx]:
-                        cur_max[idx] = gap
-                if group_total() <= budget2:
-                    chosen[j] = v
-                    if rec(j + 1):
-                        return True
-                cur_max[:] = saved
-            return False
+            else:
+                stats["centroids_tried"] += 1
+                if inc.admits(cost) and inc.take(
+                        SelectionResult(True, tuple(chosen), centroid, cost, stats)):
+                    return True
+            chosen.pop()
+        return False
 
-        if rec(0):
-            return inc.best
+    rec(0)
     return inc.result(stats)
 
 
@@ -706,8 +663,17 @@ def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:
     """Dispatch to the specialized solver for the instance's distance order.
 
     Pass ``minimize=True`` for the optimisation form: the budget is only an
-    upper bound, and a yes carries a tuple of minimum optimal cost.
+    upper bound, and a yes carries a tuple of minimum optimal cost.  An
+    instance with one vector per group has a single tuple, so in either form
+    it is priced directly at its optimal centroid and no kernel runs.
     """
+    if all(len(pts) == 1 for pts in inst.groups):
+        indices = (0,) * inst.num_groups
+        centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(indices))
+        stats = {"centroids_tried": 1, "nodes": 0}
+        if not cost_le(cost, inst.budget, kwargs.get("tol", DEFAULT_TOL)):
+            return SelectionResult(False, stats=stats)
+        return SelectionResult(True, indices, centroid, cost, stats)
     if inst.order.kind == "lp":
         return select_lp01(inst, **kwargs)
     if inst.order.kind == "l2":

@@ -260,8 +260,10 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     Regularizes the dataset, colors the initial clusters with T colors
     (T from the budget and the per-merge cost floor), and enumerates valid
     color families.  Each part's cost is the exact optimum of its Cluster
-    Selection bundle, found by one minimising selection call per distinct
-    bundle with the instance budget as the bound.  A yes always carries a
+    Selection bundle, found by one minimising ``solve_selection`` call per
+    distinct bundle with the instance budget as the bound; a bundle whose
+    groups each hold one vector is priced directly at its single tuple, and
+    any other runs the order's selection kernel.  A yes always carries a
     verified witness clustering.  Under the randomized policies a no is one
     sided; the exhaustive policy is exact.  The stats sum the selection
     solvers' counters under their own names.

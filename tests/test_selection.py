@@ -248,6 +248,23 @@ def test_l0_search_cuts_the_present_value_grid():
     assert res.stats["centroids_tried"] == 0
 
 
+def test_linf_search_expands_only_partial_tuples():
+    """On a "no" instance of 3 groups of 4 vectors the tuple search expands
+    at most the internal nodes of its tuple tree, 1 + 4 + 16, and prices at
+    most its 64 leaves."""
+    groups = [
+        [(-2, -1, -3, 2, 0), (0, -2, -3, -3, -3), (0, 1, -1, 3, 3), (-3, -2, 1, 1, -1)],
+        [(-1, 3, -2, 3, -3), (-1, -2, -3, 3, 2), (3, -1, 3, -1, -2), (-2, -1, -1, 2, 3)],
+        [(2, 3, 3, -1, -3), (3, 1, -1, 2, 0), (1, -2, -2, -2, 0), (-1, -3, 3, 3, 1)],
+    ]
+    inst = SelectionInstance.of(groups, Cost.of(Fraction(9, 2)), DistanceOrder.linf())
+    assert select_bruteforce(inst).cost == Cost.of(5)
+    res = select_linf(inst)
+    assert not res.decision
+    assert res.stats["nodes"] <= 1 + 4 + 16
+    assert res.stats["centroids_tried"] <= 4 * 4 * 4
+
+
 def just_below(inst: SelectionInstance, cost: Cost) -> Cost:
     """A budget strictly below a positive optimal cost: the next value down in
     the order's cost regime, or for irrational basis costs the nearest
@@ -279,6 +296,8 @@ MINIMIZE_SAMPLES.update({
                   [Cost.of(Fraction(z, 4)) for z in range(0, 13)], 823, 12),
     "large-p=0": (DistanceOrder.l0(), dict(LARGE, coord_hi=3),
                   [Cost.of(v) for v in range(0, 9)], 825, 60),
+    "large-p=inf": (DistanceOrder.linf(), dict(LARGE, coord_lo=-4, coord_hi=4),
+                    [Cost.of(Fraction(h, 2)) for h in range(0, 17)], 824, 60),
 })
 
 
@@ -308,3 +327,36 @@ def test_minimize_equals_oracle_optimum(name):
                 assert cost_eq(res.cost, opt), (trial, bound, inst)
             _, again = optimal_cluster_cost(order, inst.chosen_cluster(res.indices))
             assert again == res.cost
+
+
+ONE_TUPLE_ORDERS = {
+    "p=0": DistanceOrder.l0(),
+    "p=1/2": DistanceOrder.lp(Fraction(1, 2)),
+    "p=1": DistanceOrder.l1(),
+    "p=2": DistanceOrder.l2(),
+    "p=inf": DistanceOrder.linf(),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_TUPLE_ORDERS), ids=str)
+def test_one_tuple_instance_priced_directly(name):
+    """An instance with one vector per group is answered at its own optimal
+    cost in both forms, without running a kernel: yes at that cost, no just
+    below it."""
+    order = ONE_TUPLE_ORDERS[name]
+    rnd = random.Random(831)
+    for trial in range(40):
+        inst = random_selection_instance(rnd, order, Cost.of(0), t_max=4, per_group=1,
+                                         d_max=5, coord_lo=-2, coord_hi=3, weight_max=3)
+        centroid, cost = optimal_cluster_cost(order, inst.chosen_cluster((0,) * inst.num_groups))
+        bounds = [(cost, True)]
+        if cost != Cost.of(0):
+            bounds.append((just_below(inst, cost), False))
+        for minimize in (False, True):
+            for bound, feasible in bounds:
+                res = solve_selection(dataclasses.replace(inst, budget=bound), minimize=minimize)
+                assert res.decision == feasible, (trial, bound, inst)
+                assert res.stats["nodes"] == 0
+                if feasible:
+                    assert res.indices == (0,) * inst.num_groups
+                    assert (res.centroid, res.cost) == (centroid, cost)
