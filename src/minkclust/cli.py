@@ -346,13 +346,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _verify_one(name: str, source, params: dict):
-    return verify_reduction(name, source, params)
-
-
 def cmd_verify(args) -> int:
     params = {"k": args.k, "p": Fraction(args.p) if args.p else Fraction(2)}
-    reports = []
     if args.sweep:
         try:
             import networkx as nx
@@ -388,16 +383,7 @@ def cmd_verify(args) -> int:
             raise CliError("verify needs a graph file or --sweep")
         sources = [load_graph(args.graph)]
 
-    def run(src):
-        return _verify_one(args.reduction, src, params)
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(run, sources))
-    else:
-        reports = [run(src) for src in sources]
+    reports = [verify_reduction(args.reduction, src, params) for src in sources]
 
     disagreements = 0
     print("source | target | agree | detail")
@@ -462,11 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--cap-centroids", dest="cap_centroids", type=int,
                        default=5_000_000,
                        help="bound on the search nodes of every selection "
-                            "kernel (centroid or tuple search)")
+                            "kernel (the tuple search for p = 1, squared "
+                            "Euclidean and max distance; the centroid search "
+                            "otherwise)")
         p.add_argument("--cap-tuples", dest="cap_tuples", type=int,
                        default=1_000_000)
         p.add_argument("--cap-families", dest="cap_families", type=int,

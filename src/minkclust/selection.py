@@ -4,17 +4,22 @@ Given t disjoint groups of weighted vectors and a budget, decide whether one
 vector can be picked from each group so that the optimally-centered composite
 cluster costs at most the budget.  A brute-force oracle covers every distance
 order; the specialized solvers implement the parameterized algorithms for
-exponents p in (0, 1], the squared Euclidean cost, the max distance, and the
-Hamming distance.  Each specialized solver also has a minimising form, a
-branch and bound in which the best witness so far takes the budget's place in
-the pruning tests.  The Hamming, squared Euclidean and p in (0, 1] solvers
-price their centroids one coordinate at a time (``_coordinate_search``), in
-integers for the first two and in floats for p in (0, 1], where the float
-total is only a filter.  Every candidate that passes is re-costed through the
-exact cost path, which alone decides, before it is returned.  The
-max-distance solver searches tuples instead of centroids and prices each
-partial tuple through the exact cost path directly.  An instance with one
-vector per group is priced at its single tuple without running a solver.
+exponents p in (0, 1] and the Hamming distance, and an exact tuple search for
+p = 1, the squared Euclidean cost and the max distance.  Each specialized
+solver also has a minimising form, a branch and bound in which the best
+witness so far takes the budget's place in the pruning tests.
+
+The Hamming and p in (0, 1] solvers price their centroids one coordinate at a
+time (``_coordinate_search``), in integers for the first and in floats for
+p in (0, 1], where the float total is only a filter.  Every candidate that
+passes is re-costed through the exact cost path, which alone decides, before
+it is returned.  The tuple search (``_tuple_search``) picks one vector per
+group and prices each partial tuple exactly: through the exact cost path for
+p = 1 and the max distance, and by integer running sums for the squared
+Euclidean cost, whose optimal centroid is the weighted mean.
+``solve_selection`` routes p = 1 to the tuple search; ``select_lp01`` stays
+the paper's algorithm for all of p in (0, 1].  An instance with one vector per
+group is priced at its single tuple without running a solver.
 """
 
 from __future__ import annotations
@@ -222,7 +227,8 @@ def _coordinate_search(
     cap: int,
     memo: dict | None = None,
 ) -> bool:
-    """Depth-first search over centroid coordinates, priced incrementally.
+    """Depth-first search over centroid coordinates, priced incrementally;
+    the centroid search of the Hamming and p in (0, 1] solvers.
 
     Each row (a vector ``pt`` of weight ``w``) carries a partial cost, starting
     at ``start`` (rows in group order).  ``columns`` lists the coordinates to
@@ -470,18 +476,71 @@ def select_lp01(
 
 
 # ---------------------------------------------------------------------------
-# squared Euclidean
+# tuple search: p = 1, squared Euclidean, max distance
 
 
-def _isqrt_fraction(limit: Fraction) -> int:
-    if limit < 0:
-        return -1
-    b = math.isqrt(int(limit))
-    while Fraction((b + 1) ** 2) <= limit:
-        b += 1
-    while b > 0 and Fraction(b**2) > limit:
-        b -= 1
-    return b
+def _tuple_search(
+    inst: SelectionInstance,
+    price: Callable,
+    start,
+    centroid_cap: int,
+    tol: float,
+    minimize: bool,
+) -> SelectionResult:
+    """Depth-first branch and bound over tuples.
+
+    Picks one vector per group, in group order and index order.  ``price``
+    takes the partial tuple's state and the next vector and weight, and
+    returns the grown state, the grown partial tuple's exact optimal cost, and
+    its optimal centroid, or None when that is left to the exact path; the
+    search begins at ``start``.  Adding a vector never lowers a cluster's
+    optimal cost, so a partial tuple the incumbent rejects bounds every
+    completion and its branch is cut.  ``nodes`` counts the partial tuples
+    expanded, bounded by ``centroid_cap``, and ``centroids_tried`` the
+    complete tuples admitted.  With ``minimize`` the search runs on under the
+    strict incumbent and a yes carries the first minimum-cost tuple in
+    lexicographic order, the one ``select_bruteforce`` returns.
+    """
+    inc = _Incumbent(inst, minimize, tol)
+    stats = {"centroids_tried": 0, "nodes": 0}
+    last = inst.num_groups - 1
+    chosen: list[int] = []
+
+    def rec(g: int, state) -> bool:
+        stats["nodes"] += 1
+        if stats["nodes"] > centroid_cap:
+            raise EnumerationCapExceeded("search node cap exceeded")
+        for i, row in enumerate(zip(inst.groups[g], inst.weights[g])):
+            chosen.append(i)
+            nxt, cost, centroid = price(state, *row)
+            if g < last:
+                if inc.admits(cost) and rec(g + 1, nxt):
+                    return True
+            elif inc.admits(cost):
+                stats["centroids_tried"] += 1
+                if centroid is None:
+                    centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(chosen))
+                if inc.take(SelectionResult(True, tuple(chosen), centroid, cost, stats)):
+                    return True
+            chosen.pop()
+        return False
+
+    rec(0, start)
+    return inc.result(stats)
+
+
+def _select_by_cluster(inst: SelectionInstance, centroid_cap: int = 5_000_000,
+                       tol: float = DEFAULT_TOL, minimize: bool = False) -> SelectionResult:
+    """The tuple search with each partial tuple priced as a cluster through
+    ``optimal_cluster_cost`` (the weighted median for p = 1, the integer
+    min-cost flow for the max distance)."""
+
+    def price(state, pt: Point, w: int):
+        pts, ws = state[0] + (pt,), state[1] + (w,)
+        centroid, cost = optimal_cluster_cost(inst.order, WeightedCluster(pts, ws))
+        return (pts, ws), cost, centroid
+
+    return _tuple_search(inst, price, ((), ()), centroid_cap, tol, minimize)
 
 
 def select_l2(
@@ -490,88 +549,33 @@ def select_l2(
     tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
-    """Solver for the squared Euclidean cost, parameterized by dimension and
-    budget.
+    """Solver for the squared Euclidean cost: the tuple search
+    (``_tuple_search``), since a fixed tuple's optimal centroid is its
+    weighted mean.
 
-    Rejects immediately when more than 4D + 1 groups exist.  Otherwise it
-    enumerates the heaviest chosen vector, the total cluster weight W, and all
-    centroids with coordinates y / W inside both the structural numerator
-    bound 16 D^2 (t - 1) and the per-pivot radius (W x - y)^2 <= W^2 D / w.
-    Each (pivot, W) grid is searched coordinate by coordinate
-    (``_coordinate_search``) on integer numerators over W^2, cutting a branch
-    once its greedy total exceeds the bound; ``centroid_cap`` bounds the
-    search nodes.  With ``minimize`` the incumbent's cost takes D's place in
-    every bound once a witness is found, and a yes carries a minimum-cost
-    tuple.
+    Rejects immediately when more than 4D + 1 groups exist.  Each partial
+    tuple carries integer running sums, its weight W, S = sum w x and
+    Q = sum w |x|^2, and costs (W Q - |S|^2) / W.  An admitted complete tuple
+    takes its centroid and cost from the exact path.  ``centroid_cap`` bounds
+    the search nodes; with ``minimize`` a yes carries a minimum-cost tuple.
     """
     if inst.order.kind != "l2":
         raise ValueError("solver requires the squared Euclidean order")
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    t = inst.num_groups
-    inc = _Incumbent(inst, minimize, tol)
-    stats = {"centroids_tried": 0, "nodes": 0, "pivots": 0}
-    if Fraction(t) > 4 * inst.budget.exact + 1:
-        stats["rejected"] = "group-count"
-        return SelectionResult(False, stats=stats)
+    if Fraction(inst.num_groups) > 4 * inst.budget.exact + 1:
+        return SelectionResult(False, stats={"centroids_tried": 0, "nodes": 0,
+                                             "rejected": "group-count"})
 
-    d = inst.dimension
-    all_points = [pt for _, _, pt, _ in inst.iter_vectors()]
-    gmin = [min(pt[i] for pt in all_points) for i in range(d)]
-    gmax = [max(pt[i] for pt in all_points) for i in range(d)]
-    groups = [list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)]
-    zeros = [0] * inst.num_vectors
+    def price(state, pt: Point, w: int):
+        total, sums, sq = state
+        total += w
+        sums = [s + w * x for s, x in zip(sums, pt)]
+        sq += w * sum(x * x for x in pt)
+        cost = Cost.of(Fraction(total * sq - sum(s * s for s in sums), total))
+        return (total, sums, sq), cost, None
 
-    for g_star, i_star, x_star, w_star in inst.iter_vectors():
-        d_bound = inc.bound.exact
-        max_other = int(4 * d_bound)
-        if t >= 2 and max_other < 1:
-            break
-        numerator_bound = int(16 * d_bound * d_bound * (t - 1))
-        # weight filtering only shapes the enumerated W range; candidates are
-        # always tested greedily against the full groups
-        limit_w = min(w_star, max_other) if t >= 2 else 0
-        r_lo = r_hi = 0
-        feasible = True
-        for g, (pts, ws) in enumerate(zip(inst.groups, inst.weights)):
-            if g == g_star:
-                continue
-            eligible = [w for w in ws if w <= limit_w]
-            if not eligible:
-                feasible = False
-                break
-            r_lo += min(eligible)
-            r_hi += max(eligible)
-        if not feasible:
-            continue
-        stats["pivots"] += 1
-
-        for r in range(r_lo, r_hi + 1):
-            w_total = w_star + r
-            limit_sq = Fraction(w_total**2) * inc.bound.exact / w_star
-            b = min(_isqrt_fraction(limit_sq), numerator_bound)
-            if b < 0:
-                continue
-            # the mean of any cluster stays inside the coordinate box
-            columns = [(i, range(max(w_total * x_star[i] - b, w_total * gmin[i]),
-                                 min(w_total * x_star[i] + b, w_total * gmax[i]) + 1))
-                       for i in range(d)]
-            if not all(values for _, values in columns):
-                continue
-
-            def leaf(y: tuple[int, ...]) -> bool:
-                return _verified(inst, tuple(Fraction(v, w_total) for v in y), stats, inc)
-
-            # totals are numerators over W^2: a row pays w (W a - y)^2
-            if _coordinate_search(groups, columns, lambda a, y: (w_total * a - y) ** 2,
-                                  zeros, lambda: inc.limit(w_total**2), leaf, stats,
-                                  centroid_cap):
-                return inc.best
-    return inc.result(stats)
-
-
-# ---------------------------------------------------------------------------
-# max distance
+    return _tuple_search(inst, price, (0, [0] * inst.dimension, 0), centroid_cap, tol, minimize)
 
 
 def select_linf(
@@ -580,49 +584,20 @@ def select_linf(
     tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
-    """Solver for the max distance: a depth-first branch and bound over tuples.
+    """Solver for the max distance: the tuple search (``_tuple_search``) with
+    every partial tuple priced at its exact optimum (``optimal_cluster_cost``,
+    an integer min-cost flow).
 
     k-Clustering under the max distance is W[1]-hard parameterized by the
-    budget, so no centroid search is owed here, only exactness.  The search
-    picks one vector per group, in group order and index order, and prices
-    every partial tuple at its exact optimum (``optimal_cluster_cost``, an
-    integer min-cost flow).  Adding a vector never lowers a cluster's optimal
-    cost, so a partial tuple the incumbent rejects bounds every completion
-    and its branch is cut.  ``nodes`` counts the partial tuples expanded,
-    bounded by ``centroid_cap``, and ``centroids_tried`` the complete tuples
-    priced.  With ``minimize`` the search runs on under the strict incumbent
-    and a yes carries the first minimum-cost tuple in lexicographic order,
-    the one ``select_bruteforce`` returns.
+    budget, so no centroid search is owed here, only exactness.
+    ``centroid_cap`` bounds the search nodes; with ``minimize`` a yes carries
+    the first minimum-cost tuple in lexicographic order.
     """
     if inst.order.kind != "linf":
         raise ValueError("solver requires the max-distance order")
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    inc = _Incumbent(inst, minimize, tol)
-    stats = {"centroids_tried": 0, "nodes": 0}
-    last = inst.num_groups - 1
-    chosen: list[int] = []
-
-    def rec(g: int) -> bool:
-        stats["nodes"] += 1
-        if stats["nodes"] > centroid_cap:
-            raise EnumerationCapExceeded("search node cap exceeded")
-        for i in range(len(inst.groups[g])):
-            chosen.append(i)
-            centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(chosen))
-            if g < last:
-                if inc.admits(cost) and rec(g + 1):
-                    return True
-            else:
-                stats["centroids_tried"] += 1
-                if inc.admits(cost) and inc.take(
-                        SelectionResult(True, tuple(chosen), centroid, cost, stats)):
-                    return True
-            chosen.pop()
-        return False
-
-    rec(0)
-    return inc.result(stats)
+    return _select_by_cluster(inst, centroid_cap, tol, minimize)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +635,9 @@ def select_l0(
 
 
 def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:
-    """Dispatch to the specialized solver for the instance's distance order.
+    """Dispatch to the specialized solver for the instance's distance order:
+    the tuple search for p = 1 (priced by the weighted median), ``select_l2``
+    and ``select_linf``, ``select_lp01`` for p in (0, 1) and ``select_l0``.
 
     Pass ``minimize=True`` for the optimisation form: the budget is only an
     upper bound, and a yes carries a tuple of minimum optimal cost.  An
@@ -675,6 +652,8 @@ def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:
             return SelectionResult(False, stats=stats)
         return SelectionResult(True, indices, centroid, cost, stats)
     if inst.order.kind == "lp":
+        if inst.order.p == 1:
+            return _select_by_cluster(inst, **kwargs)
         return select_lp01(inst, **kwargs)
     if inst.order.kind == "l2":
         return select_l2(inst, **kwargs)

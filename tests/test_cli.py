@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import minkclust
 from minkclust import Cost, DistanceOrder
 from minkclust.cli import (
     budget_to_string,
@@ -23,6 +25,15 @@ from minkclust.generators import (
     gen_lp_selection_from_mcc,
 )
 from tests.helpers import EX_CLIQUE_COLORED, EX_CLIQUE_GRAPH, EX_LINF_COLORED
+
+
+def run_module(args):
+    """Run ``python -m minkclust.cli`` on the package the tests import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(minkclust.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "minkclust.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def run_cli(args, capsys=None):
@@ -192,25 +203,22 @@ def test_cli_bench(tmp_path, capsys):
 def test_cli_entrypoint_subprocess(tmp_path):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "minkclust.cli", "generate", "linf-clique", str(graph)],
-        capture_output=True, text=True,
-    )
+    proc = run_module(["generate", "linf-clique", str(graph)])
     assert proc.returncode == 0
     assert '"kind": "clustering"' in proc.stdout
 
 
 def test_cli_verify_jobs_flag(capsys):
-    assert run_cli(["verify", "linf-clique", "--sweep", "4", "--jobs", "2"]) == 0
+    assert run_cli(["verify", "linf-clique", "--sweep", "4"]) == 0
     out = capsys.readouterr().out
     assert "disagreements: 0" in out
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "linf-clique", "--sweep", "4", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_unknown_reduction_exits_2(tmp_path):
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
-    proc = subprocess.run(
-        [sys.executable, "-m", "minkclust.cli", "generate", "not-a-thing", str(graph)],
-        capture_output=True, text=True,
-    )
+    proc = run_module(["generate", "not-a-thing", str(graph)])
     assert proc.returncode == 2

@@ -231,6 +231,11 @@ def test_enumeration_caps_raise():
     inst_lp = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l1())
     with pytest.raises(EnumerationCapExceeded):
         select_lp01(inst_lp, centroid_cap=1)
+    with pytest.raises(EnumerationCapExceeded):
+        solve_selection(inst_lp, centroid_cap=0)
+    inst_l2 = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l2())
+    with pytest.raises(EnumerationCapExceeded):
+        select_l2(inst_l2, centroid_cap=0)
 
 
 def test_l0_search_cuts_the_present_value_grid():
@@ -265,6 +270,20 @@ def test_linf_search_expands_only_partial_tuples():
     assert res.stats["centroids_tried"] <= 4 * 4 * 4
 
 
+def test_l2_search_expands_only_partial_tuples():
+    """On a "no" instance of 3 groups of 4 unit vectors (optimum 2, budget
+    just below it) the squared Euclidean search expands at most the internal
+    nodes of its tuple tree, 1 + 4 + 16, and admits no complete tuple."""
+    unit = lambda k: tuple(int(j == k) for j in range(12))
+    groups = [[unit(4 * g + j) for j in range(4)] for g in range(3)]
+    inst = SelectionInstance.of(groups, Cost.of(2 - Fraction(1, 9)), DistanceOrder.l2())
+    assert select_bruteforce(inst).cost == Cost.of(2)
+    res = select_l2(inst)
+    assert not res.decision
+    assert res.stats["nodes"] <= 1 + 4 + 16
+    assert res.stats["centroids_tried"] == 0
+
+
 def just_below(inst: SelectionInstance, cost: Cost) -> Cost:
     """A budget strictly below a positive optimal cost: the next value down in
     the order's cost regime, or for irrational basis costs the nearest
@@ -294,6 +313,8 @@ MINIMIZE_SAMPLES.update({
                   [Cost.of(v) for v in range(0, 9)], 822, 60),
     "large-p=2": (DistanceOrder.l2(), dict(LARGE, coord_hi=1),
                   [Cost.of(Fraction(z, 4)) for z in range(0, 13)], 823, 12),
+    "large-p=2-wide": (DistanceOrder.l2(), dict(LARGE, coord_hi=2),
+                       [Cost.of(Fraction(z, 4)) for z in range(0, 49)], 826, 60),
     "large-p=0": (DistanceOrder.l0(), dict(LARGE, coord_hi=3),
                   [Cost.of(v) for v in range(0, 9)], 825, 60),
     "large-p=inf": (DistanceOrder.linf(), dict(LARGE, coord_lo=-4, coord_hi=4),
