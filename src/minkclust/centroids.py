@@ -19,7 +19,8 @@ from typing import Sequence
 import mpmath
 
 from .core import DistanceOrder, Number, Point
-from .cost_model import Cost, cost_eval, DEFAULT_DIGITS
+from .cost_model import Cost, DEFAULT_DIGITS, cost_le
+from .cost_model import cost_eval  # noqa: F401  (traced by perfbench/)
 
 
 @dataclass(frozen=True)
@@ -85,33 +86,31 @@ def centroid_l1(cluster: WeightedCluster) -> tuple[Point, Cost]:
 def centroid_lp(cluster: WeightedCluster, p: Fraction) -> tuple[Point, Cost]:
     """Best present value per coordinate for exponents p in (0, 1).
 
-    Candidates are compared by extended-precision evaluation; ties resolve to
-    the lowest value.  The cost comes back as a basis combination.
+    Candidates are compared exactly (``cost_le``); ties resolve to the lowest
+    value.  The cost comes back as a basis combination.
     """
     if not (0 < p < 1):
         raise ValueError("exponent must lie strictly between 0 and 1")
     centroid: list[Number] = []
     total: dict[int, int] = {}
-    exponent = None
     for i in range(cluster.dimension):
         col = _column(cluster, i)
         best_val = None
         best_terms: dict[int, int] = {}
-        best_num = None
+        best_cost = None
         for cand in sorted({v for v, _ in col}):
             terms: dict[int, int] = {}
             for v, w in col:
                 gap = abs(v - cand)
                 if gap:
                     terms[gap] = terms.get(gap, 0) + w
-            num = cost_eval(Cost.basis(terms, p)) if terms else mpmath.mpf(0)
-            if best_num is None or num < best_num - 1e-30:
-                best_val, best_terms, best_num = cand, terms, num
+            cost = Cost.basis(terms, p)
+            if best_cost is None or not cost_le(best_cost, cost):
+                best_val, best_terms, best_cost = cand, terms, cost
         centroid.append(best_val)
         for base, coeff in best_terms.items():
             total[base] = total.get(base, 0) + coeff
-        exponent = p
-    return tuple(centroid), Cost.basis(total, exponent)
+    return tuple(centroid), Cost.basis(total, p)
 
 
 def centroid_l2(cluster: WeightedCluster) -> tuple[Point, Cost]:

@@ -1,5 +1,5 @@
-"""Command-line front end: instance I/O and the solve, select, generate,
-verify and bench commands.
+"""Command-line front end: instance I/O and the solve, select, generate and
+verify commands.
 
 Instances and graphs travel as UTF-8 JSON.  Budgets are typed strings so no
 exactness is lost: plain integers, fractions "a/b", squared-denominator
@@ -12,12 +12,10 @@ decision (or a fully agreeing verify run), 1 for no (or any disagreement),
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
 from .core import Dataset, DistanceOrder
@@ -41,7 +39,6 @@ from .selection import SelectionInstance, select_bruteforce, select_lp01, solve_
 from .solver import (
     ClusteringInstance,
     SolveConfig,
-    enumerate_color_partitions,
     solve_bruteforce,
     solve_color_coding,
 )
@@ -238,7 +235,6 @@ def cmd_solve(args) -> int:
             iterations=iters,
             max_iterations=args.cap_iterations,
             selection_kwargs={"centroid_cap": args.cap_centroids},
-            tol=args.tol,
         )
         res = solve_color_coding(inst, cfg)
         decision, clustering = res.decision, res.clustering
@@ -402,41 +398,6 @@ def cmd_verify(args) -> int:
     return 0 if disagreements == 0 else 1
 
 
-def cmd_bench(args) -> int:
-    rows = []
-    header = ["suite", "case", "size", "budget", "wall_ms",
-              "centroids_tried", "candidate_sets", "partitions"]
-    if args.suite == "select-lp01":
-        import random
-
-        rnd = random.Random(args.seed)
-        pool = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
-        rnd.shuffle(pool)
-        groups = [pool[0:3], pool[3:6], pool[6:9]]  # disjoint by construction
-        for budget in range(1, 5):
-            inst = SelectionInstance.of(groups, Cost.of(budget), DistanceOrder.l1())
-            t0 = time.perf_counter()
-            res = select_lp01(inst)
-            ms = (time.perf_counter() - t0) * 1000
-            rows.append(["select-lp01", "random", inst.num_vectors, budget,
-                         f"{ms:.3f}", res.stats.get("centroids_tried", 0),
-                         res.stats.get("candidate_sets", 0), ""])
-    elif args.suite == "partitions":
-        for t in range(1, 7):
-            t0 = time.perf_counter()
-            count = sum(1 for _ in enumerate_color_partitions(range(1, t + 1)))
-            ms = (time.perf_counter() - t0) * 1000
-            rows.append(["partitions", f"colors={t}", t, "", f"{ms:.3f}", "", "", count])
-    out = sys.stdout if not args.out else open(args.out, "w", newline="", encoding="utf-8")
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if args.out:
-        out.close()
-        print(f"wrote {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minkclust",
@@ -447,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--cap-centroids", dest="cap_centroids", type=int,
                        default=5_000_000,
                        help="bound on the search nodes of every selection "
@@ -495,12 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep all graphs up to this many vertices")
     common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="timing and counter table (CSV)")
-    p_bench.add_argument("suite")
-    p_bench.add_argument("-o", "--out", default=None)
-    common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -4,19 +4,31 @@ Cluster costs in the supported distance regimes are never plain floats:
 depending on the distance order they are nonnegative integers, half-integers,
 rationals of the form z / s**2, or formal nonnegative-integer combinations
 over the basis {a**p : a positive integer} when the exponent p lies in (0, 1).
-This module provides the shared value type, exact/tolerance comparison, and
-the enumeration of every achievable optimal cluster cost up to a budget.
+This module provides the shared value type, one exact comparison, an exact
+floor, and the enumeration of every achievable optimal cluster cost up to a
+budget.
+
+No comparison depends on a tolerance.  With p = r/q every basis term a**p is
+m * s**(1/q), where a**r = m**q * s and s is q-th-power-free.  Roots of
+distinct q-th-power-free integers are linearly independent over the
+rationals (Besicovitch 1940), so two costs are equal exactly when the
+coefficients of their difference on these roots all cancel.  Otherwise the
+difference has a sign: a float estimate settles it when its proven error
+bound separates the two values, and integer q-th roots at doubling
+precision settle it in every other case.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 from typing import Iterator, Mapping
 
 import mpmath
 
-DEFAULT_TOL = 1e-12
 DEFAULT_DIGITS = 50
 
 
@@ -75,9 +87,6 @@ class Cost:
     def is_exact(self) -> bool:
         return self.exact is not None
 
-    def terms_map(self) -> dict[int, int]:
-        return dict(self.terms or ())
-
     def __add__(self, other: "Cost") -> "Cost":
         if self.exact is not None and other.exact is not None:
             return Cost(exact=self.exact + other.exact)
@@ -88,7 +97,7 @@ class Cost:
         if self.terms is not None and other.terms is not None:
             if self.p != other.p:
                 raise ValueError("cannot add basis costs with different exponents")
-            merged = self.terms_map()
+            merged = dict(self.terms)
             for base, coeff in other.terms:
                 merged[base] = merged.get(base, 0) + coeff
             return Cost.basis(merged, self.p)
@@ -104,48 +113,151 @@ class Cost:
         return Cost.basis({a: c * factor for a, c in self.terms}, self.p)
 
 
-_EVAL_CACHE: dict[tuple, mpmath.mpf] = {}
+# a private precision context: evaluation leaves mpmath's global one alone
+_MP = mpmath.MPContext()
 
 
 def cost_eval(cost: Cost, digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
-    """Numeric value of a cost, correct to ``digits`` decimal digits."""
+    """Numeric value of a cost, correct to ``digits`` decimal digits.
+
+    For display and float filters; ``cost_le`` and ``cost_eq`` decide."""
     if digits < 15:
         raise ValueError("need at least 15 digits")
-    key = (cost.exact, cost.terms, cost.p, digits)
-    cached = _EVAL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    with mpmath.workdps(digits):
-        if cost.exact is not None:
-            value = mpmath.mpf(cost.exact.numerator) / cost.exact.denominator
-        else:
-            exponent = mpmath.mpf(cost.p.numerator) / cost.p.denominator
-            value = mpmath.mpf(0)
-            for base, coeff in cost.terms:
-                value += coeff * mpmath.power(base, exponent)
-    _EVAL_CACHE[key] = value
+    _MP.dps = digits
+    if cost.exact is not None:
+        return _MP.mpf(cost.exact.numerator) / cost.exact.denominator
+    exponent = _MP.mpf(cost.p.numerator) / cost.p.denominator
+    value = _MP.mpf(0)
+    for base, coeff in cost.terms:
+        value += coeff * _MP.power(base, exponent)
     return value
 
 
-def cost_le(a: Cost, b: Cost, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``a <= b``; exact when both are rational, else numeric.
-
-    Numeric comparison treats values within ``tol`` of each other as equal
-    (and equal counts as <=), so a basis combination that happens to equal a
-    rational budget is accepted.
-    """
+def cost_le(a: Cost, b: Cost) -> bool:
+    """Whether ``a <= b``, exactly."""
     if a.exact is not None and b.exact is not None:
         return a.exact <= b.exact
-    va, vb = cost_eval(a), cost_eval(b)
-    if abs(va - vb) <= tol:
-        return True
-    return va < vb
+    return _cmp(a, b) <= 0
 
 
-def cost_eq(a: Cost, b: Cost, tol: float = DEFAULT_TOL) -> bool:
-    if a.exact is not None and b.exact is not None:
-        return a.exact == b.exact
-    return abs(cost_eval(a) - cost_eval(b)) <= tol
+def cost_eq(a: Cost, b: Cost) -> bool:
+    """Whether ``a`` and ``b`` have the same value, exactly."""
+    return _cmp(a, b) == 0
+
+
+def _cmp(a: Cost, b: Cost) -> int:
+    """The sign of ``a - b``: -1, 0 or 1."""
+    if a == b:
+        return 0
+    try:
+        (fa, ea), (fb, eb) = _approx(a), _approx(b)
+    except OverflowError:  # beyond the float range the exact stage decides
+        fa = ea = fb = eb = math.nan
+    if fa + ea < fb - eb:
+        return -1
+    if fa - ea > fb + eb:
+        return 1
+    coeffs, root, den = _radicals((a, 1), (b, -1))
+    if not coeffs:
+        return 0
+    return 1 if _floor(coeffs, root, den) >= 0 else -1
+
+
+def _approx(cost: Cost) -> tuple[float, float]:
+    """A float value of the cost and a bound on its error.
+
+    A rational is rounded once.  A basis term coeff * a**p is off, relative
+    to its value and with u = 2**-53, by at most p * bits(a) * u from
+    rounding p, p * u from converting a, 2u from the power (libm's pow is
+    within an ulp, as glibc documents) and u each from converting coeff and
+    from the product; a sum of n terms adds (n - 1) * u.  The bound returned
+    is four times that total.
+    """
+    if cost.exact is not None:
+        value = cost.exact.numerator / cost.exact.denominator
+        return value, value * 2.0**-52 + 5e-324
+    pf = cost.p.numerator / cost.p.denominator
+    total = 0.0
+    for base, coeff in cost.terms:
+        total += coeff * base**pf
+    bits = cost.terms[-1][0].bit_length()  # terms are sorted by base
+    return total, total * 2.0**-51 * (pf * (bits + 1) + len(cost.terms) + 3)
+
+
+def _radicals(*parts: tuple[Cost, int | Fraction]) -> tuple[dict[int, int], int, int]:
+    """Write the sum of ``scale * cost`` over ``parts`` as
+    ``sum(k * s**(1/root)) / den``: a map from distinct root-th-power-free s
+    to nonzero integers k, the root, and an integer den > 0."""
+    root = math.lcm(*(c.p.denominator for c, _ in parts if c.terms is not None))
+    den = math.lcm(*((c.exact * f).denominator if c.exact is not None
+                     else Fraction(f).denominator for c, f in parts))
+    coeffs: dict[int, int] = {}
+    for cost, scale in parts:
+        if cost.exact is not None:
+            coeffs[1] = coeffs.get(1, 0) + int(cost.exact * scale * den)
+            continue
+        factor = int(scale * den)
+        power = cost.p.numerator * (root // cost.p.denominator)
+        for base, coeff in cost.terms:
+            m, s = _radical(base, power, root)
+            coeffs[s] = coeffs.get(s, 0) + factor * coeff * m
+    return {s: k for s, k in coeffs.items() if k}, root, den
+
+
+@lru_cache(maxsize=4096)
+def _radical(base: int, power: int, root: int) -> tuple[int, int]:
+    """(m, s) with base**power == m**root * s and s root-th-power-free."""
+    m = s = 1
+    n, f = base, 2
+    while f * f <= n:
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        if e:
+            m *= f ** (e * power // root)
+            s *= f ** (e * power % root)
+        f += 1
+    if n > 1:
+        m *= n ** (power // root)
+        s *= n ** (power % root)
+    return m, s
+
+
+def _iroot(n: int, root: int) -> int:
+    """floor(n ** (1/root)) for an integer n >= 1."""
+    if root == 2:
+        return math.isqrt(n)
+    x = 1 << -(-n.bit_length() // root)  # at least the root
+    while True:
+        y = ((root - 1) * x + n // x ** (root - 1)) // root
+        if y >= x:
+            return x
+        x = y
+
+
+def cost_floor(cost: Cost, scale: int | Fraction = 1) -> int:
+    """The largest integer at most ``scale`` times the cost, exactly."""
+    if cost.exact is not None:
+        return math.floor(cost.exact * scale)
+    return _floor(*_radicals((cost, scale)))
+
+
+def _floor(coeffs: Mapping[int, int], root: int, den: int) -> int:
+    """floor(sum(k * s**(1/root)) / den) over ``coeffs``, a map from s to k,
+    by integer roots at doubling precision.  The search ends: the sum is
+    rational only when every s is 1, and then the roots are exact."""
+    bits = 64
+    while True:
+        lo = hi = 0  # lo <= 2**bits * sum <= hi
+        for s, k in coeffs.items():
+            r = 1 << bits if s == 1 else _iroot(s << (bits * root), root)
+            up = r if s == 1 else r + 1
+            lo += k * (r if k > 0 else up)
+            hi += k * (up if k > 0 else r)
+        if lo // (den << bits) == hi // (den << bits):
+            return lo // (den << bits)
+        bits *= 2
 
 
 def int_root_floor(value: Fraction, p: Fraction) -> int:
@@ -187,33 +299,10 @@ class CostSet:
         return iter(self.members)
 
 
-def _budget_floor(budget: Cost) -> int:
-    if budget.exact is not None:
-        return int(budget.exact)
-    return int(mpmath.floor(cost_eval(budget) * (1 + 1e-30)))
-
-
-def _basis_combinations(bases: list[int], limit: int) -> Iterator[dict[int, int]]:
-    # coefficient vectors with total sum <= limit, lexicographic by base
-    def rec(idx: int, remaining: int, current: dict[int, int]) -> Iterator[dict[int, int]]:
-        if idx == len(bases):
-            yield dict(current)
-            return
-        base = bases[idx]
-        for coeff in range(remaining + 1):
-            if coeff:
-                current[base] = coeff
-            yield from rec(idx + 1, remaining - coeff, current)
-            current.pop(base, None)
-
-    yield from rec(0, limit, {})
-
-
 def enumerate_cost_set(
     order: "DistanceOrder",
     budget: Cost,
     n: int | None = None,
-    tol: float = DEFAULT_TOL,
     max_members: int = 500_000,
 ) -> CostSet:
     """Enumerate every possible optimal cluster cost that is at most the budget.
@@ -221,32 +310,32 @@ def enumerate_cost_set(
     Regimes: integers for p = 1 and the Hamming distance; half-integers for
     the max distance; z / s**2 for the squared Euclidean distance (s up to the
     number of vectors ``n``); nonnegative-integer combinations over
-    {a**p : 1 <= a <= ceil(budget**(1/p))} for p in (0, 1), filtered to
-    evaluate at most the budget.
+    {a**p : a positive integer, a**p <= budget} for p in (0, 1), grown one
+    term at a time while they stay within the budget.  Members are sorted by
+    the exact comparison, one per value: combinations of equal value, such
+    as 4**(1/2) and 2 * 1**(1/2), are the same cost.
     """
     if budget.exact is not None and budget.exact < 0:
         raise ValueError("budget must be nonnegative")
     members: list[Cost]
     if order.kind in ("l0",) or (order.kind == "lp" and order.p == 1):
-        top = _budget_floor(budget)
-        members = [Cost.of(i) for i in range(top + 1)]
+        members = [Cost.of(i) for i in range(cost_floor(budget) + 1)]
     elif order.kind == "lp":
         p = order.p
-        if budget.exact is not None:
-            top_base = int_root_ceil(budget.exact, p)
-        else:
-            with mpmath.workdps(DEFAULT_DIGITS):
-                top_base = int(mpmath.ceil(cost_eval(budget) ** (1 / float(p))))
-        bases = list(range(1, max(top_base, 1) + 1))
-        limit = _budget_floor(budget)
-        budget_val = cost_eval(budget)
-        members = []
-        for combo in _basis_combinations(bases, limit):
-            cost = Cost.basis(combo, p)
-            if cost_eval(cost) <= budget_val + tol:
-                members.append(cost)
-            if len(members) > max_members:
-                raise ValueError("cost set exceeds max_members cap")
+        members = [Cost.of(0)]
+
+        def grow(cost: Cost, first: int) -> None:
+            # add one term, its base no smaller than the last one added
+            for base in itertools.count(first):
+                nxt = cost + Cost.basis({base: 1}, p)
+                if not cost_le(nxt, budget):
+                    break  # a larger base costs more
+                members.append(nxt)
+                if len(members) > max_members:
+                    raise ValueError("cost set exceeds max_members cap")
+                grow(nxt, base)
+
+        grow(Cost.of(0), 1)
     elif order.kind == "l2":
         if n is None or n < 1:
             raise ValueError("the squared Euclidean regime needs n >= 1")
@@ -266,9 +355,8 @@ def enumerate_cost_set(
     else:
         raise ValueError(f"unknown distance order {order!r}")
 
-    # keep structurally distinct members even if they collide numerically
-    unique: dict[tuple, Cost] = {}
-    for m in members:
-        unique[(m.exact, m.terms)] = m
-    ordered = sorted(unique.values(), key=lambda c: cost_eval(c))
+    ordered: list[Cost] = []
+    for m in sorted(members, key=cmp_to_key(_cmp)):
+        if not ordered or _cmp(ordered[-1], m):
+            ordered.append(m)
     return CostSet(order=order, budget=budget, members=tuple(ordered))

@@ -62,9 +62,6 @@ class Graph:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set()
-
     def non_edges(self) -> list[tuple[int, int]]:
         es = self.edge_set()
         return [
@@ -458,14 +455,6 @@ def sat_satisfying_assignment(f: CnfFormula) -> tuple[bool, ...] | None:
         if ok:
             return bits
     return None
-
-
-def _adjacency(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def _is_bipartite(n: int, edges: Iterable[tuple[int, int]]) -> tuple[bool, list[int]]:

@@ -31,17 +31,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-import mpmath
-
 from .centroids import WeightedCluster, optimal_cluster_cost
 from .core import DistanceOrder, Number, Point, distance
-from .cost_model import (
-    Cost,
-    DEFAULT_TOL,
-    cost_eval,
-    cost_le,
-    int_root_floor,
-)
+from .cost_model import Cost, cost_eval, cost_floor, cost_le
 from .hypergraph import build_difference_hypergraph, candidate_coordinate_sets
 
 
@@ -123,9 +115,7 @@ class SelectionResult:
     stats: dict = field(default_factory=dict)
 
 
-def select_fixed_centroid(
-    inst: SelectionInstance, centroid: Sequence[Number], tol: float = DEFAULT_TOL
-) -> SelectionResult:
+def select_fixed_centroid(inst: SelectionInstance, centroid: Sequence[Number]) -> SelectionResult:
     """Greedy completion for a fixed centroid: from each group take the vector
     of minimum weighted distance (lowest index on ties)."""
     if len(centroid) != inst.dimension:
@@ -137,17 +127,15 @@ def select_fixed_centroid(
         best_cost: Cost | None = None
         for i, (pt, w) in enumerate(zip(pts, ws)):
             c = distance(inst.order, pt, centroid).scaled(w)
-            if best_cost is None or not cost_le(best_cost, c, tol):
+            if best_cost is None or not cost_le(best_cost, c):
                 best_i, best_cost = i, c
         indices.append(best_i)
         total = total + best_cost
-    decision = cost_le(total, inst.budget, tol)
+    decision = cost_le(total, inst.budget)
     return SelectionResult(decision, tuple(indices), tuple(centroid), total)
 
 
-def select_bruteforce(
-    inst: SelectionInstance, cap: int = 1_000_000, tol: float = DEFAULT_TOL
-) -> SelectionResult:
+def select_bruteforce(inst: SelectionInstance, cap: int = 1_000_000) -> SelectionResult:
     """Exhaustive oracle over all group tuples, each costed at its exact
     optimal centroid.  Returns the globally minimal tuple."""
     size = 1
@@ -159,9 +147,9 @@ def select_bruteforce(
     for combo in itertools.product(*(range(len(g)) for g in inst.groups)):
         cluster = inst.chosen_cluster(combo)
         centroid, cost = optimal_cluster_cost(inst.order, cluster)
-        if best is None or not cost_le(best.cost, cost, tol):
+        if best is None or not cost_le(best.cost, cost):
             best = SelectionResult(False, combo, centroid, cost)
-    best.decision = cost_le(best.cost, inst.budget, tol)
+    best.decision = cost_le(best.cost, inst.budget)
     best.stats["tuples"] = size
     return best
 
@@ -172,20 +160,19 @@ class _Incumbent:
     A candidate is admitted while it costs at most the budget.  In decision
     mode the first admitted witness ends the search.  In minimise mode each
     admitted witness becomes the incumbent: its cost takes the budget's place
-    as the bound, and later candidates must cost strictly less.  Rational
-    costs compare exactly; basis costs go through ``cost_le``.
+    as the bound, and later candidates must cost strictly less.  Every
+    admission is decided by the exact ``cost_le``, for basis costs too.
     """
 
-    def __init__(self, inst: SelectionInstance, minimize: bool, tol: float):
+    def __init__(self, inst: SelectionInstance, minimize: bool):
         self.bound = inst.budget
         self.best: SelectionResult | None = None
         self.minimize = minimize
-        self.tol = tol
 
     def admits(self, cost: Cost) -> bool:
         if self.best is None:
-            return cost_le(cost, self.bound, self.tol)
-        return not cost_le(self.bound, cost, self.tol)
+            return cost_le(cost, self.bound)
+        return not cost_le(self.bound, cost)
 
     def limit(self, scale: int = 1) -> int:
         """Largest integer n whose cost n / scale is admitted (rational bounds)."""
@@ -207,7 +194,7 @@ def _verified(inst: SelectionInstance, centroid: Sequence[Number], stats: dict,
               inc: _Incumbent) -> bool:
     """Complete ``centroid`` greedily and offer the tuple to the incumbent if
     it is admitted; true when the search is over."""
-    res = select_fixed_centroid(inst, centroid, inc.tol)
+    res = select_fixed_centroid(inst, centroid)
     if not inc.admits(res.cost):
         return False
     # report the chosen tuple at its own optimal centroid (never worse than
@@ -289,7 +276,8 @@ def _coordinate_search(
 
 
 # Float totals filter candidates before the exact check; they may exceed the
-# exact cost by rounding, so a candidate is dropped only beyond this slack.
+# exact cost by rounding, relative to its size, so a candidate is dropped only
+# beyond this share of the bound (or of 1, for bounds below 1).
 _FLOAT_SLACK = 1e-6
 
 
@@ -322,27 +310,12 @@ def _greedy_float_lp(inst: SelectionInstance, centroid: Point, powp) -> float:
     return total
 
 
-def _lp_limits(bound: Cost, p: Fraction) -> tuple[float, int, int]:
-    """Float value of the bound, the number of coordinates a centroid can
-    move off the pivot (each moved coordinate costs at least 1), and the
-    largest per-coordinate move."""
-    value = cost_eval(bound)
-    d_limit = int(mpmath.floor(value * (1 + 1e-30)))
-    if bound.exact is not None:
-        radius = int_root_floor(bound.exact, p)
-    else:
-        with mpmath.workdps(50):
-            radius = int(mpmath.ceil(value ** (1 / float(p))))
-    return float(value), d_limit, radius
-
-
 def select_lp01(
     inst: SelectionInstance,
     mode: str = "auto",
     centroid_cap: int = 1_000_000,
     pattern_max_vertices: int | None = None,
     pattern_max_edges: int | None = None,
-    tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for exponents p in (0, 1].
@@ -350,14 +323,15 @@ def select_lp01(
     First tries every input vector as the centroid.  Failing that, for each
     pivot choice from the first group it enumerates candidate coordinate
     subsets from the difference hypergraph and all integral centroids that
-    deviate from the pivot only there, within the budget's per-coordinate
-    radius.  ``mode`` selects exhaustive or pattern-based subset enumeration
-    ("auto" goes exhaustive while the active coordinates are few).
+    deviate from the pivot only there, by moves whose cost to the pivot stays
+    within the bound.  ``mode`` selects exhaustive or pattern-based subset
+    enumeration ("auto" goes exhaustive while the active coordinates are few).
 
     Each subset is searched coordinate by coordinate (``_coordinate_search``)
     with the pivot alone standing for the first group, so the pivot's own cost
-    bounds its moves.  Float costs only filter, within ``_FLOAT_SLACK`` of
-    the bound, in both phases; the exact greedy cost decides every candidate.
+    bounds its moves.  Float costs only filter, within a ``_FLOAT_SLACK``
+    share of the bound, in both phases; the exact greedy cost decides every
+    candidate.
 
     With ``minimize`` a yes carries a minimum-cost tuple: the input-vector
     phase seeds the incumbent, and the enumeration then runs to the end,
@@ -367,19 +341,26 @@ def select_lp01(
     if inst.order.kind != "lp":
         raise ValueError("solver requires an exponent p in (0, 1]")
     p = inst.order.p
-    inc = _Incumbent(inst, minimize, tol)
+    inc = _Incumbent(inst, minimize)
     stats = {"phase2_entered": False, "centroids_tried": 0, "nodes": 0, "pivots": 0,
              "candidate_sets": 0, "phase": None}
     powp = _pow_cache_fn(p)
-    budget_f = float(cost_eval(inc.bound))
+    limit_of = limit_f = None
+
+    def limit() -> float:
+        # the float filter's bound, re-read when the incumbent moves
+        nonlocal limit_of, limit_f
+        if limit_of is not inc.bound:
+            limit_of, limit_f = inc.bound, float(cost_eval(inc.bound))
+            limit_f += _FLOAT_SLACK * max(1.0, limit_f)
+        return limit_f
 
     for _, _, pt, _ in inst.iter_vectors():
-        if _greedy_float_lp(inst, pt, powp) > budget_f + _FLOAT_SLACK:
+        if _greedy_float_lp(inst, pt, powp) > limit():
             continue
         if _verified(inst, pt, stats, inc):
             stats["phase"] = "input-vector"
             return inc.best
-        budget_f = float(cost_eval(inc.bound))
 
     stats["phase2_entered"] = True
     stats["phase"] = "enumerated"
@@ -387,7 +368,7 @@ def select_lp01(
     eligible: list[list[tuple[int, Point, int]]] = []
     for pts, ws in zip(inst.groups, inst.weights):
         rows = [(i, pt, w) for i, (pt, w) in enumerate(zip(pts, ws))
-                if cost_le(Cost.of(w), inc.bound, tol)]
+                if cost_le(Cost.of(w), inc.bound)]
         if not rows:
             return inc.result(stats)
         eligible.append(rows)
@@ -398,19 +379,13 @@ def select_lp01(
     gmax = [max(pt[i] for pt in all_points) for i in range(d)]
     rest = [list(zip(pts, ws)) for pts, ws in zip(inst.groups[1:], inst.weights[1:])]
     seen: set[Point] = set()
-    limits_of = None
 
     def coord_cost(a: int, v: int) -> float:
         return powp(abs(a - v))
 
-    def limit() -> float:
-        return budget_f + _FLOAT_SLACK
-
     for i1, pt1, w1 in eligible[0]:
         stats["pivots"] += 1
-        if limits_of is not inc.bound:  # the bound shrinks only in minimise mode
-            limits_of = inc.bound
-            budget_f, d_limit, radius = _lp_limits(inc.bound, p)
+        d_limit = cost_floor(inc.bound)  # each moved coordinate costs at least 1
         others = [
             (pt, w)
             for g, rows in enumerate(eligible)
@@ -439,8 +414,8 @@ def select_lp01(
         values = []
         for j in range(d):
             col = []
-            for mag in range(1, radius + 1):
-                if w1 * powp(mag) > limit():
+            for mag in itertools.count(1):
+                if w1 * powp(mag) > limit():  # the pivot's own move costs too much
                     break
                 for off in (mag, -mag):
                     # clamping into the box never loses an optimum
@@ -454,7 +429,6 @@ def select_lp01(
             coords = sorted(subset)
 
             def leaf(vals: tuple[int, ...]) -> bool:
-                nonlocal budget_f
                 candidate = list(pt1)
                 for c, v in zip(coords, vals):
                     candidate[c] = v
@@ -462,10 +436,7 @@ def select_lp01(
                 if key in seen:
                     return False
                 seen.add(key)
-                if _verified(inst, key, stats, inc):
-                    return True
-                budget_f = float(cost_eval(inc.bound))
-                return False
+                return _verified(inst, key, stats, inc)
 
             outside = [j for j in range(d) if j not in subset]
             start = [sum([row[j] for j in outside]) for row in pivot_cost]
@@ -484,7 +455,6 @@ def _tuple_search(
     price: Callable,
     start,
     centroid_cap: int,
-    tol: float,
     minimize: bool,
 ) -> SelectionResult:
     """Depth-first branch and bound over tuples.
@@ -501,7 +471,7 @@ def _tuple_search(
     strict incumbent and a yes carries the first minimum-cost tuple in
     lexicographic order, the one ``select_bruteforce`` returns.
     """
-    inc = _Incumbent(inst, minimize, tol)
+    inc = _Incumbent(inst, minimize)
     stats = {"centroids_tried": 0, "nodes": 0}
     last = inst.num_groups - 1
     chosen: list[int] = []
@@ -530,7 +500,7 @@ def _tuple_search(
 
 
 def _select_by_cluster(inst: SelectionInstance, centroid_cap: int = 5_000_000,
-                       tol: float = DEFAULT_TOL, minimize: bool = False) -> SelectionResult:
+                       minimize: bool = False) -> SelectionResult:
     """The tuple search with each partial tuple priced as a cluster through
     ``optimal_cluster_cost`` (the weighted median for p = 1, the integer
     min-cost flow for the max distance)."""
@@ -540,13 +510,12 @@ def _select_by_cluster(inst: SelectionInstance, centroid_cap: int = 5_000_000,
         centroid, cost = optimal_cluster_cost(inst.order, WeightedCluster(pts, ws))
         return (pts, ws), cost, centroid
 
-    return _tuple_search(inst, price, ((), ()), centroid_cap, tol, minimize)
+    return _tuple_search(inst, price, ((), ()), centroid_cap, minimize)
 
 
 def select_l2(
     inst: SelectionInstance,
     centroid_cap: int = 5_000_000,
-    tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the squared Euclidean cost: the tuple search
@@ -575,13 +544,12 @@ def select_l2(
         cost = Cost.of(Fraction(total * sq - sum(s * s for s in sums), total))
         return (total, sums, sq), cost, None
 
-    return _tuple_search(inst, price, (0, [0] * inst.dimension, 0), centroid_cap, tol, minimize)
+    return _tuple_search(inst, price, (0, [0] * inst.dimension, 0), centroid_cap, minimize)
 
 
 def select_linf(
     inst: SelectionInstance,
     centroid_cap: int = 5_000_000,
-    tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the max distance: the tuple search (``_tuple_search``) with
@@ -597,7 +565,7 @@ def select_linf(
         raise ValueError("solver requires the max-distance order")
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    return _select_by_cluster(inst, centroid_cap, tol, minimize)
+    return _select_by_cluster(inst, centroid_cap, minimize)
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +575,6 @@ def select_linf(
 def select_l0(
     inst: SelectionInstance,
     centroid_cap: int = 5_000_000,
-    tol: float = DEFAULT_TOL,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the Hamming distance: search every centroid assembled from
@@ -621,7 +588,7 @@ def select_l0(
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
     d = inst.dimension
-    inc = _Incumbent(inst, minimize, tol)
+    inc = _Incumbent(inst, minimize)
     stats = {"centroids_tried": 0, "nodes": 0}
     columns = [(i, sorted({pt[i] for _, _, pt, _ in inst.iter_vectors()})) for i in range(d)]
     groups = [list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)]
@@ -648,7 +615,7 @@ def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:
         indices = (0,) * inst.num_groups
         centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(indices))
         stats = {"centroids_tried": 1, "nodes": 0}
-        if not cost_le(cost, inst.budget, kwargs.get("tol", DEFAULT_TOL)):
+        if not cost_le(cost, inst.budget):
             return SelectionResult(False, stats=stats)
         return SelectionResult(True, indices, centroid, cost, stats)
     if inst.order.kind == "lp":

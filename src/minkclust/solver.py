@@ -14,14 +14,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
-
-import mpmath
 
 from .centroids import WeightedCluster, optimal_cluster_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
-from .cost_model import Cost, DEFAULT_TOL, cost_eval, cost_le
+from .cost_model import Cost, cost_eval, cost_floor, cost_le
 from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
 from .selection import SelectionInstance, SelectionResult, solve_selection
 
@@ -45,6 +42,7 @@ class SolveConfig:
     ``policy`` is one of ``auto`` (random colorings, iteration count capped),
     ``exhaustive`` (complete search over colorings up to color renaming; the
     decision is exact), or ``iters`` (explicit random iteration count).
+    Costs are compared exactly, so there is no tolerance to set.
     """
 
     seed: int = 0
@@ -53,7 +51,6 @@ class SolveConfig:
     max_iterations: int = 100_000
     exhaustive_cap: int = 1_000_000
     selection_kwargs: dict = field(default_factory=dict)
-    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -133,17 +130,15 @@ class BruteForceResult:
     stats: dict = field(default_factory=dict)
 
 
-def solve_bruteforce(
-    inst: ClusteringInstance,
-    family_cap: int = 5_000_000,
-    tol: float = DEFAULT_TOL,
-) -> BruteForceResult:
+def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> BruteForceResult:
     """Exact minimum over all regular clusterings into at most k nonempty
     clusters.
 
     Cluster costs only grow under merging, so the optimum merges exactly
     ``len(initial) - k`` excess units; only merge families of that excess are
-    enumerated, with a per-branch bound from the per-merge cost floor.
+    enumerated.  A branch is cut once its lower bound, its parts' costs plus
+    the per-merge cost floor for each merge left, reaches the incumbent's
+    cost; ties keep the incumbent, the first minimum found.
     """
     initial = regularize(inst.dataset)
     n_ic = len(initial)
@@ -152,7 +147,19 @@ def solve_bruteforce(
         clustering = _assemble_clustering(inst.order, initial, ())
         return BruteForceResult(True, clustering, Cost.of(0), {"families": 1})
 
-    alpha = float(merge_cost_bound(inst.order))
+    alpha = merge_cost_bound(inst.order)
+    alpha_f = float(alpha)
+    kind, p = inst.order.kind, inst.order.p
+    # the floor per merge as a cost of the order's regime (alpha * 1**p for p < 1)
+    step = Cost.basis({1: int(alpha)}, p) if kind == "lp" and p < 1 else Cost.of(alpha)
+    # Floats filter the cut.  A float sum of at most n part costs, each
+    # rounded from its exact value, is within 2n * 2**-53 of it relative, so a
+    # branch's bound and the incumbent differ from their floats by 4n * 2**-53
+    # together; within twice that band of the incumbent the exact sum decides.
+    # Hamming, p = 1 and max-distance costs are integers or halves, which
+    # floats add exactly below 2**50.
+    halves = kind in ("l0", "linf") or (kind == "lp" and p == 1)
+    rel = (n_ic + 4) * 2.0**-50
     part_cache: dict[tuple[int, ...], tuple[float, Cost]] = {}
 
     def part_cost(part: tuple[int, ...]) -> tuple[float, Cost]:
@@ -163,30 +170,28 @@ def solve_bruteforce(
                 tuple(initial[i].size for i in part),
             )
             _, cost = optimal_cluster_cost(inst.order, cluster)
-            hit = (float(cost_eval(cost)), cost)
+            hit = (float(cost.exact if cost.exact is not None else cost_eval(cost)), cost)
             part_cache[part] = hit
         return hit
 
     best_cost: Cost | None = None
-    best_float = math.inf
+    best_lo = best_hi = math.inf  # the incumbent's float band
+    best_exact = False  # whether the floats at the incumbent are exact
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = 0
 
-    def rec(pool: tuple[int, ...], left: int, partial: list[Cost], partial_f: float):
-        nonlocal best_cost, best_float, best_family, families
-        if partial_f + alpha * left >= best_float - 1e-12 and best_cost is not None:
-            return
+    def rec(pool: tuple[int, ...], left: int, total: Cost, total_f: float):
+        nonlocal best_cost, best_lo, best_hi, best_exact, best_family, families
         if left == 0:
+            # the cut below lets through only a family cheaper than the incumbent
             families += 1
             if families > family_cap:
                 raise RuntimeError("family cap exceeded")
-            total = Cost.of(0)
-            for c in partial:
-                total = total + c
-            if best_cost is None or not cost_le(best_cost, total, tol):
-                best_cost = total
-                best_float = float(cost_eval(total))
-                best_family = tuple(tuple(sorted(p)) for p in current_parts)
+            best_cost = total
+            best_family = tuple(tuple(sorted(p)) for p in current_parts)
+            best_exact = halves and total_f < 2.0**50
+            width = 0.0 if best_exact else rel
+            best_lo, best_hi = total_f * (1 - width), total_f * (1 + width)
             return
         for ai in range(len(pool)):
             anchor = pool[ai]
@@ -195,22 +200,26 @@ def solve_bruteforce(
                 for extra in itertools.combinations(rest, extra_size):
                     part = (anchor,) + extra
                     f, cost = part_cost(part)
-                    if partial_f + f + alpha * (left - extra_size) >= best_float - 1e-12:
+                    after = left - extra_size
+                    # cut once the branch's lower bound reaches the incumbent:
+                    # by floats outside the band, exactly inside it
+                    bound_f = total_f + f + alpha_f * after
+                    if bound_f >= best_lo and (
+                            bound_f > best_hi or best_exact
+                            or cost_le(best_cost, total + cost + step.scaled(after))):
                         continue
                     leftover = tuple(x for x in rest if x not in extra)
                     current_parts.append(part)
-                    partial.append(cost)
-                    rec(leftover, left - extra_size, partial, partial_f + f)
-                    partial.pop()
+                    rec(leftover, after, total + cost, total_f + f)
                     current_parts.pop()
 
     current_parts: list[tuple[int, ...]] = []
-    rec(tuple(range(n_ic)), excess, [], 0.0)
+    rec(tuple(range(n_ic)), excess, Cost.of(0), 0.0)
     if best_family is None:
         # no merge family exists (k too small for the dataset)
         return BruteForceResult(False, None, Cost.of(0), {"families": 0})
     clustering = _assemble_clustering(inst.order, initial, best_family)
-    decision = cost_le(best_cost, inst.budget, tol)
+    decision = cost_le(best_cost, inst.budget)
     return BruteForceResult(decision, clustering, best_cost,
                             {"families": families})
 
@@ -247,13 +256,6 @@ def _rainbow_colorings(n: int, max_colors: int) -> Iterator[tuple[int, ...]]:
 SELECTION_COUNTERS = ("centroids_tried", "pivots", "nodes", "candidate_sets")
 
 
-def _ceil_ratio(budget: Cost, alpha: Fraction) -> int:
-    if budget.exact is not None:
-        val = 2 * budget.exact / alpha
-        return -((-val.numerator) // val.denominator)
-    return int(mpmath.ceil(2 * cost_eval(budget) / float(alpha)))
-
-
 def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None) -> SolveResult:
     """Color-coding clustering solver.
 
@@ -280,7 +282,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         return SolveResult(True, clustering, stats)
 
     alpha = merge_cost_bound(order)
-    t_colors = max(1, _ceil_ratio(inst.budget, alpha))
+    t_colors = max(1, -cost_floor(inst.budget, -2 / alpha))  # ceil(2 budget / alpha)
     stats["T"] = t_colors
     stats.update(dict.fromkeys(SELECTION_COUNTERS, 0))
 
@@ -326,7 +328,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                     ok = False
                     break
                 running = running + witness.cost
-                if not cost_le(running, inst.budget, cfg.tol):
+                if not cost_le(running, inst.budget):
                     ok = False
                     break
                 parts_members.append(
@@ -334,7 +336,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                 )
             if ok:
                 clustering = _assemble_clustering(order, initial, parts_members)
-                if cost_le(clustering.total_cost, inst.budget, cfg.tol):
+                if cost_le(clustering.total_cost, inst.budget):
                     return SolveResult(True, clustering, stats)
         return None
 

@@ -144,7 +144,7 @@ def test_criterion2_selection_oracle_equivalence(name):
     disagreements = sum(1 for _, fast, slow in rows if fast.decision != slow.decision)
     bad_witness = 0
     for inst, fast, _ in rows:
-        if fast.decision and not cost_le(fast.cost, inst.budget, 1e-9):
+        if fast.decision and not cost_le(fast.cost, inst.budget):
             bad_witness += 1
     ok = disagreements == 0 and bad_witness == 0
     report(f"criterion 2 ({name})", ok,
@@ -193,7 +193,7 @@ def test_criterion3_clustering_oracle_equivalence(name):
         if exact.decision != brute.decision:
             disagreements += 1
         if exact.decision:
-            if not cost_le(exact.clustering.total_cost, inst.budget, 1e-9):
+            if not cost_le(exact.clustering.total_cost, inst.budget):
                 bad_witness += 1
     ok = disagreements == 0 and bad_witness == 0
     report(f"criterion 3 ({name})", ok,
@@ -453,7 +453,7 @@ def test_criterion6_cost_set_completeness_on_observed_optima():
             if brute.clustering is None:
                 continue
             for cost in brute.clustering.cluster_costs:
-                if not cost_le(cost, base, 1e-9):
+                if not cost_le(cost, base):
                     continue
                 checked += 1
                 if cost.exact is not None:

@@ -181,23 +181,16 @@ def test_cli_determinism(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_bench(tmp_path, capsys):
-    out_file = tmp_path / "bench.csv"
-    assert run_cli(["bench", "partitions", "-o", str(out_file)]) == 0
-    capsys.readouterr()
-    rows = out_file.read_text().strip().splitlines()
-    assert rows[0].startswith("suite,case")
-    counts = [int(r.split(",")[-1]) for r in rows[1:]]
-    assert counts == [1, 2, 5, 15, 52, 203]
-
-    assert run_cli(["bench", "select-lp01"]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("suite,case")
-
-    # unknown suites produce the bare header
-    assert run_cli(["bench", "nothing-here"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 1 and out[0].startswith("suite,case")
+def test_cli_bench_and_tol_flags_are_gone(tmp_path):
+    """The toy ``bench`` suites and the ``--tol`` flag are deleted: costs
+    compare exactly, and ``perfbench/`` is the benchmark."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
+    for argv in (["bench", "partitions"],
+                 ["verify", "linf-clique", str(graph), "--tol", "1e-9"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -13,7 +13,7 @@ from minkclust import (
     enumerate_cost_set,
     optimal_cluster_cost,
 )
-from minkclust.cost_model import int_root_ceil, int_root_floor
+from minkclust.cost_model import cost_floor, int_root_ceil, int_root_floor
 
 
 def test_cost_eval_examples():
@@ -39,6 +39,50 @@ def test_cost_le_examples():
     four_rt = Cost.basis({4: 1}, Fraction(1, 2))
     assert cost_le(four_rt, two) and cost_le(two, four_rt)
     assert cost_eq(four_rt, two)
+
+
+# x**2 - 2 * y**2 = 1: y * 2**(1/2) lies 5.6e-13 below x
+PELL_X, PELL_Y = 886731088897, 627013566048
+
+
+def test_pell_near_tie_compares_exactly():
+    half = Fraction(1, 2)
+    x = Cost.basis({1: PELL_X}, half)
+    y_rt2 = Cost.basis({2: PELL_Y}, half)
+    assert cost_le(y_rt2, x)
+    assert not cost_le(x, y_rt2)
+    assert not cost_eq(x, y_rt2)
+    assert not cost_le(Cost.of(PELL_X), y_rt2)
+    assert cost_le(y_rt2, Cost.of(PELL_X))
+
+
+def test_equal_values_with_different_terms():
+    half, two_thirds = Fraction(1, 2), Fraction(2, 3)
+    # 4**(1/2) = 2 * 1**(1/2)
+    assert cost_eq(Cost.basis({4: 1}, half), Cost.basis({1: 2}, half))
+    # 8**(2/3) = 4 = 4 * 1**(2/3)
+    eight = Cost.basis({8: 1}, two_thirds)
+    assert cost_eq(eight, Cost.of(4)) and cost_eq(Cost.of(4), eight)
+    assert cost_eq(eight, Cost.basis({1: 4}, two_thirds))
+    # 8**(1/2) + 2**(1/2) = 3 * 2**(1/2) = 18**(1/2)
+    assert cost_eq(Cost.basis({8: 1, 2: 1}, half), Cost.basis({18: 1}, half))
+    # a rational against a basis cost, in both orders
+    three = Cost.basis({9: 1}, half)
+    for rational, le, ge in ((Cost.of(3), True, True),
+                             (Cost.of(Fraction(299, 100)), True, False),
+                             (Cost.of(Fraction(301, 100)), False, True)):
+        assert cost_le(rational, three) == le
+        assert cost_le(three, rational) == ge
+        assert cost_eq(rational, three) == (le and ge)
+
+
+def test_cost_floor_is_exact():
+    half = Fraction(1, 2)
+    assert cost_floor(Cost.of(Fraction(7, 2))) == 3
+    assert cost_floor(Cost.basis({2: 3}, half)) == 4  # 4.24...
+    assert cost_floor(Cost.basis({4: 1, 1: 1}, half)) == 3  # exactly 3
+    assert cost_floor(Cost.basis({2: 3}, half), Fraction(-2)) == -9  # -8.48...
+    assert cost_floor(Cost.basis({2: PELL_Y}, half)) == PELL_X - 1
 
 
 def test_cost_arithmetic():
@@ -117,6 +161,16 @@ def test_cost_set_orderings_are_consistent():
             j = rnd.randrange(len(members))
             lo, hi = min(i, j), max(i, j)
             assert cost_le(members[lo], members[hi])
+
+
+def test_lp_cost_set_has_one_member_per_value():
+    """Combinations of equal value, such as 4**(1/2) and 2 * 1**(1/2), are
+    one member; the members increase strictly."""
+    half = Fraction(1, 2)
+    members = enumerate_cost_set(DistanceOrder.lp(half), Cost.of(4)).members
+    for a, b in zip(members, members[1:]):
+        assert cost_le(a, b) and not cost_eq(a, b)
+    assert sum(cost_eq(m, Cost.of(2)) for m in members) == 1
 
 
 def test_basis_size_bound_table():

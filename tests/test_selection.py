@@ -168,7 +168,7 @@ def test_solver_oracle_equivalence_sample(name):
         assert fast.decision == slow.decision, (trial, inst)
         if fast.decision:
             check = select_fixed_centroid(inst, fast.centroid)
-            assert cost_le(check.cost, inst.budget, 1e-9)
+            assert cost_le(check.cost, inst.budget)
 
 
 def test_monotone_in_budget():
@@ -282,6 +282,76 @@ def test_l2_search_expands_only_partial_tuples():
     assert not res.decision
     assert res.stats["nodes"] <= 1 + 4 + 16
     assert res.stats["centroids_tried"] == 0
+
+
+# three groups on a line: only the pairs (0, 1) and (10, 11) of the first two
+# groups stay within the budgets below, and every tuple costs at least 2
+LINE_GROUPS = [[(0,), (10,)], [(1,), (11,), (20,)], [(2,), (12,)]]
+LINE_BUDGETS = {
+    "p=1": (DistanceOrder.l1(), Cost.of(1)),
+    "p=2": (DistanceOrder.l2(), Cost.of(Fraction(1, 2))),
+    "p=inf": (DistanceOrder.linf(), Cost.of(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_BUDGETS), ids=str)
+def test_tuple_search_cuts_partial_tuples_above_the_bound(name):
+    """The tuple search expands the root, both vectors of the first group and
+    only the two partial pairs within the budget: 5 nodes, where its tuple
+    tree has 1 + 2 + 6 internal nodes."""
+    order, budget = LINE_BUDGETS[name]
+    inst = SelectionInstance.of(LINE_GROUPS, budget, order)
+    assert select_bruteforce(inst).cost == Cost.of(2)
+    for minimize in (False, True):
+        res = solve_selection(inst, minimize=minimize)
+        assert not res.decision
+        assert res.stats == {"centroids_tried": 0, "nodes": 5}
+
+
+def test_p1_selection_runs_the_tuple_search():
+    """``solve_selection`` sends p = 1 to the tuple search, not to the
+    centroid search of ``select_lp01``, which reports pivots and a phase."""
+    rnd = random.Random(57)
+    for _ in range(30):
+        inst = random_selection_instance(rnd, DistanceOrder.l1(), Cost.of(rnd.randint(0, 4)))
+        if all(len(pts) == 1 for pts in inst.groups):
+            continue
+        for minimize in (False, True):
+            stats = solve_selection(inst, minimize=minimize).stats
+            assert "pivots" not in stats and "phase" not in stats
+            assert set(stats) == {"centroids_tried", "nodes"}
+
+
+def test_pell_near_tie_budget_is_exact():
+    """x = 886731088897 and y = 627013566048 solve x**2 - 2 y**2 = 1, so
+    y * 2**(1/2) lies 5.6e-13 below x.  Two vectors at gap 1, each of weight
+    x, cost x under p = 1/2, which exceeds the budget y * 2**(1/2)."""
+    x, y = 886731088897, 627013566048
+    half = Fraction(1, 2)
+    inst = SelectionInstance.of([[(0,)], [(1,)]], Cost.basis({2: y}, half),
+                                DistanceOrder.lp(half), weights=[[x], [x]])
+    assert not solve_selection(inst).decision
+    assert not select_bruteforce(inst).decision
+    assert not select_lp01(inst).decision
+    at_cost = dataclasses.replace(inst, budget=Cost.basis({1: x}, half))
+    assert solve_selection(at_cost).decision
+
+
+def test_float_filter_keeps_optima_of_heavy_instances():
+    """With weights near 10**12 the float totals of ``select_lp01`` round by
+    about 1e-4, so its filter must not drop a centroid whose exact cost
+    equals the bound."""
+    half = Fraction(1, 2)
+    rnd = random.Random(61)
+    for _ in range(40):
+        pts = rnd.sample(range(12), 4)
+        groups = [[(pts[0],), (pts[1],)], [(pts[2],), (pts[3],)]]
+        weights = [[10**12 + rnd.randint(0, 10**6) for _ in range(2)] for _ in range(2)]
+        inst = SelectionInstance.of(groups, Cost.of(0), DistanceOrder.lp(half), weights=weights)
+        opt = select_bruteforce(inst).cost
+        at_opt = dataclasses.replace(inst, budget=opt)
+        assert solve_selection(at_opt).decision, (groups, weights)
+        assert cost_eq(solve_selection(at_opt, minimize=True).cost, opt)
 
 
 def just_below(inst: SelectionInstance, cost: Cost) -> Cost:

@@ -206,7 +206,7 @@ def test_color_coding_equals_bruteforce_sample(order, budgets, seed):
                     sizes[pt] = mult
             expected = {ic.representative: ic.size for ic in regularize(inst.dataset)}
             assert sizes == expected
-            assert cost_le(clustering.total_cost, inst.budget, 1e-9)
+            assert cost_le(clustering.total_cost, inst.budget)
 
 
 @pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
