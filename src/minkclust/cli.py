@@ -35,7 +35,7 @@ from .generators import (
     verify_reduction,
     REDUCTION_NAMES,
 )
-from .selection import SelectionInstance, select_bruteforce, select_lp01, solve_selection
+from .selection import SelectionInstance, select_bruteforce, solve_selection
 from .solver import (
     ClusteringInstance,
     SolveConfig,
@@ -266,9 +266,6 @@ def cmd_select(args) -> int:
         raise CliError("select expects a selection instance")
     if args.mode == "oracle":
         res = select_bruteforce(inst, cap=args.cap_tuples)
-    elif args.mode in ("paper", "exhaustive") and inst.order.kind == "lp":
-        mode = "pattern" if args.mode == "paper" else "exhaustive"
-        res = select_lp01(inst, mode=mode, centroid_cap=args.cap_centroids)
     else:
         res = solve_selection(inst, centroid_cap=args.cap_centroids)
     out = [f"decision: {'yes' if res.decision else 'no'}"]
@@ -412,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=5_000_000,
                        help="bound on the search nodes of every selection "
                             "kernel (the tuple search for p = 1, squared "
-                            "Euclidean and max distance; the centroid search "
-                            "otherwise)")
+                            "Euclidean and max distance; the present-value "
+                            "centroid search for p in (0, 1) and Hamming)")
         p.add_argument("--cap-tuples", dest="cap_tuples", type=int,
                        default=1_000_000)
         p.add_argument("--cap-families", dest="cap_families", type=int,
@@ -431,8 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sel = sub.add_parser("select", help="solve a selection instance")
     p_sel.add_argument("instance")
-    p_sel.add_argument("--mode", default="auto",
-                       choices=["auto", "paper", "exhaustive", "oracle"])
+    p_sel.add_argument("--mode", default="auto", choices=["auto", "oracle"])
     common(p_sel)
     p_sel.set_defaults(func=cmd_select)
 

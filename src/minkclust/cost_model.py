@@ -260,30 +260,6 @@ def _floor(coeffs: Mapping[int, int], root: int, den: int) -> int:
         bits *= 2
 
 
-def int_root_floor(value: Fraction, p: Fraction) -> int:
-    """Largest integer r >= 0 with r**p <= value, for rational p in (0, 1]."""
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    a, b = p.numerator, p.denominator
-    target = value**b
-    if target < 1:
-        return 0
-    r = max(0, int(round(float(value) ** (b / a))))
-    while r > 0 and Fraction(r)**a > target:
-        r -= 1
-    while Fraction(r + 1)**a <= target:
-        r += 1
-    return r
-
-
-def int_root_ceil(value: Fraction, p: Fraction) -> int:
-    """Smallest integer g >= 0 with g**p >= value, for rational p in (0, 1]."""
-    floor = int_root_floor(value, p)
-    if Fraction(floor)**p.numerator == value**p.denominator:
-        return floor
-    return floor + 1
-
-
 @dataclass(frozen=True)
 class CostSet:
     """All achievable optimal cluster costs up to a budget, sorted ascending."""

@@ -20,7 +20,7 @@ import mpmath
 
 from .centroids import WeightedCluster, binary_coordinate_cost
 from .core import Dataset, DistanceOrder, Point
-from .cost_model import Cost
+from .cost_model import DEFAULT_DIGITS, Cost
 from .selection import (
     EnumerationCapExceeded,
     SelectionInstance,
@@ -290,10 +290,10 @@ class BinarySelectionInstance:
     groups: tuple[tuple[Point, ...], ...]
     dimension: int
     p: Fraction
-    budget_repr: str  # decimal string at 50 digits
+    budget_repr: str  # decimal string at 40 digits
 
 
-def lp_mcc_budget(k: int, p: Fraction, digits: int = 50):
+def lp_mcc_budget(k: int, p: Fraction, digits: int = DEFAULT_DIGITS):
     """The construction budget k (k-1) C(k-1,2) / ((k-1)^(1/(p-1)) +
     C(k-1,2)^(1/(p-1)))^(p-1); exact when p = 2."""
     q = (k - 1) * (k - 2) // 2
@@ -336,7 +336,7 @@ def gen_lp_selection_from_mcc(g: Graph, k: int, p: Fraction):
     )
 
 
-def binary_lp_min_cost(inst: BinarySelectionInstance, digits: int = 50):
+def binary_lp_min_cost(inst: BinarySelectionInstance, digits: int = DEFAULT_DIGITS):
     """Brute-force minimum selection cost for a 0/1 instance under p > 1,
     using the per-coordinate closed form."""
     best = None
@@ -675,9 +675,10 @@ def verify_reduction(
                                    source_yes == target_yes, details)
         if isinstance(inst, BinarySelectionInstance):
             best = binary_lp_min_cost(inst)
-            budget = mpmath.mpf(inst.budget_repr)
+            with mpmath.workdps(DEFAULT_DIGITS):  # the budget's 40 digits survive
+                budget = mpmath.mpf(inst.budget_repr)
+                target_yes = bool(best <= budget + mpmath.mpf("1e-30"))
             details["min_cost"] = mpmath.nstr(best, 30)
-            target_yes = bool(best <= budget + mpmath.mpf("1e-30"))
         else:
             res = select_bruteforce(inst, cap=select_cap)
             details["min_cost"] = res.cost

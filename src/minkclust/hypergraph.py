@@ -6,6 +6,10 @@ subsets where an optimal centroid may deviate from the pivot are found either
 exhaustively (all small subsets of the active coordinates) or by enumerating
 small quarter-covered patterns up to isomorphism and locating their
 appearances in the host hypergraph.
+
+This is the paper's pattern machinery.  No solver calls it (``select_lp01``
+searches the centroids built from present values instead); acceptance
+criterion 7 checks the paper's pattern lemma against it.
 """
 
 from __future__ import annotations

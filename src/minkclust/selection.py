@@ -3,23 +3,28 @@
 Given t disjoint groups of weighted vectors and a budget, decide whether one
 vector can be picked from each group so that the optimally-centered composite
 cluster costs at most the budget.  A brute-force oracle covers every distance
-order; the specialized solvers implement the parameterized algorithms for
-exponents p in (0, 1] and the Hamming distance, and an exact tuple search for
-p = 1, the squared Euclidean cost and the max distance.  Each specialized
-solver also has a minimising form, a branch and bound in which the best
-witness so far takes the budget's place in the pruning tests.
+order; the specialized solvers are a centroid search for exponents p in (0, 1]
+and the Hamming distance, and an exact tuple search for p = 1, the squared
+Euclidean cost and the max distance.  Each specialized solver also has a
+minimising form, a branch and bound in which the best witness so far takes
+the budget's place in the pruning tests.
 
-The Hamming and p in (0, 1] solvers price their centroids one coordinate at a
-time (``_coordinate_search``), in integers for the first and in floats for
+The centroid search (``_coordinate_search``) tries every centroid assembled
+from the values present at each coordinate, which is complete for both: the
+Hamming cost of a coordinate is least at its weighted mode, and for
+p in (0, 1] the weighted sum of |x - c|**p is concave in c between
+consecutive values of the cluster and grows outside them, so some optimal
+centroid takes a present value at every coordinate.  It prices centroids one
+coordinate at a time, in integers for the Hamming distance and in floats for
 p in (0, 1], where the float total is only a filter.  Every candidate that
 passes is re-costed through the exact cost path, which alone decides, before
 it is returned.  The tuple search (``_tuple_search``) picks one vector per
 group and prices each partial tuple exactly: through the exact cost path for
 p = 1 and the max distance, and by integer running sums for the squared
 Euclidean cost, whose optimal centroid is the weighted mean.
-``solve_selection`` routes p = 1 to the tuple search; ``select_lp01`` stays
-the paper's algorithm for all of p in (0, 1].  An instance with one vector per
-group is priced at its single tuple without running a solver.
+``solve_selection`` routes p = 1 to the tuple search and p in (0, 1) to
+``select_lp01``.  An instance with one vector per group is priced at its
+single tuple without running a solver.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from typing import Callable, Iterator, Sequence
 
 from .centroids import WeightedCluster, optimal_cluster_cost
 from .core import DistanceOrder, Number, Point, distance
-from .cost_model import Cost, cost_eval, cost_floor, cost_le
-from .hypergraph import build_difference_hypergraph, candidate_coordinate_sets
+from .cost_model import Cost, cost_eval, cost_le
+from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
+from .hypergraph import candidate_coordinate_sets  # noqa: F401  (traced by perfbench/)
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -174,9 +180,9 @@ class _Incumbent:
             return cost_le(cost, self.bound)
         return not cost_le(self.bound, cost)
 
-    def limit(self, scale: int = 1) -> int:
-        """Largest integer n whose cost n / scale is admitted (rational bounds)."""
-        value = self.bound.exact * scale
+    def limit(self) -> int:
+        """Largest integer cost admitted (rational bounds)."""
+        value = self.bound.exact
         if self.best is None:
             return math.floor(value)
         return math.ceil(value) - 1
@@ -204,71 +210,65 @@ def _verified(inst: SelectionInstance, centroid: Sequence[Number], stats: dict,
 
 
 def _coordinate_search(
-    groups: Sequence[Sequence[tuple[Point, int]]],
-    columns: Sequence[tuple[int, Sequence[int]]],
+    inst: SelectionInstance,
     coord_cost: Callable[[int, int], Number],
-    start: Sequence[Number],
-    limit: Callable[[], Number],
-    leaf: Callable[[tuple[int, ...]], bool],
-    stats: dict,
-    cap: int,
-    memo: dict | None = None,
-) -> bool:
-    """Depth-first search over centroid coordinates, priced incrementally;
-    the centroid search of the Hamming and p in (0, 1] solvers.
+    limit: Callable[[_Incumbent], Number],
+    centroid_cap: int,
+    minimize: bool,
+) -> SelectionResult:
+    """Depth-first search over the centroids built from the values present at
+    each coordinate, priced one coordinate at a time; the Hamming and
+    p in (0, 1] solvers.
 
-    Each row (a vector ``pt`` of weight ``w``) carries a partial cost, starting
-    at ``start`` (rows in group order).  ``columns`` lists the coordinates to
-    set, each with its values in visiting order; setting coordinate ``j`` to
-    ``v`` adds ``w * coord_cost(pt[j], v)`` to every row.  A node is cut once
-    the greedy total, the sum over groups of each group's smallest partial,
-    exceeds ``limit()``, which is re-read only after a leaf.  Costs only grow
-    as coordinates are set, so a cut never loses a leaf that passes, and a
-    leaf's total is the greedy cost of its centroid over ``groups``.  ``leaf`` receives the
-    values of each surviving leaf, one per column, and returns true to end
-    the search.  Nodes count against ``cap``; leaves count as centroids tried.
-    Each (coordinate, value) pair's weighted costs are computed on first use
-    and kept in ``memo``, which calls over the same rows may share.
+    Each row (a vector ``pt`` of weight ``w``) carries a partial cost, and
+    setting coordinate ``j`` to ``v`` adds ``w * coord_cost(pt[j], v)`` to
+    every row.  A node is cut once the greedy total, the sum over groups of
+    each group's smallest partial, exceeds ``limit(inc)``, which is re-read
+    only after a leaf.  Costs only grow as coordinates are set, so a cut never
+    loses a leaf within the limit, and a leaf's total is the greedy cost of
+    its centroid.  Every leaf is re-costed exactly (``_verified``), which
+    alone decides.  Nodes count against ``centroid_cap``; leaves count as
+    centroids tried.  Each (coordinate, value) pair's weighted costs are
+    computed on first use.
     """
-    rows = [row for grp in groups for row in grp]
+    inc = _Incumbent(inst, minimize)
+    stats = {"centroids_tried": 0, "nodes": 0}
+    rows = [(pt, w) for _, _, pt, w in inst.iter_vectors()]
     spans = []
     pos = 0
-    for grp in groups:
-        spans.append(slice(pos, pos + len(grp)))
-        pos += len(grp)
-    if memo is None:
-        memo = {}
-    depth = len(columns)
+    for pts in inst.groups:
+        spans.append(slice(pos, pos + len(pts)))
+        pos += len(pts)
+    depth = inst.dimension
+    columns = [sorted({pt[j] for pt, _ in rows}) for j in range(depth)]
+    memo: dict = {}
     chosen = [0] * depth
-    lim = limit()
+    lim = limit(inc)
 
-    def rec(k: int, partial: list) -> bool:
+    def rec(j: int, partial: list) -> bool:
         nonlocal lim
         stats["nodes"] += 1
-        if stats["nodes"] > cap:
+        if stats["nodes"] > centroid_cap:
             raise EnumerationCapExceeded("search node cap exceeded")
-        if k == depth:
+        if j == depth:
             stats["centroids_tried"] += 1
-            done = leaf(tuple(chosen))
-            lim = limit()
+            done = _verified(inst, tuple(chosen), stats, inc)
+            lim = limit(inc)
             return done
-        j, values = columns[k]
-        for v in values:
+        for v in columns[j]:
             costs = memo.get((j, v))
             if costs is None:
                 costs = memo[j, v] = [w * coord_cost(pt[j], v) for pt, w in rows]
             nxt = list(map(operator.add, partial, costs))
             if sum(map(min, map(nxt.__getitem__, spans))) > lim:
                 continue
-            chosen[k] = v
-            if rec(k + 1, nxt):
+            chosen[j] = v
+            if rec(j + 1, nxt):
                 return True
         return False
 
-    partial = list(start)
-    if sum(map(min, map(partial.__getitem__, spans))) > lim:
-        return False
-    return rec(0, partial)
+    rec(0, [0] * len(rows))
+    return inc.result(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -281,169 +281,35 @@ def _coordinate_search(
 _FLOAT_SLACK = 1e-6
 
 
-def _pow_cache_fn(p: Fraction):
-    pf = float(p)
-    cache: dict[int, float] = {0: 0.0}
-
-    def powp(gap: int) -> float:
-        v = cache.get(gap)
-        if v is None:
-            v = float(gap) ** pf
-            cache[gap] = v
-        return v
-
-    return powp
-
-
-def _greedy_float_lp(inst: SelectionInstance, centroid: Point, powp) -> float:
-    total = 0.0
-    for pts, ws in zip(inst.groups, inst.weights):
-        best = math.inf
-        for pt, w in zip(pts, ws):
-            s = 0.0
-            for a, b in zip(pt, centroid):
-                s += powp(abs(a - b))
-            v = w * s
-            if v < best:
-                best = v
-        total += best
-    return total
-
-
 def select_lp01(
     inst: SelectionInstance,
-    mode: str = "auto",
     centroid_cap: int = 1_000_000,
-    pattern_max_vertices: int | None = None,
-    pattern_max_edges: int | None = None,
     minimize: bool = False,
 ) -> SelectionResult:
-    """Solver for exponents p in (0, 1].
+    """Solver for exponents p in (0, 1]: the centroid search of ``select_l0``
+    (``_coordinate_search``), with coordinate cost |a - v|**p.
 
-    First tries every input vector as the centroid.  Failing that, for each
-    pivot choice from the first group it enumerates candidate coordinate
-    subsets from the difference hypergraph and all integral centroids that
-    deviate from the pivot only there, by moves whose cost to the pivot stays
-    within the bound.  ``mode`` selects exhaustive or pattern-based subset
-    enumeration ("auto" goes exhaustive while the active coordinates are few).
+    For a fixed tuple, the weighted sum of |x - c|**p is concave in c on each
+    coordinate between consecutive values of the tuple and grows outside
+    them, so some optimal centroid takes a value already present in the
+    cluster at every coordinate.  Searching every centroid assembled from the
+    values present anywhere in the instance is therefore complete.  Float
+    costs only filter, within a ``_FLOAT_SLACK`` share of the bound; the
+    exact greedy cost decides every candidate.
 
-    Each subset is searched coordinate by coordinate (``_coordinate_search``)
-    with the pivot alone standing for the first group, so the pivot's own cost
-    bounds its moves.  Float costs only filter, within a ``_FLOAT_SLACK``
-    share of the bound, in both phases; the exact greedy cost decides every
-    candidate.
-
-    With ``minimize`` a yes carries a minimum-cost tuple: the input-vector
-    phase seeds the incumbent, and the enumeration then runs to the end,
-    bounded by the incumbent's cost instead of the budget.  ``centroid_cap``
-    bounds the search nodes.
+    ``centroid_cap`` bounds the search nodes.  With ``minimize`` each witness
+    lowers the bound later centroids must beat, and a yes carries a
+    minimum-cost tuple.
     """
     if inst.order.kind != "lp":
         raise ValueError("solver requires an exponent p in (0, 1]")
-    p = inst.order.p
-    inc = _Incumbent(inst, minimize)
-    stats = {"phase2_entered": False, "centroids_tried": 0, "nodes": 0, "pivots": 0,
-             "candidate_sets": 0, "phase": None}
-    powp = _pow_cache_fn(p)
-    limit_of = limit_f = None
+    p = float(inst.order.p)
 
-    def limit() -> float:
-        # the float filter's bound, re-read when the incumbent moves
-        nonlocal limit_of, limit_f
-        if limit_of is not inc.bound:
-            limit_of, limit_f = inc.bound, float(cost_eval(inc.bound))
-            limit_f += _FLOAT_SLACK * max(1.0, limit_f)
-        return limit_f
+    def limit(inc: _Incumbent) -> float:
+        bound = float(cost_eval(inc.bound))
+        return bound + _FLOAT_SLACK * max(1.0, bound)
 
-    for _, _, pt, _ in inst.iter_vectors():
-        if _greedy_float_lp(inst, pt, powp) > limit():
-            continue
-        if _verified(inst, pt, stats, inc):
-            stats["phase"] = "input-vector"
-            return inc.best
-
-    stats["phase2_entered"] = True
-    stats["phase"] = "enumerated"
-
-    eligible: list[list[tuple[int, Point, int]]] = []
-    for pts, ws in zip(inst.groups, inst.weights):
-        rows = [(i, pt, w) for i, (pt, w) in enumerate(zip(pts, ws))
-                if cost_le(Cost.of(w), inc.bound)]
-        if not rows:
-            return inc.result(stats)
-        eligible.append(rows)
-
-    d = inst.dimension
-    all_points = [pt for _, _, pt, _ in inst.iter_vectors()]
-    gmin = [min(pt[i] for pt in all_points) for i in range(d)]
-    gmax = [max(pt[i] for pt in all_points) for i in range(d)]
-    rest = [list(zip(pts, ws)) for pts, ws in zip(inst.groups[1:], inst.weights[1:])]
-    seen: set[Point] = set()
-
-    def coord_cost(a: int, v: int) -> float:
-        return powp(abs(a - v))
-
-    for i1, pt1, w1 in eligible[0]:
-        stats["pivots"] += 1
-        d_limit = cost_floor(inc.bound)  # each moved coordinate costs at least 1
-        others = [
-            (pt, w)
-            for g, rows in enumerate(eligible)
-            for i, pt, w in rows
-            if not (g == 0 and i == i1)
-        ]
-        host = build_difference_hypergraph(pt1, others, inc.bound)
-        if d_limit < 1:
-            continue  # centroid equal to the pivot was already tried
-        host_mode = mode
-        if mode == "auto":
-            host_mode = "exhaustive" if len(host.active_vertices()) <= 20 else "pattern"
-        cands = candidate_coordinate_sets(
-            host, d_limit, host_mode, pattern_max_vertices, pattern_max_edges
-        )
-        stats["candidate_sets"] += len(cands)
-
-        # the first group is the pivot alone: a tuple that contains the pivot
-        # costs at most the bound at its centroid, so this cut loses no optimum
-        groups = [[(pt1, w1)]] + rest
-        memo: dict = {}
-        # each row's weighted cost per coordinate left at the pivot's value; a
-        # subset's search starts from the sum over the coordinates outside it
-        pivot_cost = [[w * coord_cost(a, b) for a, b in zip(pt, pt1)]
-                      for grp in groups for pt, w in grp]
-        values = []
-        for j in range(d):
-            col = []
-            for mag in itertools.count(1):
-                if w1 * powp(mag) > limit():  # the pivot's own move costs too much
-                    break
-                for off in (mag, -mag):
-                    # clamping into the box never loses an optimum
-                    if gmin[j] <= pt1[j] + off <= gmax[j]:
-                        col.append(pt1[j] + off)
-            values.append(col)
-
-        for subset in cands:
-            if not subset:
-                continue
-            coords = sorted(subset)
-
-            def leaf(vals: tuple[int, ...]) -> bool:
-                candidate = list(pt1)
-                for c, v in zip(coords, vals):
-                    candidate[c] = v
-                key = tuple(candidate)
-                if key in seen:
-                    return False
-                seen.add(key)
-                return _verified(inst, key, stats, inc)
-
-            outside = [j for j in range(d) if j not in subset]
-            start = [sum([row[j] for j in outside]) for row in pivot_cost]
-            if _coordinate_search(groups, [(j, values[j]) for j in coords], coord_cost,
-                                  start, limit, leaf, stats, centroid_cap, memo):
-                return inc.best
-    return inc.result(stats)
+    return _coordinate_search(inst, lambda a, v: abs(a - v) ** p, limit, centroid_cap, minimize)
 
 
 # ---------------------------------------------------------------------------
@@ -587,18 +453,7 @@ def select_l0(
         raise ValueError("solver requires the Hamming order")
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    d = inst.dimension
-    inc = _Incumbent(inst, minimize)
-    stats = {"centroids_tried": 0, "nodes": 0}
-    columns = [(i, sorted({pt[i] for _, _, pt, _ in inst.iter_vectors()})) for i in range(d)]
-    groups = [list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)]
-
-    def leaf(centroid: tuple[int, ...]) -> bool:
-        return _verified(inst, centroid, stats, inc)
-
-    _coordinate_search(groups, columns, lambda a, v: a != v, [0] * inst.num_vectors,
-                       inc.limit, leaf, stats, centroid_cap)
-    return inc.result(stats)
+    return _coordinate_search(inst, operator.ne, _Incumbent.limit, centroid_cap, minimize)
 
 
 def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:

@@ -253,7 +253,7 @@ def _rainbow_colorings(n: int, max_colors: int) -> Iterator[tuple[int, ...]]:
 
 
 # counters of the selection solvers that the clustering stats sum
-SELECTION_COUNTERS = ("centroids_tried", "pivots", "nodes", "candidate_sets")
+SELECTION_COUNTERS = ("centroids_tried", "nodes")
 
 
 def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None) -> SolveResult:

@@ -27,6 +27,7 @@ from minkclust import (
     centroid_linf_lp,
     centroid_lp,
     coloring_success_estimate,
+    cost_eq,
     cost_eval,
     cost_le,
     enumerate_cost_set,
@@ -44,6 +45,7 @@ from minkclust import (
     solve_selection,
     verify_reduction,
 )
+from minkclust.cost_model import cost_floor
 from tests.helpers import (
     EX_CLIQUE_COLORED,
     EX_CLIQUE_GRAPH,
@@ -459,9 +461,7 @@ def test_criterion6_cost_set_completeness_on_observed_optima():
                 if cost.exact is not None:
                     if cost.exact not in exacts:
                         bad += 1
-                elif not any(
-                    abs(cost_eval(cost) - cost_eval(m)) <= 1e-9 for m in members
-                ):
+                elif not any(cost_eq(cost, m) for m in members):
                     bad += 1
     ok = bad == 0 and checked > 0
     report("criterion 6 (cost-set completeness on observed optima)", ok,
@@ -501,7 +501,7 @@ def test_criterion7_pattern_mode_soundness():
             pivot = inst.groups[0][slow.indices[0]]
             all_vecs = {pt for g in inst.groups for pt in g}
             if tuple(slow.centroid) in all_vecs:
-                continue  # found by the input-vector phase
+                continue  # the lemma's other case: an input vector is a centroid
             others = [
                 (pt, w)
                 for g, (pts, ws) in enumerate(zip(inst.groups, inst.weights))
@@ -512,7 +512,7 @@ def test_criterion7_pattern_mode_soundness():
             differ = frozenset(
                 i for i, (a, b) in enumerate(zip(pivot, slow.centroid)) if a != b
             )
-            limit = int(cost_eval(inst.budget))
+            limit = cost_floor(inst.budget)
             if limit < 1:
                 continue
             if differ not in candidate_coordinate_sets(host, limit, "pattern"):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import minkclust
-from minkclust import Cost, DistanceOrder
+from minkclust import Cost, DistanceOrder, SelectionInstance, cost_eval, select_bruteforce
 from minkclust.cli import (
     budget_to_string,
     instance_from_obj,
@@ -190,6 +191,28 @@ def test_cli_bench_and_tol_flags_are_gone(tmp_path):
                  ["verify", "linf-clique", str(graph), "--tol", "1e-9"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
+        assert exc.value.code == 2
+
+
+def test_cli_select_lp_basis_budget(tmp_path, capsys):
+    """The default ``select`` decides a p = 1/2 instance at its irrational
+    optimum, given as a ``basis:`` budget, and just below it; the
+    ``paper`` and ``exhaustive`` modes are gone."""
+    half = DistanceOrder.lp(Fraction(1, 2))
+    groups = [[(0, 0), (5, 5)], [(1, 0), (4, 1)], [(0, 2), (6, 6)]]
+    body = instance_to_obj(SelectionInstance.of(groups, Cost.of(0), half))
+    opt = select_bruteforce(instance_from_obj(body)).cost
+    below = Cost.of(Fraction(math.ceil(float(cost_eval(opt)) * 10**6) - 1, 10**6))
+    path = tmp_path / "inst.json"
+    for budget, code in ((below, 1), (opt, 0)):
+        body["budget"] = budget_to_string(budget, half)
+        path.write_text(json.dumps(body))
+        assert run_cli(["select", str(path)]) == code
+    assert body["budget"].startswith("basis:")
+    capsys.readouterr()
+    for mode in ("paper", "exhaustive"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["select", str(path), "--mode", mode])
         assert exc.value.code == 2
 
 

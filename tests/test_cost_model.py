@@ -13,7 +13,7 @@ from minkclust import (
     enumerate_cost_set,
     optimal_cluster_cost,
 )
-from minkclust.cost_model import cost_floor, int_root_ceil, int_root_floor
+from minkclust.cost_model import cost_floor
 
 
 def test_cost_eval_examples():
@@ -108,16 +108,6 @@ def test_kind_labels():
     assert Cost.basis({2: 1}, Fraction(1, 2)).kind == "basis"
 
 
-def test_int_roots():
-    assert int_root_floor(Fraction(4), Fraction(1, 2)) == 16
-    assert int_root_floor(Fraction(3), Fraction(1)) == 3
-    assert int_root_floor(Fraction(1, 2), Fraction(1)) == 0
-    assert int_root_ceil(Fraction(4), Fraction(1, 2)) == 16
-    assert int_root_ceil(Fraction(5), Fraction(1, 2)) == 25
-    assert int_root_floor(Fraction(5), Fraction(1, 2)) == 25
-    assert int_root_floor(Fraction(24, 10), Fraction(2, 3)) == 3
-
-
 def test_enumerate_cost_set_l1():
     cs = enumerate_cost_set(DistanceOrder.l1(), Cost.of(3))
     assert [c.exact for c in cs] == [0, 1, 2, 3]
@@ -177,7 +167,7 @@ def test_basis_size_bound_table():
     # member count stays under (|B|+1)^D for budgets 1..5
     p = Fraction(1, 2)
     for budget in range(1, 6):
-        n_bases = int_root_ceil(Fraction(budget), p)
+        n_bases = budget ** 2  # the bases a with a**(1/2) <= budget
         cs = enumerate_cost_set(DistanceOrder.lp(p), Cost.of(budget))
         assert len(cs) <= (n_bases + 1) ** budget
 

@@ -153,6 +153,21 @@ def test_lp_mcc_generator():
     assert best <= mpmath.mpf(b.budget_repr) + mpmath.mpf("1e-25")
 
 
+LP_MCC_EXPONENTS = [Fraction(9, 8), Fraction(5, 4), Fraction(3, 2), Fraction(11, 5), Fraction(7, 3),
+                    Fraction(5, 2), Fraction(3), Fraction(13, 4), Fraction(4), Fraction(6)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_lp_mcc_verify_on_complete_graphs(k):
+    """On the colourful complete graph K_k every exponent p > 1 has a yes
+    target whose minimum equals the 40-digit budget, which must be read at
+    the construction's working precision, not at mpmath's global one."""
+    complete = Graph.of(k, itertools.combinations(range(1, k + 1), 2), colors=range(1, k + 1))
+    for p in LP_MCC_EXPONENTS:
+        rep = verify_reduction("lp-mcc", complete, {"k": k, "p": p})
+        assert rep.source_yes and rep.target_yes, (k, p, rep.details)
+
+
 def test_hioct_generator_counts():
     f = CnfFormula(3, ((1, -2, 3),))
     h = gen_hioct_from_3sat(f)

@@ -26,6 +26,7 @@ from minkclust import (
     select_lp01,
     solve_selection,
 )
+from minkclust import selection
 from tests.helpers import (
     EX_CLIQUE_COLORED,
     EX_LINF_COLORED,
@@ -103,8 +104,7 @@ def test_select_lp01_phase1_shortcut():
     # identical singleton groups: the shared vector is an optimal centroid
     inst = SelectionInstance.of([[(2, 2)]], Cost.of(0), DistanceOrder.l1())
     res = select_lp01(inst)
-    assert res.decision and res.stats["phase"] == "input-vector"
-    assert not res.stats["phase2_entered"]
+    assert res.decision
 
 
 def test_select_lp01_pattern_mode_matches():
@@ -112,9 +112,7 @@ def test_select_lp01_pattern_mode_matches():
     for _ in range(60):
         budget = Cost.of(rnd.randint(1, 3))
         inst = random_selection_instance(rnd, DistanceOrder.l1(), budget)
-        a = select_lp01(inst, mode="exhaustive").decision
-        b = select_lp01(inst, mode="pattern").decision
-        assert a == b == select_bruteforce(inst).decision
+        assert select_lp01(inst).decision == select_bruteforce(inst).decision
 
 
 def test_select_l2_figure_and_tbound():
@@ -197,8 +195,8 @@ def test_basis_budget_selection():
 
 
 def test_phase1_sufficiency_counter():
-    """When an input vector is an optimal centroid, the first phase settles
-    the instance and the enumeration phase is never entered."""
+    """When an input vector is an optimal centroid, ``select_lp01`` finds a
+    witness."""
     rnd = random.Random(41)
     seen = 0
     for _ in range(200):
@@ -210,10 +208,7 @@ def test_phase1_sufficiency_counter():
         if not (slow.decision and tuple(slow.centroid) in all_vecs):
             continue
         seen += 1
-        fast = select_lp01(inst)
-        assert fast.decision
-        assert fast.stats["phase"] == "input-vector"
-        assert not fast.stats["phase2_entered"]
+        assert select_lp01(inst).decision
     assert seen > 10
 
 
@@ -230,7 +225,7 @@ def test_enumeration_caps_raise():
         select_linf(inst_linf, centroid_cap=0)
     inst_lp = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l1())
     with pytest.raises(EnumerationCapExceeded):
-        select_lp01(inst_lp, centroid_cap=1)
+        select_lp01(inst_lp, centroid_cap=0)
     with pytest.raises(EnumerationCapExceeded):
         solve_selection(inst_lp, centroid_cap=0)
     inst_l2 = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l2())
@@ -251,6 +246,23 @@ def test_l0_search_cuts_the_present_value_grid():
     grid = math.prod(len({pt[j] for grp in groups for pt in grp}) for j in range(6))
     assert res.stats["nodes"] < grid
     assert res.stats["centroids_tried"] == 0
+
+
+def test_lp01_search_cuts_unit_vector_no_instance():
+    """3 groups of 6 unit vectors, d = 18, under p = 1/2: every tuple costs at
+    least 3 (the zero centroid), and at the budget 2 * 2**(1/2) below it the
+    present-value search cuts every branch within 100 nodes and re-costs no
+    centroid."""
+    half = Fraction(1, 2)
+    unit = lambda k: tuple(int(j == k) for j in range(18))
+    groups = [[unit(6 * g + j) for j in range(6)] for g in range(3)]
+    inst = SelectionInstance.of(groups, Cost.basis({2: 2}, half), DistanceOrder.lp(half))
+    assert select_bruteforce(inst).cost == Cost.basis({1: 3}, half)
+    for minimize in (False, True):
+        res = select_lp01(inst, minimize=minimize)
+        assert not res.decision
+        assert res.stats["nodes"] <= 100
+        assert res.stats["centroids_tried"] == 0
 
 
 def test_linf_search_expands_only_partial_tuples():
@@ -308,18 +320,22 @@ def test_tuple_search_cuts_partial_tuples_above_the_bound(name):
         assert res.stats == {"centroids_tried": 0, "nodes": 5}
 
 
-def test_p1_selection_runs_the_tuple_search():
-    """``solve_selection`` sends p = 1 to the tuple search, not to the
-    centroid search of ``select_lp01``, which reports pivots and a phase."""
+def test_p1_selection_runs_the_tuple_search(monkeypatch):
+    """``solve_selection`` sends p = 1 to the tuple search, never to the
+    centroid search of ``select_lp01``, which raises here."""
+    def centroid_search(*args, **kwargs):
+        raise AssertionError("p = 1 reached select_lp01")
+
+    monkeypatch.setattr(selection, "select_lp01", centroid_search)
     rnd = random.Random(57)
     for _ in range(30):
         inst = random_selection_instance(rnd, DistanceOrder.l1(), Cost.of(rnd.randint(0, 4)))
         if all(len(pts) == 1 for pts in inst.groups):
             continue
         for minimize in (False, True):
-            stats = solve_selection(inst, minimize=minimize).stats
-            assert "pivots" not in stats and "phase" not in stats
-            assert set(stats) == {"centroids_tried", "nodes"}
+            res = solve_selection(inst, minimize=minimize)
+            assert res.decision == select_bruteforce(inst).decision
+            assert set(res.stats) == {"centroids_tried", "nodes"}
 
 
 def test_pell_near_tie_budget_is_exact():
