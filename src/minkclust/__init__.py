@@ -46,9 +46,7 @@ from .solver import (
     ClusteringInstance,
     SolveConfig,
     SolveResult,
-    cluster_count,
     coloring_success_estimate,
-    enumerate_color_partitions,
     solve_bruteforce,
     solve_color_coding,
 )

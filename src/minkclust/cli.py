@@ -403,33 +403,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def cap_centroids(p):
         p.add_argument("--cap-centroids", dest="cap_centroids", type=int,
                        default=5_000_000,
                        help="bound on the search nodes of every selection "
                             "kernel (the tuple search for p = 1, squared "
                             "Euclidean and max distance; the present-value "
                             "centroid search for p in (0, 1) and Hamming)")
-        p.add_argument("--cap-tuples", dest="cap_tuples", type=int,
-                       default=1_000_000)
-        p.add_argument("--cap-families", dest="cap_families", type=int,
-                       default=5_000_000)
-        p.add_argument("--cap-iterations", dest="cap_iterations", type=int,
-                       default=100_000)
 
     p_solve = sub.add_parser("solve", help="solve a clustering instance")
     p_solve.add_argument("instance")
     p_solve.add_argument("--policy", default="auto",
                          help="auto, exhaustive, or iters=<n>")
     p_solve.add_argument("--mode", default="solver", choices=["solver", "oracle"])
-    common(p_solve)
+    p_solve.add_argument("--seed", type=int, default=0)
+    cap_centroids(p_solve)
+    p_solve.add_argument("--cap-families", dest="cap_families", type=int,
+                         default=5_000_000)
+    p_solve.add_argument("--cap-iterations", dest="cap_iterations", type=int,
+                         default=100_000)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sel = sub.add_parser("select", help="solve a selection instance")
     p_sel.add_argument("instance")
     p_sel.add_argument("--mode", default="auto", choices=["auto", "oracle"])
-    common(p_sel)
+    cap_centroids(p_sel)
+    p_sel.add_argument("--cap-tuples", dest="cap_tuples", type=int, default=1_000_000)
     p_sel.set_defaults(func=cmd_select)
 
     p_gen = sub.add_parser("generate", help="build a reduction instance")
@@ -439,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--k", type=int, default=3)
     p_gen.add_argument("--p", default=None, help="exponent for lp-mcc")
     p_gen.add_argument("--suppress-isolated-edges", action="store_true")
-    common(p_gen)
     p_gen.set_defaults(func=cmd_generate)
 
     p_ver = sub.add_parser("verify", help="check a construction against oracles")
@@ -449,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p", default=None)
     p_ver.add_argument("--sweep", type=int, default=0,
                        help="sweep all graphs up to this many vertices")
-    common(p_ver)
+    p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -72,21 +72,6 @@ class Cost:
             return Cost(exact=Fraction(0))
         return Cost(terms=items, p=p)
 
-    @property
-    def kind(self) -> str:
-        if self.terms is not None:
-            return "basis"
-        den = self.exact.denominator
-        if den == 1:
-            return "int"
-        if den == 2:
-            return "half"
-        return "rational"
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
     def __add__(self, other: "Cost") -> "Cost":
         if self.exact is not None and other.exact is not None:
             return Cost(exact=self.exact + other.exact)

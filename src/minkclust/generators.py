@@ -628,12 +628,7 @@ REDUCTION_NAMES = (
 )
 
 
-def verify_reduction(
-    name: str,
-    source,
-    params: dict | None = None,
-    select_cap: int = 1_000_000,
-) -> ReductionReport:
+def verify_reduction(name: str, source, params: dict | None = None) -> ReductionReport:
     """Compare the brute-forced source answer against the generated target
     instance solved at the construction's budget."""
     params = dict(params or {})
@@ -680,7 +675,7 @@ def verify_reduction(
                 target_yes = bool(best <= budget + mpmath.mpf("1e-30"))
             details["min_cost"] = mpmath.nstr(best, 30)
         else:
-            res = select_bruteforce(inst, cap=select_cap)
+            res = select_bruteforce(inst)
             details["min_cost"] = res.cost
             target_yes = res.decision
     elif name == "3sat-hioct-linf2":

@@ -97,10 +97,6 @@ class SelectionInstance:
     def num_groups(self) -> int:
         return len(self.groups)
 
-    @property
-    def num_vectors(self) -> int:
-        return sum(len(g) for g in self.groups)
-
     def iter_vectors(self) -> Iterator[tuple[int, int, Point, int]]:
         for g, (pts, ws) in enumerate(zip(self.groups, self.weights)):
             for i, (pt, w) in enumerate(zip(pts, ws)):

@@ -1,11 +1,16 @@
 """k-Clustering solvers.
 
 The main solver reduces clustering to Cluster Selection via color coding over
-initial clusters: color the initial clusters, enumerate families of disjoint
-color subsets (each future composite cluster), and ask the minimising
-selection solver once per distinct bundle of groups for the cheapest cost of
-that part.  A brute-force partition oracle over initial clusters provides
-ground truth at desk scale.
+initial clusters: color the initial clusters, search the families of disjoint
+color subsets (each future composite cluster) that merge exactly the excess
+over k, and ask the minimising selection solver once per distinct bundle of
+groups for the cheapest cost of that part.  The exhaustive policy is exact by
+containment: a feasible solution merges at most T initial clusters, so some
+subset of min(T, n) initial clusters contains them all; coloring that subset
+with distinct colors and everything else like its first member gives each
+merged part a bundle whose minimum costs no more than the part itself.  A
+brute-force partition oracle over initial clusters provides ground truth at
+desk scale.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .centroids import WeightedCluster, optimal_cluster_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
@@ -40,7 +45,7 @@ class SolveConfig:
     """Knobs for the color-coding solver.
 
     ``policy`` is one of ``auto`` (random colorings, iteration count capped),
-    ``exhaustive`` (complete search over colorings up to color renaming; the
+    ``exhaustive`` (one coloring per subset of min(T, n) initial clusters; the
     decision is exact), or ``iters`` (explicit random iteration count).
     Costs are compared exactly, so there is no tolerance to set.
     """
@@ -58,37 +63,6 @@ class SolveResult:
     decision: bool
     clustering: Clustering | None
     stats: dict = field(default_factory=dict)
-
-
-def cluster_count(num_initial: int, family: Sequence[Iterable[int]]) -> int:
-    """Number of clusters produced by merging each family part: the initial
-    cluster count minus the merged colors plus one cluster per part."""
-    sizes = [len(tuple(p)) for p in family]
-    return num_initial - sum(sizes) + len(sizes)
-
-
-def enumerate_color_partitions(colors: Iterable[int]) -> Iterator[tuple[frozenset[int], ...]]:
-    """Every family of pairwise disjoint subsets (each of size >= 2) of the
-    given colors, in canonical order without duplicates.  The empty family is
-    included: it merges nothing."""
-    pool = sorted(set(colors))
-
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[frozenset[int], ...]]:
-        if not remaining:
-            yield ()
-            return
-        first, rest = remaining[0], remaining[1:]
-        # families that leave the first color unmerged
-        yield from rec(rest)
-        # families whose part containing the first color has size >= 2
-        for size in range(1, len(rest) + 1):
-            for extra in itertools.combinations(rest, size):
-                part = frozenset((first,) + extra)
-                leftover = tuple(x for x in rest if x not in part)
-                for tail in rec(leftover):
-                    yield (part,) + tail
-
-    yield from rec(tuple(pool))
 
 
 def _assemble_clustering(
@@ -238,18 +212,18 @@ def coloring_success_estimate(t_colors: int, trials: int, seed: int = 0) -> tupl
     return hits / trials, trials
 
 
-def _rainbow_colorings(n: int, max_colors: int) -> Iterator[tuple[int, ...]]:
-    # Exact coverage of the full coloring space: the merged initial clusters
-    # of any feasible solution number at most the color count, so it suffices
-    # to give each candidate merged subset distinct colors once while lumping
-    # everything else with color 0 (extra group members only help the
-    # selection subroutine).  One coloring per subset of size 2..max_colors.
-    for size in range(2, max_colors + 1):
-        for subset in itertools.combinations(range(n), size):
-            coloring = [0] * n
-            for color, ic in enumerate(subset):
-                coloring[ic] = color
-            yield tuple(coloring)
+def _rainbow_colorings(n: int, n_colors: int) -> Iterator[tuple[int, ...]]:
+    # Containment: the initial clusters a feasible solution merges number at
+    # most the color count, so some subset of min(n_colors, n) initial
+    # clusters holds them all.  Its coloring gives them distinct colors and
+    # lumps everything outside it with its first member under color 0, so
+    # each merged part's bundle holds the part's own tuple, and the bundle's
+    # minimum costs no more than the part.
+    for subset in itertools.combinations(range(n), min(n_colors, n)):
+        coloring = [0] * n
+        for color, ic in enumerate(subset):
+            coloring[ic] = color
+        yield tuple(coloring)
 
 
 # counters of the selection solvers that the clustering stats sum
@@ -260,15 +234,23 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     """Color-coding clustering solver.
 
     Regularizes the dataset, colors the initial clusters with T colors
-    (T from the budget and the per-merge cost floor), and enumerates valid
-    color families.  Each part's cost is the exact optimum of its Cluster
-    Selection bundle, found by one minimising ``solve_selection`` call per
-    distinct bundle with the instance budget as the bound; a bundle whose
-    groups each hold one vector is priced directly at its single tuple, and
-    any other runs the order's selection kernel.  A yes always carries a
-    verified witness clustering.  Under the randomized policies a no is one
-    sided; the exhaustive policy is exact.  The stats sum the selection
-    solvers' counters under their own names.
+    (T from the budget and the per-merge cost floor), and searches the
+    families of disjoint color sets that merge the n - k excess initial
+    clusters, depth first, cutting a branch at a part whose bundle is
+    infeasible or that takes the running cost over the budget.  Each part's
+    cost is the exact optimum of its Cluster Selection bundle, found by one
+    minimising ``solve_selection`` call per distinct bundle with the
+    instance budget as the bound; a bundle whose groups each hold one vector
+    is priced directly at its single tuple, and any other runs the order's
+    selection kernel.  A yes always carries a verified witness clustering.
+    Under the randomized policies a no is one sided.  The exhaustive policy
+    colors each subset of min(T, n) initial clusters with distinct colors
+    once, which is exact by containment: the subset holding a feasible
+    solution's merged clusters gives every merged part a bundle no costlier
+    than the part.  ``stats["iterations"]`` counts colorings and
+    ``stats["families"]`` the complete families reached (every part priced
+    within the budget); the stats also sum the selection solvers' counters
+    under their own names.
     """
     cfg = cfg or SolveConfig()
     order = inst.order
@@ -306,46 +288,50 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         classes: dict[int, list[int]] = {}
         for ic_idx, color in enumerate(coloring):
             classes.setdefault(color, []).append(ic_idx)
-        used = sorted(classes)
-        for family in enumerate_color_partitions(used):
-            if cluster_count(n_ic, family) != inst.k:
-                continue
-            stats["families"] += 1
-            running = Cost.of(0)
-            parts_members: list[tuple[int, ...]] = []
-            ok = True
-            for color_set in family:
-                groups = []
-                weights = []
-                index_map = []
-                for color in sorted(color_set):
-                    members = classes[color]
-                    groups.append(tuple(initial[i].representative for i in members))
-                    weights.append(tuple(initial[i].size for i in members))
-                    index_map.append(members)
-                witness = min_feasible(tuple(groups), tuple(weights))
-                if witness is None:
-                    ok = False
-                    break
-                running = running + witness.cost
-                if not cost_le(running, inst.budget):
-                    ok = False
-                    break
-                parts_members.append(
-                    tuple(index_map[g][i] for g, i in enumerate(witness.indices))
-                )
-            if ok:
-                clustering = _assemble_clustering(order, initial, parts_members)
+        groups = {color: tuple(initial[i].representative for i in members)
+                  for color, members in classes.items()}
+        weights = {color: tuple(initial[i].size for i in members)
+                   for color, members in classes.items()}
+        parts: list[tuple[int, ...]] = []  # the chosen initial clusters per part
+
+        def rec(pool: tuple[int, ...], left: int, running: Cost) -> SolveResult | None:
+            # ``left`` merges are still owed; a part of s colors makes s - 1
+            if left == 0:
+                stats["families"] += 1
+                clustering = _assemble_clustering(order, initial, parts)
                 if cost_le(clustering.total_cost, inst.budget):
                     return SolveResult(True, clustering, stats)
-        return None
+                return None
+            first, rest = pool[0], pool[1:]
+            # m colors hold at most m - 1 merges, so while ``left`` is below
+            # len(rest) any part size leaves enough; at equality only the
+            # part of all of them fits, and above it nothing does
+            fits = left < len(rest)
+            if fits:  # leave the first color unmerged
+                hit = rec(rest, left, running)
+                if hit is not None:
+                    return hit
+            for size in range(1 if fits else left, min(left, len(rest)) + 1):
+                for extra in itertools.combinations(rest, size):
+                    part = (first,) + extra
+                    witness = min_feasible(tuple(groups[c] for c in part),
+                                           tuple(weights[c] for c in part))
+                    if witness is None:
+                        continue
+                    total = running + witness.cost
+                    if not cost_le(total, inst.budget):
+                        continue
+                    parts.append(tuple(classes[c][i] for c, i in zip(part, witness.indices)))
+                    hit = rec(tuple(c for c in rest if c not in extra), left - size, total)
+                    parts.pop()
+                    if hit is not None:
+                        return hit
+            return None
+
+        return rec(tuple(sorted(classes)), n_ic - inst.k, Cost.of(0))
 
     if cfg.policy == "exhaustive":
-        if t_colors >= n_ic:
-            colorings: Iterable[Sequence[int]] = [tuple(range(n_ic))]
-        else:
-            colorings = _rainbow_colorings(n_ic, t_colors)
-        for coloring in colorings:
+        for coloring in _rainbow_colorings(n_ic, t_colors):
             stats["iterations"] += 1
             if stats["iterations"] > cfg.exhaustive_cap:
                 raise RuntimeError("exhaustive coloring cap exceeded")
@@ -355,7 +341,6 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                 return hit
         stats["confidence"] = 1.0
         return SolveResult(False, None, stats)
-
     if cfg.policy == "iters":
         if cfg.iterations is None or cfg.iterations < 1:
             raise ValueError("iters policy needs an explicit iteration count")

@@ -194,6 +194,21 @@ def test_cli_bench_and_tol_flags_are_gone(tmp_path):
         assert exc.value.code == 2
 
 
+def test_cli_subcommands_take_only_the_options_they_read(tmp_path):
+    """``generate`` reads no seed or cap, ``select`` no seed, ``verify`` no
+    cap and ``solve`` no tuple cap, so argparse rejects them (exit 2)."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
+    inst = tmp_path / "inst.json"
+    for argv in (["generate", "l0-clique", str(graph), "--cap-tuples", "5"],
+                 ["select", str(inst), "--seed", "1"],
+                 ["verify", "l0-clique", str(graph), "--cap-centroids", "5"],
+                 ["solve", str(inst), "--cap-tuples", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+
+
 def test_cli_select_lp_basis_budget(tmp_path, capsys):
     """The default ``select`` decides a p = 1/2 instance at its irrational
     optimum, given as a ``basis:`` budget, and just below it; the

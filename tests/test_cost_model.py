@@ -101,13 +101,6 @@ def test_cost_arithmetic():
     assert Cost.basis({}, Fraction(1, 2)).exact == 0
 
 
-def test_kind_labels():
-    assert Cost.of(3).kind == "int"
-    assert Cost.of(Fraction(3, 2)).kind == "half"
-    assert Cost.of(Fraction(9, 4)).kind == "rational"
-    assert Cost.basis({2: 1}, Fraction(1, 2)).kind == "basis"
-
-
 def test_enumerate_cost_set_l1():
     cs = enumerate_cost_set(DistanceOrder.l1(), Cost.of(3))
     assert [c.exact for c in cs] == [0, 1, 2, 3]

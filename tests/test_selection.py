@@ -428,7 +428,7 @@ def test_minimize_equals_oracle_optimum(name):
             assert res.decision == feasible, (trial, bound, inst)
             if not res.decision:
                 continue
-            if opt.is_exact:
+            if opt.exact is not None:
                 assert res.cost == opt, (trial, bound, inst)
             else:
                 assert cost_eq(res.cost, opt), (trial, bound, inst)

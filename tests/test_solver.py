@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -13,10 +14,8 @@ from minkclust import (
     DistanceOrder,
     SolveConfig,
     WeightedCluster,
-    cluster_count,
     coloring_success_estimate,
     cost_le,
-    enumerate_color_partitions,
     gen_l0_clustering_from_clique,
     gen_linf2_from_hioct,
     gen_linf_clustering_from_clique,
@@ -35,27 +34,6 @@ from tests.helpers import (
     EX_OCT_GRAPH,
     random_clustering_instance,
 )
-
-
-def fam_set(colors):
-    return {tuple(sorted(tuple(sorted(p)) for p in fam))
-            for fam in enumerate_color_partitions(colors)}
-
-
-def test_enumerate_color_partitions_examples():
-    assert fam_set([1, 2]) == {(), ((1, 2),)}
-    assert fam_set([1, 2, 3]) == {
-        (), ((1, 2),), ((1, 3),), ((2, 3),), ((1, 2, 3),)
-    }
-    assert fam_set([7]) == {()}
-    # family counts over n colors follow the Bell numbers
-    assert [len(fam_set(range(n))) for n in range(1, 6)] == [1, 2, 5, 15, 52]
-
-
-def test_cluster_count_examples():
-    assert cluster_count(8, [(1, 2), (3, 4, 5)]) == 5
-    assert cluster_count(8, []) == 8
-    assert cluster_count(3, [(1, 2, 3)]) == 1
 
 
 def test_solve_bruteforce_figures():
@@ -187,16 +165,33 @@ ORDER_BUDGETS = [
 ]
 
 
-@pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
-def test_color_coding_equals_bruteforce_sample(order, budgets, seed):
+# (order, budgets, seed, max_initial, trials).  The max_initial=6 rows hold at
+# least 10 yes-instances each whose color count T is below the initial cluster
+# count, where the exhaustive policy rests on containment: it colors only the
+# subsets of T initial clusters.  (Squared Euclidean and max-distance merges of
+# integer points cost well above the per-merge floor, so at six initial
+# clusters those orders have next to no such yes-instances.)
+SAMPLE_ROWS = [(order, budgets, seed, 5, 30) for order, budgets, seed in ORDER_BUDGETS] + [
+    (DistanceOrder.l1(), [1, Fraction(3, 2), 2], 221, 6, 120),
+    (DistanceOrder.lp(Fraction(1, 2)), [1, Fraction(3, 2), 2], 224, 6, 120),
+    (DistanceOrder.l0(), [1, Fraction(3, 2), 2], 226, 6, 120),
+]
+
+
+@pytest.mark.parametrize("order,budgets,seed,max_initial,trials",
+                         [pytest.param(*row, id="-".join(map(str, row[:3]))) for row in SAMPLE_ROWS])
+def test_color_coding_equals_bruteforce_sample(order, budgets, seed, max_initial, trials):
     rnd = random.Random(seed)
-    for _ in range(30):
+    narrow_yes = 0
+    for _ in range(trials):
         budget = Cost.of(budgets[rnd.randrange(len(budgets))])
-        inst = random_clustering_instance(rnd, order, budget, max_initial=5)
+        inst = random_clustering_instance(rnd, order, budget, max_initial=max_initial)
         exact = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
         brute = solve_bruteforce(inst)
         assert exact.decision == brute.decision, inst
         if exact.decision:
+            initial = regularize(inst.dataset)
+            narrow_yes += exact.stats.get("T", len(initial)) < len(initial)
             clustering = exact.clustering
             # regular output: every initial cluster stays intact
             sizes: dict = {}
@@ -204,9 +199,27 @@ def test_color_coding_equals_bruteforce_sample(order, budgets, seed):
                 for pt, mult in cluster:
                     assert pt not in sizes
                     sizes[pt] = mult
-            expected = {ic.representative: ic.size for ic in regularize(inst.dataset)}
+            expected = {ic.representative: ic.size for ic in initial}
             assert sizes == expected
             assert cost_le(clustering.total_cost, inst.budget)
+    if max_initial == 6:
+        assert narrow_yes >= 10
+
+
+def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
+    """With T = 3 colors below the 5 initial clusters, the exhaustive policy
+    tries one coloring per 3-subset, not one per subset of size 2 or 3, and
+    ``families`` counts the complete families reached: none on a no, the
+    accepted one on a yes."""
+    ds = Dataset(1, ((0,), (1,), (10,), (11,), (20,)), (1,) * 5)
+    for k, yes in ((3, False), (4, True)):
+        inst = ClusteringInstance(ds, k, Cost.of(Fraction(3, 2)), DistanceOrder.l1())
+        res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
+        assert res.stats["T"] == 3
+        assert res.decision == solve_bruteforce(inst).decision == yes
+        if not yes:
+            assert res.stats["iterations"] == math.comb(5, 3)
+        assert res.stats["families"] == int(yes)
 
 
 @pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
