@@ -35,7 +35,7 @@ from .generators import (
     verify_reduction,
     REDUCTION_NAMES,
 )
-from .selection import SelectionInstance, select_bruteforce, solve_selection
+from .selection import CENTROID_CAP, SelectionInstance, select_bruteforce, solve_selection
 from .solver import (
     ClusteringInstance,
     SolveConfig,
@@ -228,14 +228,9 @@ def cmd_solve(args) -> int:
     else:
         policy, iters = args.policy, None
         if policy.startswith("iters="):
-            policy, iters = "iters", int(policy.split("=", 1)[1])
-        cfg = SolveConfig(
-            seed=args.seed,
-            policy=policy,
-            iterations=iters,
-            max_iterations=args.cap_iterations,
-            selection_kwargs={"centroid_cap": args.cap_centroids},
-        )
+            policy, iters = "auto", int(policy.split("=", 1)[1])
+        cfg = SolveConfig(seed=args.seed, policy=policy, iterations=iters,
+                          centroid_cap=args.cap_centroids)
         res = solve_color_coding(inst, cfg)
         decision, clustering = res.decision, res.clustering
         stats = res.stats
@@ -405,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cap_centroids(p):
         p.add_argument("--cap-centroids", dest="cap_centroids", type=int,
-                       default=5_000_000,
+                       default=CENTROID_CAP,
                        help="bound on the search nodes of every selection "
                             "kernel (the tuple search for p = 1, squared "
                             "Euclidean and max distance; the present-value "
@@ -414,14 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a clustering instance")
     p_solve.add_argument("instance")
     p_solve.add_argument("--policy", default="auto",
-                         help="auto, exhaustive, or iters=<n>")
+                         help="auto (random colorings), iters=<n> (auto with "
+                              "n colorings) or exhaustive (exact)")
     p_solve.add_argument("--mode", default="solver", choices=["solver", "oracle"])
     p_solve.add_argument("--seed", type=int, default=0)
     cap_centroids(p_solve)
     p_solve.add_argument("--cap-families", dest="cap_families", type=int,
                          default=5_000_000)
-    p_solve.add_argument("--cap-iterations", dest="cap_iterations", type=int,
-                         default=100_000)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sel = sub.add_parser("select", help="solve a selection instance")

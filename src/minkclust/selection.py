@@ -42,6 +42,8 @@ from .cost_model import Cost, cost_eval, cost_le
 from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
 from .hypergraph import candidate_coordinate_sets  # noqa: F401  (traced by perfbench/)
 
+CENTROID_CAP = 5_000_000  # the default node bound of every selection kernel
+
 
 class EnumerationCapExceeded(RuntimeError):
     """Raised when a solver's candidate enumeration outgrows its cap."""
@@ -279,7 +281,7 @@ _FLOAT_SLACK = 1e-6
 
 def select_lp01(
     inst: SelectionInstance,
-    centroid_cap: int = 1_000_000,
+    centroid_cap: int = CENTROID_CAP,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for exponents p in (0, 1]: the centroid search of ``select_l0``
@@ -361,7 +363,7 @@ def _tuple_search(
     return inc.result(stats)
 
 
-def _select_by_cluster(inst: SelectionInstance, centroid_cap: int = 5_000_000,
+def _select_by_cluster(inst: SelectionInstance, centroid_cap: int = CENTROID_CAP,
                        minimize: bool = False) -> SelectionResult:
     """The tuple search with each partial tuple priced as a cluster through
     ``optimal_cluster_cost`` (the weighted median for p = 1, the integer
@@ -377,7 +379,7 @@ def _select_by_cluster(inst: SelectionInstance, centroid_cap: int = 5_000_000,
 
 def select_l2(
     inst: SelectionInstance,
-    centroid_cap: int = 5_000_000,
+    centroid_cap: int = CENTROID_CAP,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the squared Euclidean cost: the tuple search
@@ -411,7 +413,7 @@ def select_l2(
 
 def select_linf(
     inst: SelectionInstance,
-    centroid_cap: int = 5_000_000,
+    centroid_cap: int = CENTROID_CAP,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the max distance: the tuple search (``_tuple_search``) with
@@ -436,7 +438,7 @@ def select_linf(
 
 def select_l0(
     inst: SelectionInstance,
-    centroid_cap: int = 5_000_000,
+    centroid_cap: int = CENTROID_CAP,
     minimize: bool = False,
 ) -> SelectionResult:
     """Solver for the Hamming distance: search every centroid assembled from

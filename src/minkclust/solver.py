@@ -25,7 +25,10 @@ from .centroids import WeightedCluster, optimal_cluster_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
 from .cost_model import Cost, cost_eval, cost_floor, cost_le
 from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
-from .selection import SelectionInstance, SelectionResult, solve_selection
+from .selection import CENTROID_CAP, SelectionInstance, SelectionResult, solve_selection
+
+MAX_ITERATIONS = 100_000  # the default random coloring count stops here
+COLORING_CAP = 1_000_000  # no policy tries more colorings
 
 
 @dataclass(frozen=True)
@@ -44,18 +47,24 @@ class ClusteringInstance:
 class SolveConfig:
     """Knobs for the color-coding solver.
 
-    ``policy`` is one of ``auto`` (random colorings, iteration count capped),
-    ``exhaustive`` (one coloring per subset of min(T, n) initial clusters; the
-    decision is exact), or ``iters`` (explicit random iteration count).
-    Costs are compared exactly, so there is no tolerance to set.
+    ``policy`` is ``auto`` (``iterations`` seeded random colorings, by
+    default min(ceil(e**T), ``MAX_ITERATIONS``)) or ``exhaustive`` (each of
+    the comb(n - 1, min(T, n) - 1) distinct rainbow colorings once, with no
+    count to set; the decision is exact).  ``centroid_cap`` bounds the
+    search nodes of every selection call.
     """
 
     seed: int = 0
     policy: str = "auto"
     iterations: int | None = None
-    max_iterations: int = 100_000
-    exhaustive_cap: int = 1_000_000
-    selection_kwargs: dict = field(default_factory=dict)
+    centroid_cap: int = CENTROID_CAP
+
+    def __post_init__(self) -> None:
+        if self.policy not in ("auto", "exhaustive"):
+            raise ValueError(f"unknown policy {self.policy!r}")
+        if self.iterations is not None and (
+                self.policy == "exhaustive" or not 1 <= self.iterations <= COLORING_CAP):
+            raise ValueError(f"only the auto policy takes iterations, in 1..{COLORING_CAP}")
 
 
 @dataclass
@@ -218,10 +227,12 @@ def _rainbow_colorings(n: int, n_colors: int) -> Iterator[tuple[int, ...]]:
     # clusters holds them all.  Its coloring gives them distinct colors and
     # lumps everything outside it with its first member under color 0, so
     # each merged part's bundle holds the part's own tuple, and the bundle's
-    # minimum costs no more than the part.
-    for subset in itertools.combinations(range(n), min(n_colors, n)):
+    # minimum costs no more than the part.  A subset's coloring depends only
+    # on its members after the first, so trading the first for initial
+    # cluster 0 keeps it: the subsets holding 0 give every coloring, once.
+    for rest in itertools.combinations(range(1, n), min(n_colors, n) - 1):
         coloring = [0] * n
-        for color, ic in enumerate(subset):
+        for color, ic in enumerate(rest, 1):
             coloring[ic] = color
         yield tuple(coloring)
 
@@ -243,14 +254,14 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     instance budget as the bound; a bundle whose groups each hold one vector
     is priced directly at its single tuple, and any other runs the order's
     selection kernel.  A yes always carries a verified witness clustering.
-    Under the randomized policies a no is one sided.  The exhaustive policy
-    colors each subset of min(T, n) initial clusters with distinct colors
-    once, which is exact by containment: the subset holding a feasible
-    solution's merged clusters gives every merged part a bundle no costlier
-    than the part.  ``stats["iterations"]`` counts colorings and
-    ``stats["families"]`` the complete families reached (every part priced
-    within the budget); the stats also sum the selection solvers' counters
-    under their own names.
+    The policy picks only the colorings and a no's confidence; one loop
+    tries them.  Under ``auto`` a no is one sided, with confidence
+    1 - (1 - e**-T)**N after N random colorings.  The exhaustive policy
+    tries each distinct coloring of a subset of min(T, n) initial clusters
+    once, which is exact by containment (see ``_rainbow_colorings``).
+    ``stats["iterations"]`` counts colorings and ``stats["families"]`` the
+    complete families reached (every part priced within the budget); the
+    stats also sum the selection solvers' counters under their own names.
     """
     cfg = cfg or SolveConfig()
     order = inst.order
@@ -278,7 +289,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             sel = SelectionInstance(groups, weights, inst.dataset.dimension,
                                     inst.budget, order)
             stats["selection_calls"] += 1
-            res = solve_selection(sel, minimize=True, **cfg.selection_kwargs)
+            res = solve_selection(sel, minimize=True, centroid_cap=cfg.centroid_cap)
             for name in SELECTION_COUNTERS:
                 stats[name] += res.stats.get(name, 0)
             min_cache[key] = res if res.decision else None
@@ -331,37 +342,21 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         return rec(tuple(sorted(classes)), n_ic - inst.k, Cost.of(0))
 
     if cfg.policy == "exhaustive":
-        for coloring in _rainbow_colorings(n_ic, t_colors):
-            stats["iterations"] += 1
-            if stats["iterations"] > cfg.exhaustive_cap:
-                raise RuntimeError("exhaustive coloring cap exceeded")
-            hit = try_coloring(coloring)
-            if hit is not None:
-                hit.stats["confidence"] = 1.0
-                return hit
-        stats["confidence"] = 1.0
-        return SolveResult(False, None, stats)
-    if cfg.policy == "iters":
-        if cfg.iterations is None or cfg.iterations < 1:
-            raise ValueError("iters policy needs an explicit iteration count")
-        n_iters = cfg.iterations
-    elif cfg.policy == "auto":
-        try:
-            suggested = math.ceil(math.exp(t_colors))
-        except OverflowError:
-            suggested = cfg.max_iterations
-        n_iters = min(suggested, cfg.max_iterations)
+        colorings, confidence = _rainbow_colorings(n_ic, t_colors), 1.0
     else:
-        raise ValueError(f"unknown policy {cfg.policy!r}")
-
-    for it in range(n_iters):
+        n_iters = cfg.iterations or (
+            MAX_ITERATIONS if t_colors >= math.log(MAX_ITERATIONS)
+            else math.ceil(math.exp(t_colors)))
+        rnds = (random.Random(f"{cfg.seed}:{it}") for it in range(n_iters))
+        colorings = ([rnd.randrange(t_colors) for _ in range(n_ic)] for rnd in rnds)
+        confidence = 1.0 - (1.0 - math.exp(-t_colors)) ** n_iters
+    for coloring in colorings:
         stats["iterations"] += 1
-        rnd = random.Random(f"{cfg.seed}:{it}")
-        coloring = [rnd.randrange(t_colors) for _ in range(n_ic)]
+        if stats["iterations"] > COLORING_CAP:
+            raise RuntimeError("coloring cap exceeded")
         hit = try_coloring(coloring)
         if hit is not None:
             hit.stats["confidence"] = 1.0
             return hit
-    miss = (1.0 - math.exp(-t_colors)) ** n_iters if t_colors < 500 else 1.0
-    stats["confidence"] = 1.0 - miss
+    stats["confidence"] = confidence
     return SolveResult(False, None, stats)

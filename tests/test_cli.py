@@ -75,7 +75,8 @@ GENERATED = [
 ]
 
 
-@pytest.mark.parametrize("inst", GENERATED, ids=lambda i: type(i).__name__ + str(id(i) % 97))
+@pytest.mark.parametrize("inst", [pytest.param(inst, id=f"{type(inst).__name__}-{i}")
+                                  for i, inst in enumerate(GENERATED)])
 def test_round_trip_identity(inst):
     obj = instance_to_obj(inst)
     again = instance_from_obj(json.loads(json.dumps(obj)))
@@ -196,14 +197,16 @@ def test_cli_bench_and_tol_flags_are_gone(tmp_path):
 
 def test_cli_subcommands_take_only_the_options_they_read(tmp_path):
     """``generate`` reads no seed or cap, ``select`` no seed, ``verify`` no
-    cap and ``solve`` no tuple cap, so argparse rejects them (exit 2)."""
+    cap and ``solve`` no tuple cap and no iteration cap (``--policy
+    iters=<n>`` sets the count), so argparse rejects them (exit 2)."""
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
     inst = tmp_path / "inst.json"
     for argv in (["generate", "l0-clique", str(graph), "--cap-tuples", "5"],
                  ["select", str(inst), "--seed", "1"],
                  ["verify", "l0-clique", str(graph), "--cap-centroids", "5"],
-                 ["solve", str(inst), "--cap-tuples", "5"]):
+                 ["solve", str(inst), "--cap-tuples", "5"],
+                 ["solve", str(inst), "--cap-iterations", "5"]):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv)
         assert exc.value.code == 2

@@ -140,15 +140,41 @@ def test_color_coding_policies():
     for cfg in (
         SolveConfig(policy="exhaustive"),
         SolveConfig(policy="auto", seed=3),
-        SolveConfig(policy="iters", iterations=30, seed=4),
+        SolveConfig(iterations=30, seed=4),
     ):
         res = solve_color_coding(inst, cfg)
         assert res.decision
         assert res.clustering.total_cost.exact == 1
-    with pytest.raises(ValueError):
-        solve_color_coding(inst, SolveConfig(policy="iters"))
-    with pytest.raises(ValueError):
-        solve_color_coding(inst, SolveConfig(policy="bogus"))
+    for bad in ({"policy": "iters"}, {"policy": "bogus"},
+                {"policy": "exhaustive", "iterations": 3}, {"iterations": 0}):
+        with pytest.raises(ValueError):
+            SolveConfig(**bad)
+
+
+def test_auto_runs_the_iterations_it_is_given():
+    """An explicit count is the number of random colorings tried on a no;
+    without one, ``auto`` tries ceil(e**T) of them (T = 4 here)."""
+    ds = Dataset(1, tuple((10 * i,) for i in range(6)), (1,) * 6)
+    inst = ClusteringInstance(ds, 2, Cost.of(2), DistanceOrder.l1())
+    res = solve_color_coding(inst, SolveConfig(iterations=3))
+    assert not res.decision and res.stats["iterations"] == 3
+    assert res.stats["confidence"] == 1 - (1 - math.exp(-4)) ** 3
+    assert solve_color_coding(inst).stats["iterations"] == math.ceil(math.exp(4))
+
+
+@pytest.mark.parametrize("n,t", [(1, 1), (5, 1), (5, 3), (6, 4), (4, 4), (3, 5)])
+def test_rainbow_colorings_are_distinct_and_hold_cluster_0(n, t):
+    """One coloring per subset of min(T, n) initial clusters that holds
+    cluster 0: comb(n - 1, min(T, n) - 1) of them, pairwise distinct, each
+    giving its subset the colors 0..min(T, n) - 1."""
+    colorings = list(solver._rainbow_colorings(n, t))
+    size = min(t, n)
+    assert len(colorings) == len(set(colorings)) == math.comb(n - 1, size - 1)
+    for coloring in colorings:
+        assert len(coloring) == n and coloring[0] == 0
+        assert sorted(set(coloring)) == list(range(size))
+    if t == 1:
+        assert colorings == [(0,) * n]
 
 
 ORDER_BUDGETS = [
@@ -208,7 +234,8 @@ def test_color_coding_equals_bruteforce_sample(order, budgets, seed, max_initial
 
 def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
     """With T = 3 colors below the 5 initial clusters, the exhaustive policy
-    tries one coloring per 3-subset, not one per subset of size 2 or 3, and
+    tries one coloring per 3-subset holding the first cluster, since a
+    subset's coloring ignores which member comes first, and
     ``families`` counts the complete families reached: none on a no, the
     accepted one on a yes."""
     ds = Dataset(1, ((0,), (1,), (10,), (11,), (20,)), (1,) * 5)
@@ -218,7 +245,7 @@ def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
         assert res.stats["T"] == 3
         assert res.decision == solve_bruteforce(inst).decision == yes
         if not yes:
-            assert res.stats["iterations"] == math.comb(5, 3)
+            assert res.stats["iterations"] == math.comb(4, 2)
         assert res.stats["families"] == int(yes)
 
 
@@ -257,7 +284,7 @@ def test_randomized_no_is_one_sided():
     rnd = random.Random(207)
     for _ in range(40):
         inst = random_clustering_instance(rnd, DistanceOrder.l1(), Cost.of(rnd.randint(0, 2)))
-        fast = solve_color_coding(inst, SolveConfig(policy="iters", iterations=5, seed=1))
+        fast = solve_color_coding(inst, SolveConfig(iterations=5, seed=1))
         brute = solve_bruteforce(inst)
         if fast.decision:
             assert brute.decision  # a yes always carries a verified witness
