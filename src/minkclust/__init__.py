@@ -36,10 +36,6 @@ from .selection import (
     SelectionResult,
     select_bruteforce,
     select_fixed_centroid,
-    select_l0,
-    select_l2,
-    select_linf,
-    select_lp01,
     solve_selection,
 )
 from .solver import (

@@ -24,16 +24,9 @@ from .generators import (
     CnfFormula,
     EmptyGroupError,
     Graph,
-    gen_hioct_from_3sat,
-    gen_l0_clustering_from_clique,
-    gen_l0_selection_from_mcc,
-    gen_l1_selection_from_mcc,
-    gen_linf2_from_hioct,
-    gen_linf_clustering_from_clique,
-    gen_linf_selection_from_mcc,
-    gen_lp_selection_from_mcc,
-    verify_reduction,
     REDUCTION_NAMES,
+    build_reduction,
+    verify_reduction,
 )
 from .selection import CENTROID_CAP, SelectionInstance, select_bruteforce, solve_selection
 from .solver import (
@@ -282,31 +275,13 @@ def _generate(args):
     source = load_graph(args.graph)
     name = args.reduction
     p = Fraction(args.p) if args.p else Fraction(2)
-    if name == "3sat-hioct-linf2":
-        if not isinstance(source, CnfFormula):
-            raise CliError("this reduction starts from a 3-CNF file")
-        h = gen_hioct_from_3sat(source)
-        inst = gen_linf2_from_hioct(h, include_isolated_edges=not args.suppress_isolated_edges)
-    else:
-        if not isinstance(source, Graph):
-            raise CliError("this reduction starts from a graph file")
-        try:
-            if name == "l0-clique":
-                inst = gen_l0_clustering_from_clique(source, args.k)
-            elif name == "l0-mcc":
-                inst = gen_l0_selection_from_mcc(source, args.k)
-            elif name == "l1-mcc":
-                inst = gen_l1_selection_from_mcc(source, args.k)
-            elif name == "linf-clique":
-                inst = gen_linf_clustering_from_clique(source, args.k)
-            elif name == "linf-mcc":
-                inst = gen_linf_selection_from_mcc(source, args.k)
-            elif name == "lp-mcc":
-                inst = gen_lp_selection_from_mcc(source, args.k, p)
-            else:
-                raise CliError(f"unknown reduction {name!r}")
-        except EmptyGroupError as exc:
-            raise CliError(f"construction degenerates: {exc}") from exc
+    try:
+        inst = build_reduction(name, source, args.k, p,
+                               include_isolated_edges=not args.suppress_isolated_edges)
+    except EmptyGroupError as exc:
+        raise CliError(f"construction degenerates: {exc}") from exc
+    except TypeError as exc:  # a graph where a formula is due, or the reverse
+        raise CliError(str(exc)) from exc
     if not isinstance(inst, (ClusteringInstance, SelectionInstance)):
         raise CliError("this exponent has no exact instance encoding; use p=2")
     obj = instance_to_obj(inst)
@@ -401,10 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     def cap_centroids(p):
         p.add_argument("--cap-centroids", dest="cap_centroids", type=int,
                        default=CENTROID_CAP,
-                       help="bound on the search nodes of every selection "
-                            "kernel (the tuple search for p = 1, squared "
-                            "Euclidean and max distance; the present-value "
-                            "centroid search for p in (0, 1) and Hamming)")
+                       help="bound on the search nodes of each selection "
+                            "call: the tuple search for p = 1, squared "
+                            "Euclidean and max distance, or the present-value "
+                            "centroid search for p in (0, 1) and Hamming")
 
     p_solve = sub.add_parser("solve", help="solve a clustering instance")
     p_solve.add_argument("instance")

@@ -628,6 +628,34 @@ REDUCTION_NAMES = (
 )
 
 
+def build_reduction(name: str, source, k: int = 3, p: Fraction = Fraction(2),
+                    include_isolated_edges: bool = True):
+    """The target instance of reduction ``name`` built from ``source``: a 3-CNF
+    formula for ``3sat-hioct-linf2``, a graph (coloured for the ``-mcc``
+    reductions) for the others.  ``p`` is the exponent of ``lp-mcc`` and
+    ``include_isolated_edges`` is passed to ``gen_linf2_from_hioct``.  Raises
+    ``TypeError`` for a source of the wrong kind, ``ValueError`` for an
+    unknown name and ``EmptyGroupError`` when a selection degenerates."""
+    if name == "3sat-hioct-linf2":
+        if not isinstance(source, CnfFormula):
+            raise TypeError(f"{name} starts from a 3-CNF formula")
+        return gen_linf2_from_hioct(gen_hioct_from_3sat(source), include_isolated_edges)
+    if name not in REDUCTION_NAMES:
+        raise ValueError(f"unknown reduction {name!r}")
+    if not isinstance(source, Graph):
+        raise TypeError(f"{name} starts from a graph")
+    if name == "lp-mcc":
+        return gen_lp_selection_from_mcc(source, k, p)
+    # built per call, so that a patched gen_* name (perfbench/ traces them) applies
+    return {
+        "l0-clique": gen_l0_clustering_from_clique,
+        "l0-mcc": gen_l0_selection_from_mcc,
+        "l1-mcc": gen_l1_selection_from_mcc,
+        "linf-clique": gen_linf_clustering_from_clique,
+        "linf-mcc": gen_linf_selection_from_mcc,
+    }[name](source, k)
+
+
 def verify_reduction(name: str, source, params: dict | None = None) -> ReductionReport:
     """Compare the brute-forced source answer against the generated target
     instance solved at the construction's budget."""
@@ -635,50 +663,7 @@ def verify_reduction(name: str, source, params: dict | None = None) -> Reduction
     k = params.get("k", 3)
     details: dict = {}
 
-    if name == "l0-clique":
-        source_yes = graph_has_clique(source, k)
-        inst = gen_l0_clustering_from_clique(source, k)
-        res = solve_bruteforce(inst)
-        details["min_cost"] = res.min_cost
-        target_yes = res.decision
-    elif name == "linf-clique":
-        source_yes = graph_has_clique(source, k)
-        if source.n < k:
-            # no k-clique fits and the construction degenerates: vacuous no
-            details["degenerate"] = "fewer vertices than k"
-            target_yes = False
-        else:
-            inst = gen_linf_clustering_from_clique(source, k)
-            res = solve_bruteforce(inst)
-            details["min_cost"] = res.min_cost
-            target_yes = res.decision
-    elif name in ("l0-mcc", "l1-mcc", "linf-mcc", "lp-mcc"):
-        source_yes = graph_has_clique(source, k, colorful=True)
-        try:
-            if name == "l0-mcc":
-                inst = gen_l0_selection_from_mcc(source, k)
-            elif name == "l1-mcc":
-                inst = gen_l1_selection_from_mcc(source, k)
-            elif name == "linf-mcc":
-                inst = gen_linf_selection_from_mcc(source, k)
-            else:
-                inst = gen_lp_selection_from_mcc(source, k, params.get("p", Fraction(2)))
-        except EmptyGroupError as exc:
-            details["empty_group"] = str(exc)
-            target_yes = False
-            return ReductionReport(name, source_yes, target_yes,
-                                   source_yes == target_yes, details)
-        if isinstance(inst, BinarySelectionInstance):
-            best = binary_lp_min_cost(inst)
-            with mpmath.workdps(DEFAULT_DIGITS):  # the budget's 40 digits survive
-                budget = mpmath.mpf(inst.budget_repr)
-                target_yes = bool(best <= budget + mpmath.mpf("1e-30"))
-            details["min_cost"] = mpmath.nstr(best, 30)
-        else:
-            res = select_bruteforce(inst)
-            details["min_cost"] = res.cost
-            target_yes = res.decision
-    elif name == "3sat-hioct-linf2":
+    if name == "3sat-hioct-linf2":
         assignment = sat_satisfying_assignment(source)
         source_yes = assignment is not None
         h = gen_hioct_from_3sat(source)
@@ -697,6 +682,31 @@ def verify_reduction(name: str, source, params: dict | None = None) -> Reduction
             # transversal layer can be refuted, and only on small gadgets
             target_yes = hioct_bruteforce(h)
             details["hioct"] = "brute-forced"
+    elif name in REDUCTION_NAMES:
+        source_yes = graph_has_clique(source, k, colorful=name.endswith("-mcc"))
+        if name == "linf-clique" and source.n < k:
+            # no k-clique fits and the construction degenerates: vacuous no
+            details["degenerate"] = "fewer vertices than k"
+            return ReductionReport(name, source_yes, False, not source_yes, details)
+        try:
+            inst = build_reduction(name, source, k, params.get("p", Fraction(2)))
+        except EmptyGroupError as exc:
+            details["empty_group"] = str(exc)
+            return ReductionReport(name, source_yes, False, not source_yes, details)
+        if isinstance(inst, BinarySelectionInstance):
+            best = binary_lp_min_cost(inst)
+            with mpmath.workdps(DEFAULT_DIGITS):  # the budget's 40 digits survive
+                budget = mpmath.mpf(inst.budget_repr)
+                target_yes = bool(best <= budget + mpmath.mpf("1e-30"))
+            details["min_cost"] = mpmath.nstr(best, 30)
+        elif isinstance(inst, ClusteringInstance):
+            res = solve_bruteforce(inst)
+            details["min_cost"] = res.min_cost
+            target_yes = res.decision
+        else:
+            res = select_bruteforce(inst)
+            details["min_cost"] = res.cost
+            target_yes = res.decision
     else:
         raise ValueError(f"unknown reduction {name!r}")
 

@@ -7,9 +7,9 @@ exhaustively (all small subsets of the active coordinates) or by enumerating
 small quarter-covered patterns up to isomorphism and locating their
 appearances in the host hypergraph.
 
-This is the paper's pattern machinery.  No solver calls it (``select_lp01``
-searches the centroids built from present values instead); acceptance
-criterion 7 checks the paper's pattern lemma against it.
+This is the paper's pattern machinery.  No solver calls it (for p in (0, 1)
+``solve_selection`` searches the centroids built from present values
+instead); acceptance criterion 7 checks the paper's pattern lemma against it.
 """
 
 from __future__ import annotations

@@ -3,28 +3,26 @@
 Given t disjoint groups of weighted vectors and a budget, decide whether one
 vector can be picked from each group so that the optimally-centered composite
 cluster costs at most the budget.  A brute-force oracle covers every distance
-order; the specialized solvers are a centroid search for exponents p in (0, 1]
-and the Hamming distance, and an exact tuple search for p = 1, the squared
-Euclidean cost and the max distance.  Each specialized solver also has a
-minimising form, a branch and bound in which the best witness so far takes
-the budget's place in the pruning tests.
+order.  ``solve_selection`` is the one exact solver: it runs a centroid search
+for exponents p in (0, 1) and the Hamming distance, and an exact tuple search
+for p = 1, the squared Euclidean cost and the max distance.  Both searches
+also have a minimising form, a branch and bound in which the best witness so
+far takes the budget's place in the pruning tests.
 
 The centroid search (``_coordinate_search``) tries every centroid assembled
 from the values present at each coordinate, which is complete for both: the
 Hamming cost of a coordinate is least at its weighted mode, and for
-p in (0, 1] the weighted sum of |x - c|**p is concave in c between
+p in (0, 1) the weighted sum of |x - c|**p is concave in c between
 consecutive values of the cluster and grows outside them, so some optimal
 centroid takes a present value at every coordinate.  It prices centroids one
 coordinate at a time, in integers for the Hamming distance and in floats for
-p in (0, 1], where the float total is only a filter.  Every candidate that
+p in (0, 1), where the float total is only a filter.  Every candidate that
 passes is re-costed through the exact cost path, which alone decides, before
 it is returned.  The tuple search (``_tuple_search``) picks one vector per
 group and prices each partial tuple exactly: through the exact cost path for
 p = 1 and the max distance, and by integer running sums for the squared
-Euclidean cost, whose optimal centroid is the weighted mean.
-``solve_selection`` routes p = 1 to the tuple search and p in (0, 1) to
-``select_lp01``.  An instance with one vector per group is priced at its
-single tuple without running a solver.
+Euclidean cost, whose optimal centroid is the weighted mean.  An instance
+with one vector per group is priced at its single tuple without a search.
 """
 
 from __future__ import annotations
@@ -216,7 +214,7 @@ def _coordinate_search(
 ) -> SelectionResult:
     """Depth-first search over the centroids built from the values present at
     each coordinate, priced one coordinate at a time; the Hamming and
-    p in (0, 1] solvers.
+    p in (0, 1) kernel.
 
     Each row (a vector ``pt`` of weight ``w``) carries a partial cost, and
     setting coordinate ``j`` to ``v`` adds ``w * coord_cost(pt[j], v)`` to
@@ -267,47 +265,6 @@ def _coordinate_search(
 
     rec(0, [0] * len(rows))
     return inc.result(stats)
-
-
-# ---------------------------------------------------------------------------
-# exponents p in (0, 1]
-
-
-# Float totals filter candidates before the exact check; they may exceed the
-# exact cost by rounding, relative to its size, so a candidate is dropped only
-# beyond this share of the bound (or of 1, for bounds below 1).
-_FLOAT_SLACK = 1e-6
-
-
-def select_lp01(
-    inst: SelectionInstance,
-    centroid_cap: int = CENTROID_CAP,
-    minimize: bool = False,
-) -> SelectionResult:
-    """Solver for exponents p in (0, 1]: the centroid search of ``select_l0``
-    (``_coordinate_search``), with coordinate cost |a - v|**p.
-
-    For a fixed tuple, the weighted sum of |x - c|**p is concave in c on each
-    coordinate between consecutive values of the tuple and grows outside
-    them, so some optimal centroid takes a value already present in the
-    cluster at every coordinate.  Searching every centroid assembled from the
-    values present anywhere in the instance is therefore complete.  Float
-    costs only filter, within a ``_FLOAT_SLACK`` share of the bound; the
-    exact greedy cost decides every candidate.
-
-    ``centroid_cap`` bounds the search nodes.  With ``minimize`` each witness
-    lowers the bound later centroids must beat, and a yes carries a
-    minimum-cost tuple.
-    """
-    if inst.order.kind != "lp":
-        raise ValueError("solver requires an exponent p in (0, 1]")
-    p = float(inst.order.p)
-
-    def limit(inc: _Incumbent) -> float:
-        bound = float(cost_eval(inc.bound))
-        return bound + _FLOAT_SLACK * max(1.0, bound)
-
-    return _coordinate_search(inst, lambda a, v: abs(a - v) ** p, limit, centroid_cap, minimize)
 
 
 # ---------------------------------------------------------------------------
@@ -363,106 +320,52 @@ def _tuple_search(
     return inc.result(stats)
 
 
-def _select_by_cluster(inst: SelectionInstance, centroid_cap: int = CENTROID_CAP,
-                       minimize: bool = False) -> SelectionResult:
-    """The tuple search with each partial tuple priced as a cluster through
-    ``optimal_cluster_cost`` (the weighted median for p = 1, the integer
-    min-cost flow for the max distance)."""
-
-    def price(state, pt: Point, w: int):
-        pts, ws = state[0] + (pt,), state[1] + (w,)
-        centroid, cost = optimal_cluster_cost(inst.order, WeightedCluster(pts, ws))
-        return (pts, ws), cost, centroid
-
-    return _tuple_search(inst, price, ((), ()), centroid_cap, minimize)
-
-
-def select_l2(
-    inst: SelectionInstance,
-    centroid_cap: int = CENTROID_CAP,
-    minimize: bool = False,
-) -> SelectionResult:
-    """Solver for the squared Euclidean cost: the tuple search
-    (``_tuple_search``), since a fixed tuple's optimal centroid is its
-    weighted mean.
-
-    Rejects immediately when more than 4D + 1 groups exist.  Each partial
-    tuple carries integer running sums, its weight W, S = sum w x and
-    Q = sum w |x|^2, and costs (W Q - |S|^2) / W.  An admitted complete tuple
-    takes its centroid and cost from the exact path.  ``centroid_cap`` bounds
-    the search nodes; with ``minimize`` a yes carries a minimum-cost tuple.
-    """
-    if inst.order.kind != "l2":
-        raise ValueError("solver requires the squared Euclidean order")
-    if inst.budget.exact is None:
-        raise ValueError("budget must be rational in this regime")
-    if Fraction(inst.num_groups) > 4 * inst.budget.exact + 1:
-        return SelectionResult(False, stats={"centroids_tried": 0, "nodes": 0,
-                                             "rejected": "group-count"})
-
-    def price(state, pt: Point, w: int):
-        total, sums, sq = state
-        total += w
-        sums = [s + w * x for s, x in zip(sums, pt)]
-        sq += w * sum(x * x for x in pt)
-        cost = Cost.of(Fraction(total * sq - sum(s * s for s in sums), total))
-        return (total, sums, sq), cost, None
-
-    return _tuple_search(inst, price, (0, [0] * inst.dimension, 0), centroid_cap, minimize)
-
-
-def select_linf(
-    inst: SelectionInstance,
-    centroid_cap: int = CENTROID_CAP,
-    minimize: bool = False,
-) -> SelectionResult:
-    """Solver for the max distance: the tuple search (``_tuple_search``) with
-    every partial tuple priced at its exact optimum (``optimal_cluster_cost``,
-    an integer min-cost flow).
-
-    k-Clustering under the max distance is W[1]-hard parameterized by the
-    budget, so no centroid search is owed here, only exactness.
-    ``centroid_cap`` bounds the search nodes; with ``minimize`` a yes carries
-    the first minimum-cost tuple in lexicographic order.
-    """
-    if inst.order.kind != "linf":
-        raise ValueError("solver requires the max-distance order")
-    if inst.budget.exact is None:
-        raise ValueError("budget must be rational in this regime")
-    return _select_by_cluster(inst, centroid_cap, minimize)
+def _l2_price(state, pt: Point, w: int):
+    """Grow a partial tuple's integer running sums, its weight W, S = sum w x
+    and Q = sum w |x|^2, and price it at (W Q - |S|^2) / W, its squared
+    Euclidean cost about the weighted mean; the centroid is left to the exact
+    path."""
+    total, sums, sq = state
+    total += w
+    sums = [s + w * x for s, x in zip(sums, pt)]
+    sq += w * sum(x * x for x in pt)
+    cost = Cost.of(Fraction(total * sq - sum(s * s for s in sums), total))
+    return (total, sums, sq), cost, None
 
 
 # ---------------------------------------------------------------------------
-# Hamming distance
+# the entry point
 
 
-def select_l0(
-    inst: SelectionInstance,
-    centroid_cap: int = CENTROID_CAP,
-    minimize: bool = False,
-) -> SelectionResult:
-    """Solver for the Hamming distance: search every centroid assembled from
-    values present per coordinate anywhere in the instance, one coordinate at
-    a time (``_coordinate_search``), cutting a branch once its greedy
-    mismatch count exceeds the bound.  ``centroid_cap`` bounds the search
-    nodes.  With ``minimize`` each witness lowers the bound later centroids
-    must beat, and a yes carries a minimum-cost tuple."""
-    if inst.order.kind != "l0":
-        raise ValueError("solver requires the Hamming order")
-    if inst.budget.exact is None:
-        raise ValueError("budget must be rational in this regime")
-    return _coordinate_search(inst, operator.ne, _Incumbent.limit, centroid_cap, minimize)
+# Float totals filter candidates before the exact check; they may exceed the
+# exact cost by rounding, relative to its size, so a candidate is dropped only
+# beyond this share of the bound (or of 1, for bounds below 1).
+_FLOAT_SLACK = 1e-6
 
 
-def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:
-    """Dispatch to the specialized solver for the instance's distance order:
-    the tuple search for p = 1 (priced by the weighted median), ``select_l2``
-    and ``select_linf``, ``select_lp01`` for p in (0, 1) and ``select_l0``.
+def solve_selection(inst: SelectionInstance, minimize: bool = False,
+                    centroid_cap: int = CENTROID_CAP) -> SelectionResult:
+    """Decide Cluster Selection with the search for the instance's order.
 
-    Pass ``minimize=True`` for the optimisation form: the budget is only an
-    upper bound, and a yes carries a tuple of minimum optimal cost.  An
-    instance with one vector per group has a single tuple, so in either form
-    it is priced directly at its optimal centroid and no kernel runs.
+    - p in (0, 1): the centroid search (``_coordinate_search``) with
+      coordinate cost |a - v|**p.  Its float totals only filter, within a
+      ``_FLOAT_SLACK`` share of the bound; the exact greedy cost decides.
+    - Hamming: the centroid search with integer mismatch counts.
+    - Squared Euclidean: a no at once when more than 4D + 1 groups exist,
+      else the tuple search priced by integer running sums (``_l2_price``).
+    - p = 1 and the max distance: the tuple search with every partial tuple
+      priced at its exact optimum through ``optimal_cluster_cost``, the
+      weighted median or the integer min-cost flow.  k-Clustering under the
+      max distance is W[1]-hard parameterized by the budget, so only
+      exactness is owed there.
+
+    The Hamming, squared Euclidean and max-distance orders need a rational
+    budget.  Pass ``minimize=True`` for the optimisation form: the budget is
+    only an upper bound, and a yes carries a tuple of minimum optimal cost.
+    ``centroid_cap`` bounds the search nodes; beyond it
+    ``EnumerationCapExceeded`` is raised.  An instance with one vector per
+    group has a single tuple, so in either form it is priced directly at its
+    optimal centroid and no kernel runs.
     """
     if all(len(pts) == 1 for pts in inst.groups):
         indices = (0,) * inst.num_groups
@@ -471,12 +374,30 @@ def solve_selection(inst: SelectionInstance, **kwargs) -> SelectionResult:
         if not cost_le(cost, inst.budget):
             return SelectionResult(False, stats=stats)
         return SelectionResult(True, indices, centroid, cost, stats)
-    if inst.order.kind == "lp":
-        if inst.order.p == 1:
-            return _select_by_cluster(inst, **kwargs)
-        return select_lp01(inst, **kwargs)
-    if inst.order.kind == "l2":
-        return select_l2(inst, **kwargs)
-    if inst.order.kind == "linf":
-        return select_linf(inst, **kwargs)
-    return select_l0(inst, **kwargs)
+    order = inst.order
+    if order.kind == "lp" and order.p != 1:
+        p = float(order.p)
+
+        def limit(inc: _Incumbent) -> float:
+            bound = float(cost_eval(inc.bound))
+            return bound + _FLOAT_SLACK * max(1.0, bound)
+
+        return _coordinate_search(inst, lambda a, v: abs(a - v) ** p, limit, centroid_cap,
+                                  minimize)
+    if order.kind != "lp" and inst.budget.exact is None:
+        raise ValueError("budget must be rational in this regime")
+    if order.kind == "l0":
+        return _coordinate_search(inst, operator.ne, _Incumbent.limit, centroid_cap, minimize)
+    if order.kind == "l2":
+        if Fraction(inst.num_groups) > 4 * inst.budget.exact + 1:
+            return SelectionResult(False, stats={"centroids_tried": 0, "nodes": 0,
+                                                 "rejected": "group-count"})
+        return _tuple_search(inst, _l2_price, (0, [0] * inst.dimension, 0), centroid_cap,
+                             minimize)
+
+    def price(state, pt: Point, w: int):
+        pts, ws = state[0] + (pt,), state[1] + (w,)
+        centroid, cost = optimal_cluster_cost(order, WeightedCluster(pts, ws))
+        return (pts, ws), cost, centroid
+
+    return _tuple_search(inst, price, ((), ()), centroid_cap, minimize)

@@ -20,10 +20,6 @@ from minkclust import (
     optimal_cluster_cost,
     select_bruteforce,
     select_fixed_centroid,
-    select_l0,
-    select_l2,
-    select_linf,
-    select_lp01,
     solve_selection,
 )
 from minkclust import selection
@@ -95,15 +91,15 @@ def test_bruteforce_cap():
 
 def test_select_lp01_figure():
     inst = fig_l1_instance()
-    res = select_lp01(inst)
+    res = solve_selection(inst)
     assert res.decision and res.cost.exact == 15
-    assert not select_lp01(dataclasses.replace(inst, budget=Cost.of(14))).decision
+    assert not solve_selection(dataclasses.replace(inst, budget=Cost.of(14))).decision
 
 
 def test_select_lp01_phase1_shortcut():
     # identical singleton groups: the shared vector is an optimal centroid
     inst = SelectionInstance.of([[(2, 2)]], Cost.of(0), DistanceOrder.l1())
-    res = select_lp01(inst)
+    res = solve_selection(inst)
     assert res.decision
 
 
@@ -112,36 +108,37 @@ def test_select_lp01_pattern_mode_matches():
     for _ in range(60):
         budget = Cost.of(rnd.randint(1, 3))
         inst = random_selection_instance(rnd, DistanceOrder.l1(), budget)
-        assert select_lp01(inst).decision == select_bruteforce(inst).decision
+        assert solve_selection(inst).decision == select_bruteforce(inst).decision
 
 
 def test_select_l2_figure_and_tbound():
     inst = fig_lp_instance()
-    res = select_l2(inst)
+    res = solve_selection(inst)
     assert res.decision and res.cost.exact == 2
-    # group-count rejection: 2 groups at budget 0
-    reject = SelectionInstance.of([[(0,)], [(1,)]], Cost.of(0), DistanceOrder.l2())
-    res = select_l2(reject)
+    # group-count rejection: 2 groups at budget 0; the first holds two vectors,
+    # so the one-tuple shortcut does not answer first
+    reject = SelectionInstance.of([[(0,), (2,)], [(1,)]], Cost.of(0), DistanceOrder.l2())
+    res = solve_selection(reject)
     assert not res.decision and res.stats.get("rejected") == "group-count"
 
 
 def test_select_linf_figure():
     inst = gen_linf_selection_from_mcc(EX_LINF_COLORED, 3)
-    res = select_linf(inst)
+    res = solve_selection(inst)
     assert res.decision and res.cost.exact == 3
     single = SelectionInstance.of([[(0, 0), (5, 5)]], Cost.of(0), DistanceOrder.linf())
-    res = select_linf(single)
+    res = solve_selection(single)
     assert res.decision and res.cost.exact == 0
 
 
 def test_select_l0_figure():
     inst = gen_l0_selection_from_mcc(EX_CLIQUE_COLORED, 3)
-    res = select_l0(inst)
+    res = solve_selection(inst)
     assert res.decision and res.centroid == (1, 2, 4)
     common = SelectionInstance.of(
         [[(1, 1), (0, 3)], [(1, 2), (3, 3)]], Cost.of(1), DistanceOrder.l0()
     )
-    assert select_l0(common).decision
+    assert solve_selection(common).decision
 
 
 ENVELOPES = {
@@ -176,7 +173,7 @@ def test_monotone_in_budget():
         answers = []
         for budget in range(0, 5):
             inst = dataclasses.replace(inst0, budget=Cost.of(budget))
-            answers.append(select_lp01(inst).decision)
+            answers.append(solve_selection(inst).decision)
         assert answers == sorted(answers)  # once yes, stays yes
 
 
@@ -185,17 +182,17 @@ def test_basis_budget_selection():
     order = DistanceOrder.lp(Fraction(1, 2))
     budget = Cost.basis({2: 1}, Fraction(1, 2))
     inst = SelectionInstance.of([[(0,)], [(1,)]], budget, order)
-    res = select_lp01(inst)
+    res = solve_selection(inst)
     assert res.decision  # cost 1 <= sqrt(2)
     tight = SelectionInstance.of([[(0,)], [(2,)]], budget, order)
-    res2 = select_lp01(tight)
+    res2 = solve_selection(tight)
     assert res2.decision  # gap 2 costs sqrt(2) exactly
     no = SelectionInstance.of([[(0,)], [(3,)]], budget, order)
-    assert not select_lp01(no).decision  # sqrt(3) > sqrt(2)
+    assert not solve_selection(no).decision  # sqrt(3) > sqrt(2)
 
 
 def test_phase1_sufficiency_counter():
-    """When an input vector is an optimal centroid, ``select_lp01`` finds a
+    """When an input vector is an optimal centroid, ``solve_selection`` finds a
     witness."""
     rnd = random.Random(41)
     seen = 0
@@ -208,7 +205,7 @@ def test_phase1_sufficiency_counter():
         if not (slow.decision and tuple(slow.centroid) in all_vecs):
             continue
         seen += 1
-        assert select_lp01(inst).decision
+        assert solve_selection(inst).decision
     assert seen > 10
 
 
@@ -219,18 +216,19 @@ def test_enumeration_caps_raise():
     ]
     inst = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l0())
     with pytest.raises(EnumerationCapExceeded):
-        select_l0(inst, centroid_cap=10)
+        solve_selection(inst, centroid_cap=10)
     inst_linf = SelectionInstance.of(groups, Cost.of(2), DistanceOrder.linf())
     with pytest.raises(EnumerationCapExceeded):
-        select_linf(inst_linf, centroid_cap=0)
-    inst_lp = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l1())
+        solve_selection(inst_linf, centroid_cap=0)
+    inst_l1 = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l1())
     with pytest.raises(EnumerationCapExceeded):
-        select_lp01(inst_lp, centroid_cap=0)
+        solve_selection(inst_l1, centroid_cap=0)
+    inst_lp = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.lp(Fraction(1, 2)))
     with pytest.raises(EnumerationCapExceeded):
         solve_selection(inst_lp, centroid_cap=0)
     inst_l2 = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l2())
     with pytest.raises(EnumerationCapExceeded):
-        select_l2(inst_l2, centroid_cap=0)
+        solve_selection(inst_l2, centroid_cap=0)
 
 
 def test_l0_search_cuts_the_present_value_grid():
@@ -241,7 +239,7 @@ def test_l0_search_cuts_the_present_value_grid():
         [tuple((i + j + 7) % 11 for j in range(6)) for i in range(3)],
     ]
     inst = SelectionInstance.of(groups, Cost.of(2), DistanceOrder.l0())  # optimum 3
-    res = select_l0(inst)
+    res = solve_selection(inst)
     assert not res.decision
     grid = math.prod(len({pt[j] for grp in groups for pt in grp}) for j in range(6))
     assert res.stats["nodes"] < grid
@@ -259,7 +257,7 @@ def test_lp01_search_cuts_unit_vector_no_instance():
     inst = SelectionInstance.of(groups, Cost.basis({2: 2}, half), DistanceOrder.lp(half))
     assert select_bruteforce(inst).cost == Cost.basis({1: 3}, half)
     for minimize in (False, True):
-        res = select_lp01(inst, minimize=minimize)
+        res = solve_selection(inst, minimize=minimize)
         assert not res.decision
         assert res.stats["nodes"] <= 100
         assert res.stats["centroids_tried"] == 0
@@ -276,7 +274,7 @@ def test_linf_search_expands_only_partial_tuples():
     ]
     inst = SelectionInstance.of(groups, Cost.of(Fraction(9, 2)), DistanceOrder.linf())
     assert select_bruteforce(inst).cost == Cost.of(5)
-    res = select_linf(inst)
+    res = solve_selection(inst)
     assert not res.decision
     assert res.stats["nodes"] <= 1 + 4 + 16
     assert res.stats["centroids_tried"] <= 4 * 4 * 4
@@ -290,7 +288,7 @@ def test_l2_search_expands_only_partial_tuples():
     groups = [[unit(4 * g + j) for j in range(4)] for g in range(3)]
     inst = SelectionInstance.of(groups, Cost.of(2 - Fraction(1, 9)), DistanceOrder.l2())
     assert select_bruteforce(inst).cost == Cost.of(2)
-    res = select_l2(inst)
+    res = solve_selection(inst)
     assert not res.decision
     assert res.stats["nodes"] <= 1 + 4 + 16
     assert res.stats["centroids_tried"] == 0
@@ -322,11 +320,11 @@ def test_tuple_search_cuts_partial_tuples_above_the_bound(name):
 
 def test_p1_selection_runs_the_tuple_search(monkeypatch):
     """``solve_selection`` sends p = 1 to the tuple search, never to the
-    centroid search of ``select_lp01``, which raises here."""
+    centroid search (``_coordinate_search``), which raises here."""
     def centroid_search(*args, **kwargs):
-        raise AssertionError("p = 1 reached select_lp01")
+        raise AssertionError("p = 1 reached the centroid search")
 
-    monkeypatch.setattr(selection, "select_lp01", centroid_search)
+    monkeypatch.setattr(selection, "_coordinate_search", centroid_search)
     rnd = random.Random(57)
     for _ in range(30):
         inst = random_selection_instance(rnd, DistanceOrder.l1(), Cost.of(rnd.randint(0, 4)))
@@ -348,15 +346,19 @@ def test_pell_near_tie_budget_is_exact():
                                 DistanceOrder.lp(half), weights=[[x], [x]])
     assert not solve_selection(inst).decision
     assert not select_bruteforce(inst).decision
-    assert not select_lp01(inst).decision
+    # a far second vector in the first group makes the centroid search run
+    searched = SelectionInstance.of([[(0,), (9,)], [(1,)]], inst.budget, inst.order,
+                                    weights=[[x, x], [x]])
+    res = solve_selection(searched)
+    assert not res.decision and res.stats["nodes"] > 0
     at_cost = dataclasses.replace(inst, budget=Cost.basis({1: x}, half))
     assert solve_selection(at_cost).decision
 
 
 def test_float_filter_keeps_optima_of_heavy_instances():
-    """With weights near 10**12 the float totals of ``select_lp01`` round by
-    about 1e-4, so its filter must not drop a centroid whose exact cost
-    equals the bound."""
+    """With weights near 10**12 the float totals of the p < 1 centroid search
+    round by about 1e-4, so its filter must not drop a centroid whose exact
+    cost equals the bound."""
     half = Fraction(1, 2)
     rnd = random.Random(61)
     for _ in range(40):

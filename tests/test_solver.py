@@ -23,10 +23,10 @@ from minkclust import (
     optimal_cluster_cost,
     regularize,
     select_bruteforce,
-    select_linf,
     SelectionInstance,
     solve_bruteforce,
     solve_color_coding,
+    solve_selection,
 )
 from tests.helpers import (
     EX_CLIQUE_GRAPH,
@@ -87,7 +87,7 @@ def test_linf_costs_never_call_the_simplex(monkeypatch):
     sel = SelectionInstance.of([[(0, 0), (6, 6)], [(3, 0), (9, 9)], [(0, 3), (1, 8)]],
                                Cost.of(10), DistanceOrder.linf(),
                                [[1, 2], [1, 1], [1, 2]])
-    fast = select_linf(sel, minimize=True)
+    fast = solve_selection(sel, minimize=True)
     brute = select_bruteforce(sel)
     assert fast.decision and fast.cost.exact == brute.cost.exact == Fraction(9, 2)
     assert fast.indices == brute.indices == (0, 0, 0)
