@@ -157,21 +157,21 @@ def instance_from_obj(obj: dict):
         raise CliError(f"malformed instance file: {exc}") from exc
 
 
+def _read_json(path: str, what: str):
+    """The parsed JSON document at ``path``; ``what`` names it in errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read {what}: {exc}") from exc
+
+
 def load_instance(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read instance: {exc}") from exc
-    return instance_from_obj(obj)
+    return instance_from_obj(_read_json(path, "instance"))
 
 
-def load_graph(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read graph file: {exc}") from exc
+def graph_from_obj(obj: dict):
+    """A graph, or a 3-CNF formula when ``kind`` is ``3sat``."""
     try:
         if obj.get("kind") == "3sat":
             clauses = tuple(tuple(int(l) for l in cl) for cl in obj["clauses"])
@@ -272,7 +272,8 @@ def cmd_select(args) -> int:
 
 
 def _generate(args):
-    source = load_graph(args.graph)
+    source_obj = _read_json(args.graph, "graph file")
+    source = graph_from_obj(source_obj)
     name = args.reduction
     p = Fraction(args.p) if args.p else Fraction(2)
     try:
@@ -285,8 +286,6 @@ def _generate(args):
     if not isinstance(inst, (ClusteringInstance, SelectionInstance)):
         raise CliError("this exponent has no exact instance encoding; use p=2")
     obj = instance_to_obj(inst)
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        source_obj = json.load(fh)
     obj["provenance"] = {
         "reduction": name,
         "params": {"k": args.k, "p": str(p)},
@@ -344,7 +343,7 @@ def cmd_verify(args) -> int:
     else:
         if not args.graph:
             raise CliError("verify needs a graph file or --sweep")
-        sources = [load_graph(args.graph)]
+        sources = [graph_from_obj(_read_json(args.graph, "graph file"))]
 
     reports = [verify_reduction(args.reduction, src, params) for src in sources]
 

@@ -121,107 +121,76 @@ class HioctInstance:
 
 
 # ---------------------------------------------------------------------------
-# Hamming-distance constructions
+# color-pair constructions
 
 
-def _l0_vectors(g: Graph, k: int, pairs: Sequence[tuple[int, int]]) -> dict[tuple[int, int], list[Point]]:
+def _pair_edges(g: Graph, k: int, colorful: bool = True
+                ) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """Per color pair i < j of 1..k, the edges that pair may pick as (index,
+    vertex for i, vertex for j): the cross edges of colors i and j, or, with
+    ``colorful`` off, every edge as listed.  A pair without edges has no
+    candidate, so the source is a no: ``EmptyGroupError``."""
     if k < 3:
         raise ValueError("need k >= 3")
-    if not g.edges:
+    if colorful and g.colors is None:
+        raise ValueError("needs a colored graph")
+    if not colorful and not g.edges:
         raise ValueError("need at least one edge")
-    by_pair: dict[tuple[int, int], list[Point]] = {p: [] for p in pairs}
-    pads: set[int] = set()
-    for (i, j) in pairs:
-        for e, (u, v) in enumerate(g.edges, start=1):
-            pad = g.n + (k * i + j) * len(g.edges) + e
-            if pad in pads or pad <= g.n:
-                raise AssertionError("padding values must be fresh")
-            pads.add(pad)
-            vec = [pad] * k
-            vec[i - 1] = u
-            vec[j - 1] = v
-            by_pair[(i, j)].append(tuple(vec))
-    return by_pair
+    every_edge = [(e, u, v) for e, (u, v) in enumerate(g.edges, start=1)]
+    walk = []
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        edges = g.cross_edges(i, j) if colorful else every_edge
+        if not edges:
+            raise EmptyGroupError(f"no edges between colors {i} and {j}")
+        walk.append((i, j, edges))
+    return walk
+
+
+def _pair_vector(k: int, pad: int, i: int, j: int, u: int, v: int) -> Point:
+    """u at coordinate i, v at coordinate j and ``pad`` everywhere else."""
+    vec = [pad] * k
+    vec[i - 1] = u
+    vec[j - 1] = v
+    return tuple(vec)
+
+
+def _l0_groups(g: Graph, k: int, colorful: bool) -> list[list[Point]]:
+    """One group per color pair of its edge vectors, each padded with a
+    value above the vertex range that no other vector uses."""
+    m = len(g.edges)
+    return [[_pair_vector(k, g.n + (k * i + j) * m + e, i, j, u, v) for e, u, v in edges]
+            for i, j, edges in _pair_edges(g, k, colorful)]
 
 
 def gen_l0_clustering_from_clique(g: Graph, k: int) -> ClusteringInstance:
     """Clique search as Hamming clustering: one vector per (color pair, edge)
     with fresh padding elsewhere; budget C(k,2)*(k-2) and cluster count
     n - C(k,2) + 1."""
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    by_pair = _l0_vectors(g, k, pairs)
-    points = [vec for p in pairs for vec in by_pair[p]]
-    n_vec = len(points)
-    k_prime = n_vec - len(pairs) + 1
-    budget = Cost.of(len(pairs) * (k - 2))
+    groups = _l0_groups(g, k, colorful=False)
+    points = [vec for grp in groups for vec in grp]
     return ClusteringInstance(
-        Dataset.from_points(points, k), k_prime, budget, DistanceOrder.l0()
+        Dataset.from_points(points, k), len(points) - len(groups) + 1,
+        Cost.of(len(groups) * (k - 2)), DistanceOrder.l0()
     )
-
-
-def _oriented_l0_vector(g: Graph, k: int, i: int, j: int, edge_idx: int,
-                        u_color_i: int, v_color_j: int) -> Point:
-    pad = g.n + (k * i + j) * len(g.edges) + edge_idx
-    vec = [pad] * k
-    vec[i - 1] = u_color_i
-    vec[j - 1] = v_color_j
-    return tuple(vec)
 
 
 def gen_l0_selection_from_mcc(g: Graph, k: int) -> SelectionInstance:
     """Colorful-clique search as Hamming Cluster Selection, one group per
     color pair."""
-    if k < 3:
-        raise ValueError("need k >= 3")
-    if g.colors is None:
-        raise ValueError("needs a colored graph")
-    groups = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            cross = g.cross_edges(i, j)
-            if not cross:
-                raise EmptyGroupError(f"no edges between colors {i} and {j}")
-            groups.append([
-                _oriented_l0_vector(g, k, i, j, idx, u, v) for idx, u, v in cross
-            ])
-    num_pairs = k * (k - 1) // 2
-    budget = Cost.of(num_pairs * (k - 2))
-    return SelectionInstance.of(groups, budget, DistanceOrder.l0())
-
-
-# ---------------------------------------------------------------------------
-# p = 1 selection construction
+    groups = _l0_groups(g, k, colorful=True)
+    return SelectionInstance.of(groups, Cost.of(len(groups) * (k - 2)), DistanceOrder.l0())
 
 
 def gen_l1_selection_from_mcc(g: Graph, k: int) -> SelectionInstance:
     """Colorful-clique search as L1 Cluster Selection: per color pair one
     group of edge vectors padded with 0 and one mirrored group padded with
     n + 1 (the two boundary values pin every median)."""
-    if k < 3:
-        raise ValueError("need k >= 3")
-    if g.colors is None:
-        raise ValueError("needs a colored graph")
+    walk = _pair_edges(g, k)
     high = g.n + 1
-    x_groups = []
-    y_groups = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            cross = g.cross_edges(i, j)
-            if not cross:
-                raise EmptyGroupError(f"no edges between colors {i} and {j}")
-            xs, ys = [], []
-            for _, u, v in cross:
-                x = [0] * k
-                y = [high] * k
-                x[i - 1] = y[i - 1] = u
-                x[j - 1] = y[j - 1] = v
-                xs.append(tuple(x))
-                ys.append(tuple(y))
-            x_groups.append(xs)
-            y_groups.append(ys)
+    groups = [[_pair_vector(k, pad, i, j, u, v) for _, u, v in edges]
+              for pad in (0, high) for i, j, edges in walk]
     pairs_rest = (k - 1) * (k - 2) // 2
-    budget = Cost.of(k * high * pairs_rest)
-    return SelectionInstance.of(x_groups + y_groups, budget, DistanceOrder.l1())
+    return SelectionInstance.of(groups, Cost.of(k * high * pairs_rest), DistanceOrder.l1())
 
 
 # ---------------------------------------------------------------------------
@@ -309,25 +278,10 @@ def gen_lp_selection_from_mcc(g: Graph, k: int, p: Fraction):
     """Colorful-clique search as Cluster Selection for exponents p > 1:
     0/1 edge-indicator vectors, one group per color pair.  Returns an exact
     instance for p = 2, else a BinarySelectionInstance."""
-    if k < 3:
-        raise ValueError("need k >= 3")
     if not p > 1:
         raise ValueError("need p > 1")
-    if g.colors is None:
-        raise ValueError("needs a colored graph")
-    groups = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            cross = g.cross_edges(i, j)
-            if not cross:
-                raise EmptyGroupError(f"no edges between colors {i} and {j}")
-            grp = []
-            for _, u, v in cross:
-                vec = [0] * g.n
-                vec[u - 1] = 1
-                vec[v - 1] = 1
-                grp.append(tuple(vec))
-            groups.append(grp)
+    groups = [[tuple(int(x in (u, v)) for x in range(1, g.n + 1)) for _, u, v in edges]
+              for _, _, edges in _pair_edges(g, k)]
     budget = lp_mcc_budget(k, p)
     if p == 2:
         return SelectionInstance.of(groups, Cost.of(budget), DistanceOrder.l2())
@@ -359,18 +313,20 @@ def binary_lp_min_cost(inst: BinarySelectionInstance, digits: int = DEFAULT_DIGI
 # 3-SAT -> half-integral odd cycle transversal -> 2-clustering chain
 
 
+def _literal_vertex(i: int, negated: bool) -> int:
+    """The gadget vertex of literal x_i, or of its negation."""
+    return 2 * (i - 1) + (2 if negated else 1)
+
+
 def gen_hioct_from_3sat(f: CnfFormula) -> HioctInstance:
     """Variable gadgets (a joined pair plus 2n+1 common neighbors) and one
     7-cycle per clause through its literal vertices; budget 2n."""
     n = f.num_vars
-    def var_vertex(i: int, negated: bool) -> int:
-        return 2 * (i - 1) + (2 if negated else 1)
-
     y_base = 2 * n
     clause_base = y_base + n * (2 * n + 1)
     edges: list[tuple[int, int]] = []
     for i in range(1, n + 1):
-        xi, xi_neg = var_vertex(i, False), var_vertex(i, True)
+        xi, xi_neg = _literal_vertex(i, False), _literal_vertex(i, True)
         edges.append((xi, xi_neg))
         for j in range(2 * n + 1):
             y = y_base + (i - 1) * (2 * n + 1) + j + 1
@@ -378,7 +334,7 @@ def gen_hioct_from_3sat(f: CnfFormula) -> HioctInstance:
             edges.append((xi_neg, y))
     for cj, clause in enumerate(f.clauses):
         c = [clause_base + 4 * cj + l + 1 for l in range(4)]
-        lits = [var_vertex(abs(l), l < 0) for l in clause]
+        lits = [_literal_vertex(abs(l), l < 0) for l in clause]
         cycle = [c[0], lits[0], c[1], lits[1], c[2], lits[2], c[3]]
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             edges.append((min(a, b), max(a, b)))
@@ -386,11 +342,19 @@ def gen_hioct_from_3sat(f: CnfFormula) -> HioctInstance:
     return HioctInstance(Graph.of(total, edges), 2 * n)
 
 
-def _strip_isolated(g: Graph) -> Graph:
-    touched = sorted({v for e in g.edges for v in e})
-    relabel = {v: i + 1 for i, v in enumerate(touched)}
-    edges = [(relabel[u], relabel[v]) for u, v in g.edges]
-    return Graph.of(len(touched), edges)
+def _two_clustering_graph(h: HioctInstance, include_isolated_edges: bool,
+                          delta: Sequence[int] | None = None) -> tuple[Graph, list[int]]:
+    """The graph the 2-clustering construction encodes: ``h.graph`` without
+    its isolated vertices, plus t + 5 fresh isolated edges unless disabled;
+    and ``delta`` (default all zero) carried onto it, 0 on the fresh edges."""
+    touched = sorted({v for e in h.graph.edges for v in e})
+    relabel = {v: i for i, v in enumerate(touched, start=1)}
+    n = len(touched)
+    fresh = h.t + 5 if include_isolated_edges else 0
+    edges = [(relabel[u], relabel[v]) for u, v in h.graph.edges]
+    edges += [(n + 2 * e + 1, n + 2 * e + 2) for e in range(fresh)]
+    carried = [delta[v - 1] if delta is not None else 0 for v in touched]
+    return Graph.of(n + 2 * fresh, edges), carried + [0] * (2 * fresh)
 
 
 def gen_linf2_from_hioct(h: HioctInstance, include_isolated_edges: bool = True) -> ClusteringInstance:
@@ -401,16 +365,7 @@ def gen_linf2_from_hioct(h: HioctInstance, include_isolated_edges: bool = True) 
     isolated edges; disabling ``include_isolated_edges`` reproduces the bare
     core (budget counted over the core vertices).
     """
-    core = _strip_isolated(h.graph)
-    if include_isolated_edges:
-        n = core.n
-        edges = list(core.edges)
-        for _ in range(h.t + 5):
-            edges.append((n + 1, n + 2))
-            n += 2
-        work = Graph.of(n, edges)
-    else:
-        work = core
+    work, _ = _two_clustering_graph(h, include_isolated_edges)
     d = len(work.edges)
     vectors = [[0] * d for _ in range(work.n)]
     for idx, (u, v) in enumerate(work.edges):
@@ -516,14 +471,13 @@ def hioct_bruteforce(inst: HioctInstance, cap: int = 14) -> bool:
     return False
 
 
-def hioct_delta_from_assignment(f: CnfFormula, assignment: Sequence[bool]) -> list[int]:
-    """The canonical transversal induced by a satisfying assignment: value 2
-    on the true literal vertex of each variable."""
-    h = gen_hioct_from_3sat(f)
+def hioct_delta_from_assignment(h: HioctInstance, assignment: Sequence[bool]) -> list[int]:
+    """The canonical transversal of the gadget ``h`` built from a formula,
+    induced by a satisfying assignment: value 2 on the true literal vertex of
+    each variable."""
     delta = [0] * h.graph.n
     for i, val in enumerate(assignment, start=1):
-        vertex = 2 * (i - 1) + (1 if val else 2)
-        delta[vertex - 1] = 2
+        delta[_literal_vertex(i, not val) - 1] = 2
     return delta
 
 
@@ -534,17 +488,8 @@ def linf2_witness_cost(h: HioctInstance, delta: Sequence[int],
     Splits vectors along a proper 2-coloring of the graph minus the deleted
     edges and assigns explicit centroid values per edge coordinate; each
     vertex then pays at most 1 + delta(v)."""
-    core = _strip_isolated(h.graph)
-    old_touched = sorted({v for e in h.graph.edges for v in e})
-    core_delta = [delta[v - 1] for v in old_touched]
-    n = core.n
-    edges = list(core.edges)
-    full_delta = list(core_delta)
-    if include_isolated_edges:
-        for _ in range(h.t + 5):
-            edges.append((n + 1, n + 2))
-            full_delta.extend([0, 0])
-            n += 2
+    g, full_delta = _two_clustering_graph(h, include_isolated_edges, delta)
+    n, edges = g.n, g.edges
     kept = [(u, v) for u, v in edges if full_delta[u - 1] + full_delta[v - 1] < 2]
     ok, coloring = _is_bipartite(n, kept)
     if not ok:
@@ -670,7 +615,7 @@ def verify_reduction(name: str, source, params: dict | None = None) -> Reduction
         inst = gen_linf2_from_hioct(h)
         details["vectors"] = inst.dataset.total_count
         if source_yes:
-            delta = hioct_delta_from_assignment(source, assignment)
+            delta = hioct_delta_from_assignment(h, assignment)
             if not hioct_check(h, delta):
                 raise AssertionError("constructed transversal is invalid")
             details["hioct"] = "yes (certified)"

@@ -73,9 +73,12 @@ def test_l0_clique_generator():
     assert inst.k == 10
     assert inst.budget.exact == 3
     assert inst.order == DistanceOrder.l0()
-    # padding values pairwise distinct and above the vertex range
-    pads = [v for pt in inst.dataset.points for v in pt if v > 4]
-    assert len(pads) == len(set(pads)) == 12
+    # padding values pairwise distinct and above the vertex range, one per
+    # vector at k = 3, in the clique and the colorful builder alike
+    mcc = gen_l0_selection_from_mcc(EX_CLIQUE_COLORED, 3)
+    for points in (inst.dataset.points, [pt for grp in mcc.groups for pt in grp]):
+        pads = [v for pt in points for v in pt if v > 4]
+        assert len(pads) == len(set(pads)) == len(points)
     assert not solve_bruteforce(gen_l0_clustering_from_clique(PATH3, 3)).decision
     assert solve_bruteforce(gen_l0_clustering_from_clique(TRIANGLE, 3)).decision
     with pytest.raises(ValueError):
@@ -110,6 +113,24 @@ def test_l1_mcc_generator():
     inst3 = gen_l1_selection_from_mcc(TRIANGLE_COLORED, 3)
     assert inst3.budget.exact == 3 * 4 * 1
     assert select_bruteforce(inst3).decision
+
+
+MCC_SELECTION_BUILDERS = {
+    "l0-mcc": gen_l0_selection_from_mcc,
+    "l1-mcc": gen_l1_selection_from_mcc,
+    "lp-mcc": lambda g, k: gen_lp_selection_from_mcc(g, k, Fraction(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MCC_SELECTION_BUILDERS))
+def test_mcc_selection_builders_reject_bad_sources(name):
+    build = MCC_SELECTION_BUILDERS[name]
+    with pytest.raises(ValueError, match="needs a colored graph"):
+        build(TRIANGLE, 3)
+    with pytest.raises(ValueError, match="need k >= 3"):
+        build(TRIANGLE_COLORED, 2)
+    with pytest.raises(EmptyGroupError, match="no edges between colors 1 and 3"):
+        build(PATH3_COLORED, 3)
 
 
 def test_linf_clique_generator():
@@ -190,7 +211,7 @@ def test_hioct_sat_witness_chain():
     assignment = sat_satisfying_assignment(f)
     assert assignment is not None
     h = gen_hioct_from_3sat(f)
-    delta = hioct_delta_from_assignment(f, assignment)
+    delta = hioct_delta_from_assignment(h, assignment)
     assert sum(delta) == h.t
     assert hioct_check(h, delta)
     inst = gen_linf2_from_hioct(h)

@@ -6,7 +6,7 @@ import os
 from fractions import Fraction
 
 import minkclust
-from minkclust import Cost, DistanceOrder, SelectionInstance
+from minkclust import CnfFormula, Cost, DistanceOrder, Graph, SelectionInstance
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -37,3 +37,26 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
     assert tracer.calls["centroids.l1"] > 1
     assert tracer.calls["cost_model.cost_le"] > 0
     assert tracer.counts["cost_model.cost_eval.calls"] > 0
+
+
+def test_tracer_counts_one_generator_call_per_construction(monkeypatch):
+    """Verifying a graph reduction builds its target once; the SAT chain builds
+    the transversal gadget and the 2-clustering instance once each."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import tracing
+
+    triangle = Graph.of(3, [(1, 2), (1, 3), (2, 3)], colors=[1, 2, 3])
+    formula = CnfFormula(3, ((1, -2, 3),))
+    tracer = tracing.Tracer()
+    tracer.install()
+    gen_calls = {}
+    try:
+        for name in minkclust.generators.REDUCTION_NAMES:
+            source = formula if name == "3sat-hioct-linf2" else triangle
+            before = tracer.calls["generators.gen"]
+            assert minkclust.verify_reduction(name, source, {"k": 3}).agree
+            gen_calls[name] = tracer.calls["generators.gen"] - before
+    finally:
+        tracer.uninstall()
+    assert gen_calls == {name: 2 if name == "3sat-hioct-linf2" else 1
+                         for name in minkclust.generators.REDUCTION_NAMES}
