@@ -3,15 +3,14 @@
 Every distance regime has its own centroid rule: weighted medians for p = 1,
 a present input value per coordinate for p in (0, 1), the weighted mean for
 the squared Euclidean cost, the weighted mode for the Hamming cost, and for
-the max distance a small linear program solved exactly as an integer
-min-cost flow (plus an exhaustive half-integral grid used as an independent
-check).
+the max distance a small linear program solved exactly: at its cheapest
+vertex up to three points, as a dense integer transportation flow beyond
+(plus an exhaustive half-integral grid used as an independent check).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -141,109 +140,126 @@ def centroid_l0(cluster: WeightedCluster) -> tuple[Point, Cost]:
     return tuple(centroid), Cost.of(total)
 
 
-def _add_arc(graph: list[list[list[int]]], x: int, y: int, cap: int, cost: int,
-             flow: int = 0) -> None:
-    """Residual arc x -> y carrying ``flow`` of ``cap``, and its reverse.
+def _linf_vertex(gaps: list[list[int]], weights: Sequence[int]) -> list[int]:
+    """Doubled radii of an optimal vertex of the gap LP, for 2 or 3 points.
 
-    An arc is ``[head, residual capacity, cost, index of the reverse arc]``.
+    The LP is: minimize sum w_u d_u subject to d_u + d_v >= gap(u, v) and
+    d >= 0.  A vertex makes three independent constraints tight.  With no d
+    at 0, all pair constraints are tight: the triangle point.  With d_u = 0,
+    two of d_v >= gap(u, v), d_w >= gap(u, w), d_v + d_w >= gap(v, w) are
+    tight, and the triangle inequality forces the medoid at u (d_v = gap(u, v),
+    d_w = gap(u, w)).  Two or three zeros give a medoid too.  The max-distance
+    gaps are a metric, so every medoid and the triangle point are feasible.
+    The feasible set lies in d >= 0, so it has a vertex, and with w > 0 the
+    cost is bounded below: some vertex is optimal.  Ties take the first
+    candidate.
     """
-    graph[x].append([y, cap - flow, cost, len(graph[y])])
-    graph[y].append([x, flow, -cost, len(graph[x]) - 1])
+    candidates = [[2 * g for g in row] for row in gaps]  # medoid u: d_u = 0
+    if len(weights) == 3:
+        g01, g02, g12 = gaps[0][1], gaps[0][2], gaps[1][2]
+        candidates.append([g01 + g02 - g12, g01 + g12 - g02, g02 + g12 - g01])
+    return min(candidates, key=lambda r2: sum(w * r for w, r in zip(weights, r2)))
 
 
-def _bellman_ford(graph: list[list[list[int]]], dist: list[int | None]) -> list:
-    """Shortest distances over the arcs with residual capacity, in place.
+def _linf_flow(gaps: list[list[int]], weights: Sequence[int]) -> list[int]:
+    """Doubled radii of an optimal solution of the gap LP, for any n points.
 
-    Nodes whose ``dist`` is not None are the sources, at that distance.
-    Returns each reached node's last arc as ``(tail, arc)``.  A residual
-    network of a min-cost flow has no negative cycle; meeting one raises.
+    The balanced transportation problem, in which row u ships w_u, column v
+    takes w_v and u -> v costs -gap(u, v), is solved by successive shortest
+    paths: Dijkstra on reduced costs over the dense n x n matrix, with integer
+    prices, from the rows with supply left (one shared price, distance 0) to
+    the first column with demand left.  Column prices start at
+    -max_u gap(u, v), where every reduced cost is already >= 0.  An arc with
+    flow has reduced cost 0, so a row is reached at its column's distance.
+    At the end row minus column price is >= every gap, with equality where
+    flow moves, and it is the doubled radius of its point (>= 0 by the
+    diagonal); strong duality is checked exactly.
     """
-    pred: list = [None] * len(graph)
-    queue = deque(x for x, d in enumerate(dist) if d is not None)
-    queued = [d is not None for d in dist]
-    # in FIFO order every label settles within |V| passes over the nodes
-    pops = len(graph) * (len(graph) + 1)
-    while queue:
-        x = queue.popleft()
-        queued[x] = False
-        dx = dist[x]
-        for arc in graph[x]:
-            y = arc[0]
-            if arc[1] and (dist[y] is None or dx + arc[2] < dist[y]):
-                dist[y] = dx + arc[2]
-                pred[y] = (x, arc)
-                if not queued[y]:
-                    queue.append(y)
-                    queued[y] = True
-        pops -= 1
-        if pops < 0:
-            raise AssertionError("negative cycle in the residual network")
-    return pred
+    n = len(weights)
+    supply, demand = list(weights), list(weights)
+    flow = [[0] * n for _ in range(n)]
+    row_p = [0] * n
+    col_p = [-max(row) for row in gaps]  # gaps are symmetric
+    for v in range(n):  # ship first along the arcs of reduced cost 0
+        for u in range(n):
+            if gaps[u][v] == -col_p[v]:
+                delta = min(supply[u], demand[v])
+                flow[u][v] += delta
+                supply[u] -= delta
+                demand[v] -= delta
+    while any(supply):
+        row_d: list[int | None] = [0 if s else None for s in supply]
+        back: list[int | None] = [None] * n  # the column a row is reached from
+        col_d: list = [None] * n
+        via = [0] * n  # the row a column is reached from
+        reach = [u for u in range(n) if supply[u]]
+        open_cols, closed = list(range(n)), []
+        while True:
+            for u in reach:
+                base = row_d[u] + row_p[u]
+                for v in open_cols:
+                    d = base - gaps[u][v] - col_p[v]
+                    if col_d[v] is None or d < col_d[v]:
+                        col_d[v], via[v] = d, u
+            end = min(open_cols, key=col_d.__getitem__)
+            open_cols.remove(end)
+            closed.append(end)
+            if demand[end]:
+                break
+            reach = [u for u in range(n) if flow[u][end] and row_d[u] is None]
+            for u in reach:
+                row_d[u], back[u] = col_d[end], end
+        top = col_d[end]
+        for u, d in enumerate(row_d):
+            if d is not None:
+                row_p[u] += d - top
+        for v in closed:
+            col_p[v] += col_d[v] - top
+        # augment along the path back from the column reached
+        path, delta, v = [], demand[end], end
+        while True:
+            u = via[v]
+            path.append((u, v, 1))
+            if back[u] is None:
+                break
+            v = back[u]
+            path.append((u, v, -1))
+            delta = min(delta, flow[u][v])
+        delta = min(delta, supply[u])
+        supply[u] -= delta
+        demand[end] -= delta
+        for u, v, sign in path:
+            flow[u][v] += sign * delta
+    radii2 = [r - c for r, c in zip(row_p, col_p)]
+    gain = sum(g * f for grow, frow in zip(gaps, flow) for g, f in zip(grow, frow))
+    if gain != sum(w * r for w, r in zip(weights, radii2)):
+        raise AssertionError("flow gain and dual radii disagree")
+    return radii2
 
 
 def centroid_linf_lp(cluster: WeightedCluster) -> tuple[Point, Cost]:
-    """Exact optimum of the max-distance cluster cost via integer min-cost flow.
+    """Exact optimum of the max-distance cluster cost.
 
     Minimizing sum w_i * max_j |x_i[j] - c_j| is equivalent to choosing
     per-point radii d_i >= 0 with d_u + d_v >= max-gap(x_u, x_v) for every
-    pair (the per-coordinate intervals then intersect): a fractional vertex
-    cover with edge demands.  On the bipartite double cover (rows u, columns
-    v') it becomes totally unimodular, so twice its optimum is the optimum of
-    the transportation problem whose row and column u both hold w_u and whose
-    arc u -> v' gains gap(u, v).  Successive shortest paths solve that flow
-    in integers; the potentials p of the final residual network (with a
-    zero-cost sink-to-source arc) give the dual a_u = max(0, p_u - p_s),
-    b_v = max(0, p_s - p_v') and the doubled radii a_u + b_u, which is the
-    half-integrality of Nemhauser and Trotter.  A centroid is read back off
-    the interval intersections.  Strong duality and the centroid's cost are
-    both checked exactly before the values are returned.
+    pair (the per-coordinate intervals then intersect, by Helly's theorem for
+    boxes).  Twice that LP is a transportation problem on the bipartite
+    double cover, so an optimum is half-integral (Nemhauser and Trotter).
+    Up to three points, the cheapest vertex of the LP gives the radii
+    (``_linf_vertex``); beyond that a dense integer transportation flow does
+    (``_linf_flow``).  A centroid is read back off the interval
+    intersections, and its cost is checked exactly against the radii's.
     """
     points, weights = cluster.points, cluster.weights
     n = len(points)
     if n == 1:
         return points[0], Cost.of(0)
-    source, sink = 2 * n, 2 * n + 1
-    graph: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
-    for u, w in enumerate(weights):
-        _add_arc(graph, source, u, w, 0)
-        _add_arc(graph, n + u, sink, w, 0)
-    # total weight bounds any flow, so the gain arcs never saturate: every
-    # pair's dual constraint stays in the residual network
-    total = sum(weights)
+    gaps = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            gap = max(abs(a - b) for a, b in zip(points[u], points[v]))
-            if gap > 0:
-                _add_arc(graph, u, n + v, total, -gap)
-                _add_arc(graph, v, n + u, total, -gap)
-    while True:
-        dist: list[int | None] = [None] * len(graph)
-        dist[source] = 0
-        pred = _bellman_ford(graph, dist)
-        if dist[sink] is None or dist[sink] >= 0:
-            break
-        path = []
-        y = sink
-        while y != source:
-            x, arc = pred[y]
-            path.append(arc)
-            y = x
-        delta = min(arc[1] for arc in path)
-        for arc in path:
-            arc[1] -= delta
-            graph[arc[0]][arc[3]][1] += delta
-
-    # the flow on an arc is its reverse arc's residual capacity
-    gain = sum(-arc[2] * graph[arc[0]][arc[3]][1]
-               for u in range(n) for arc in graph[u] if arc[0] < 2 * n)
-    moved = sum(graph[arc[0]][arc[3]][1] for arc in graph[source])
-    _add_arc(graph, sink, source, total, 0, moved)
-    potential: list[int | None] = [0] * len(graph)
-    _bellman_ford(graph, potential)
-    p_s = potential[source]
-    radii2 = [max(0, potential[u] - p_s) + max(0, p_s - potential[n + u]) for u in range(n)]
-    if gain != sum(w * r for w, r in zip(weights, radii2)):
-        raise AssertionError("flow gain and dual radii disagree")
+            gaps[u][v] = gaps[v][u] = max(abs(a - b) for a, b in zip(points[u], points[v]))
+    radii2 = (_linf_vertex if n <= 3 else _linf_flow)(gaps, weights)
+    gain = sum(w * r for w, r in zip(weights, radii2))
     centroid2 = [max(2 * x[j] - r for x, r in zip(points, radii2))
                  for j in range(cluster.dimension)]
     attained = sum(w * max(abs(2 * v - c) for v, c in zip(x, centroid2))

@@ -389,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=0)
     cap_centroids(p_solve)
     p_solve.add_argument("--cap-families", dest="cap_families", type=int,
-                         default=5_000_000)
+                         default=5_000_000,
+                         help="bound on the merge parts the brute-force oracle "
+                              "(--mode oracle) tries, cut or not")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sel = sub.add_parser("select", help="solve a selection instance")

@@ -355,7 +355,7 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
       else the tuple search priced by integer running sums (``_l2_price``).
     - p = 1 and the max distance: the tuple search with every partial tuple
       priced at its exact optimum through ``optimal_cluster_cost``, the
-      weighted median or the integer min-cost flow.  k-Clustering under the
+      weighted median or the exact pairwise-gap LP.  k-Clustering under the
       max distance is W[1]-hard parameterized by the budget, so only
       exactness is owed there.
 

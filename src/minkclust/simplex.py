@@ -3,9 +3,9 @@
 A plain dense two-phase simplex on Fraction arithmetic, with Bland's rule so
 cycling cannot occur.  All variables are nonnegative; constraints are given
 as A_ub x <= b_ub and A_eq x = b_eq.  It is on no solve path: the
-max-distance centroid LP is solved by integer min-cost flow in
-``centroids.centroid_linf_lp``, and the tests solve the same pairwise-gap LP
-here to check it.
+max-distance centroid LP is solved at its cheapest vertex or by an integer
+transportation flow in ``centroids.centroid_linf_lp``, and the tests solve
+the same pairwise-gap LP here to check it.
 """
 
 from __future__ import annotations

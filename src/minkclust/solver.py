@@ -121,7 +121,10 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     ``len(initial) - k`` excess units; only merge families of that excess are
     enumerated.  A branch is cut once its lower bound, its parts' costs plus
     the per-merge cost floor for each merge left, reaches the incumbent's
-    cost; ties keep the incumbent, the first minimum found.
+    cost; ties keep the incumbent, the first minimum found.  ``family_cap``
+    bounds the parts the search tries, cut or not, and raises
+    ``RuntimeError`` past it; ``stats["families"]`` counts the improving
+    families reached.
     """
     initial = regularize(inst.dataset)
     n_ic = len(initial)
@@ -161,15 +164,13 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     best_lo = best_hi = math.inf  # the incumbent's float band
     best_exact = False  # whether the floats at the incumbent are exact
     best_family: tuple[tuple[int, ...], ...] | None = None
-    families = 0
+    families = tried = 0
 
     def rec(pool: tuple[int, ...], left: int, total: Cost, total_f: float):
-        nonlocal best_cost, best_lo, best_hi, best_exact, best_family, families
+        nonlocal best_cost, best_lo, best_hi, best_exact, best_family, families, tried
         if left == 0:
             # the cut below lets through only a family cheaper than the incumbent
             families += 1
-            if families > family_cap:
-                raise RuntimeError("family cap exceeded")
             best_cost = total
             best_family = tuple(tuple(sorted(p)) for p in current_parts)
             best_exact = halves and total_f < 2.0**50
@@ -181,6 +182,9 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
             rest = pool[ai + 1:]
             for extra_size in range(1, min(left, len(rest)) + 1):
                 for extra in itertools.combinations(rest, extra_size):
+                    tried += 1
+                    if tried > family_cap:
+                        raise RuntimeError("family cap exceeded")
                     part = (anchor,) + extra
                     f, cost = part_cost(part)
                     after = left - extra_size

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from minkclust import (
     cost_eval,
 )
 from minkclust import simplex
+from minkclust.centroids import _linf_flow, _linf_vertex
 
 
 def test_median_examples():
@@ -203,6 +205,55 @@ def test_linf_lp_equals_grid():
         assert by_lp.exact == by_grid.exact
 
 
+def _assert_linf_centroid(cluster, centroid, cost):
+    """The centroid is half-integral and attains the cost exactly."""
+    assert all((2 * c).denominator == 1 for c in centroid)
+    attained = sum(w * max(abs(v - c) for v, c in zip(pt, centroid))
+                   for pt, w in zip(cluster.points, cluster.weights))
+    assert attained == cost.exact
+
+
+def test_linf_vertex_path_on_every_small_cluster():
+    """Every cluster of 2 or 3 points from {-1, 0, 1}^2, distinct or
+    repeated, with weights in {1, 2, 3}: the LP's cheapest vertex against the
+    half-integral grid."""
+    square = list(itertools.product((-1, 0, 1), repeat=2))
+    checked = 0
+    for n in (2, 3):
+        for pts in itertools.combinations_with_replacement(square, n):
+            for ws in itertools.product((1, 2, 3), repeat=n):
+                cluster = WeightedCluster(pts, ws)
+                centroid, cost = centroid_linf_lp(cluster)
+                assert cost.exact == centroid_linf_grid(cluster)[1].exact
+                _assert_linf_centroid(cluster, centroid, cost)
+                if len(set(pts)) == 1:
+                    assert cost.exact == 0
+                checked += 1
+    assert checked == 45 * 9 + 165 * 27
+
+
+def _gaps(points):
+    return [[max(abs(a - b) for a, b in zip(x, y)) for y in points] for x in points]
+
+
+def test_linf_flow_agrees_with_vertex_path():
+    """The flow, which the public path sends only clusters of four or more
+    points, against the vertex path on clusters of two and three."""
+    rnd = random.Random(17)
+    for _ in range(400):
+        n, d = rnd.randint(2, 3), rnd.randint(1, 5)
+        pts = [tuple(rnd.randint(-5, 5) for _ in range(d)) for _ in range(n)]
+        ws = [rnd.choice((1, rnd.randint(1, 9), rnd.randint(1, 10**6))) for _ in range(n)]
+        gaps = _gaps(pts)
+        by_flow, by_vertex = _linf_flow(gaps, ws), _linf_vertex(gaps, ws)
+        assert (sum(w * r for w, r in zip(ws, by_flow))
+                == sum(w * r for w, r in zip(ws, by_vertex)))
+        for r2 in (by_flow, by_vertex):
+            assert all(r >= 0 for r in r2)
+            assert all(r2[u] + r2[v] >= 2 * gaps[u][v]
+                       for u in range(n) for v in range(u + 1, n))
+
+
 def _simplex_linf_value(cluster):
     """The pairwise-gap LP of the max-distance cost, solved by the rational
     simplex: minimize sum w_i d_i subject to d_u + d_v >= gap(u, v)."""
@@ -220,9 +271,10 @@ def _simplex_linf_value(cluster):
 
 
 def test_linf_flow_equals_simplex_reference():
-    """The flow-based centroid against the simplex on clusters past the
+    """The max-distance centroid against the simplex on clusters past the
     grid's cap: up to 12 points in up to 12 dimensions, weights up to 10**6,
-    repeated points, and an all-identical cluster where no flow moves."""
+    repeated points, and an all-identical cluster where no flow moves.  Most
+    have four points or more, so the flow prices them."""
     rnd = random.Random(16)
     clusters = []
     for _ in range(40):
@@ -236,13 +288,11 @@ def test_linf_flow_equals_simplex_reference():
     clusters.append(WeightedCluster(tuple(wide + [wide[3]]),
                                     tuple(rnd.randint(1, 10**6) for _ in range(12))))
     clusters.append(WeightedCluster.of([(7, -3, 2)] * 12, [10**6 - i for i in range(12)]))
+    assert sum(len(cluster.points) >= 4 for cluster in clusters) >= 25
     for cluster in clusters:
         centroid, cost = centroid_linf_lp(cluster)
         assert cost.exact == _simplex_linf_value(cluster)
-        assert all((2 * c).denominator == 1 for c in centroid)
-        attained = sum(w * max(abs(v - c) for v, c in zip(pt, centroid))
-                       for pt, w in zip(cluster.points, cluster.weights))
-        assert attained == cost.exact
+        _assert_linf_centroid(cluster, centroid, cost)
 
 
 def test_l2_mean_first_order():

@@ -12,6 +12,7 @@ from minkclust import (
     Cost,
     Dataset,
     DistanceOrder,
+    Graph,
     SolveConfig,
     WeightedCluster,
     coloring_success_estimate,
@@ -103,6 +104,24 @@ def test_solve_bruteforce_respects_k():
     inst2 = ClusteringInstance(ds, 5, Cost.of(0), DistanceOrder.l1())
     res2 = solve_bruteforce(inst2)
     assert res2.decision and res2.min_cost.exact == 0
+
+
+def test_solve_bruteforce_cap_counts_every_part_tried():
+    """The cap bounds the parts the search tries, cut or not.  This Hamming
+    clique instance (24 initial clusters into 19, five merges) improves its
+    incumbent rarely, so a cap on improving families alone let it run for
+    minutes."""
+    inst = gen_l0_clustering_from_clique(Graph.of(4, [(1, 4), (2, 3), (2, 4), (3, 4)]), 4)
+    assert len(regularize(inst.dataset)) == 24 and inst.k == 19
+    with pytest.raises(RuntimeError, match="family cap exceeded"):
+        solve_bruteforce(inst, family_cap=2_000)
+    # one merge of two clusters tries exactly one part
+    ds = Dataset(1, ((0,), (10,)), (1, 1))
+    inst = ClusteringInstance(ds, 1, Cost.of(10), DistanceOrder.l1())
+    res = solve_bruteforce(inst, family_cap=1)
+    assert res.decision and res.stats["families"] == 1
+    with pytest.raises(RuntimeError, match="family cap exceeded"):
+        solve_bruteforce(inst, family_cap=0)
 
 
 def test_color_coding_figures():
