@@ -345,11 +345,16 @@ def cmd_verify(args) -> int:
             raise CliError("verify needs a graph file or --sweep")
         sources = [graph_from_obj(_read_json(args.graph, "graph file"))]
 
-    reports = [verify_reduction(args.reduction, src, params) for src in sources]
-
-    disagreements = 0
+    disagreements = errors = 0
     print("source | target | agree | detail")
-    for rep in reports:
+    for src in sources:
+        # one source that raises (a cap, a failed check) must not hide the rest
+        try:
+            rep = verify_reduction(args.reduction, src, params)
+        except Exception as exc:
+            errors += 1
+            print(f"{'-':>6} | {'-':>6} | {'ERROR':>8} | {type(exc).__name__}: {exc}")
+            continue
         if not rep.agree:
             disagreements += 1
         detail = rep.details.get("min_cost", rep.details.get("witness_cost", ""))
@@ -360,7 +365,10 @@ def cmd_verify(args) -> int:
             f"{'yes' if rep.target_yes else 'no':>6} | "
             f"{'ok' if rep.agree else 'MISMATCH':>8} | {detail}"
         )
-    print(f"checked {len(reports)} instance(s); disagreements: {disagreements}")
+    print(f"checked {len(sources)} instance(s); disagreements: {disagreements}; "
+          f"errors: {errors}")
+    if errors:
+        return 2
     return 0 if disagreements == 0 else 1
 
 

@@ -3,11 +3,15 @@
 Given t disjoint groups of weighted vectors and a budget, decide whether one
 vector can be picked from each group so that the optimally-centered composite
 cluster costs at most the budget.  A brute-force oracle covers every distance
-order.  ``solve_selection`` is the one exact solver: it runs a centroid search
-for exponents p in (0, 1) and the Hamming distance, and an exact tuple search
-for p = 1, the squared Euclidean cost and the max distance.  Both searches
-also have a minimising form, a branch and bound in which the best witness so
-far takes the budget's place in the pruning tests.
+order.  For the Hamming distance, p in (0, 1] and the squared Euclidean cost
+the optimal centroid is chosen one coordinate at a time, so a tuple's optimum
+is the sum of its columns' optima, and the oracle prices each distinct column
+once per call; the max distance is not separable, and there it prices every
+tuple whole.  ``solve_selection`` is the one exact solver: it runs a centroid
+search for exponents p in (0, 1) and the Hamming distance, and an exact tuple
+search for p = 1, the squared Euclidean cost and the max distance.  Both
+searches also have a minimising form, a branch and bound in which the best
+witness so far takes the budget's place in the pruning tests.
 
 The centroid search (``_coordinate_search``) tries every centroid assembled
 from the values present at each coordinate, which is complete for both: the
@@ -36,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 
 from .centroids import WeightedCluster, optimal_cluster_cost
 from .core import DistanceOrder, Number, Point, distance
-from .cost_model import Cost, cost_eval, cost_le
+from .cost_model import Cost, cost_eq, cost_eval, cost_le
 from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
 from .hypergraph import candidate_coordinate_sets  # noqa: F401  (traced by perfbench/)
 
@@ -139,21 +143,98 @@ def select_fixed_centroid(inst: SelectionInstance, centroid: Sequence[Number]) -
 
 def select_bruteforce(inst: SelectionInstance, cap: int = 1_000_000) -> SelectionResult:
     """Exhaustive oracle over all group tuples, each costed at its exact
-    optimal centroid.  Returns the globally minimal tuple."""
-    size = 1
-    for g in inst.groups:
-        size *= len(g)
+    optimal centroid.  Returns the first minimal tuple in lexicographic order.
+
+    Every order but the max distance picks its optimal centroid one coordinate
+    at a time, so a tuple's optimal cost is the exact sum of the optimal costs
+    of its columns, each column a one-coordinate cluster of (value, weight)
+    cells.  Those columns repeat across tuples: each distinct multiset of
+    cells is priced once per call through ``optimal_cluster_cost``, and
+    ``stats["columns"]`` counts these pricings.  The winning tuple is priced
+    again as a whole for its centroid, and that cost must equal the column
+    sum.  The max distance is not separable, so there every tuple is priced
+    whole.  ``stats["tuples"]`` counts the tuples; beyond ``cap`` of them
+    ``EnumerationCapExceeded`` is raised.
+    """
+    size = math.prod(map(len, inst.groups))
     if size > cap:
         raise EnumerationCapExceeded(f"{size} tuples exceed the cap {cap}")
-    best: SelectionResult | None = None
-    for combo in itertools.product(*(range(len(g)) for g in inst.groups)):
-        cluster = inst.chosen_cluster(combo)
-        centroid, cost = optimal_cluster_cost(inst.order, cluster)
-        if best is None or not cost_le(best.cost, cost):
-            best = SelectionResult(False, combo, centroid, cost)
-    best.decision = cost_le(best.cost, inst.budget)
-    best.stats["tuples"] = size
-    return best
+    order = inst.order
+    combos = itertools.product(*(range(len(g)) for g in inst.groups))
+    stats = {"tuples": size, "columns": 0}
+    if order.kind == "linf":
+        best = None
+        for combo in combos:
+            centroid, cost = optimal_cluster_cost(order, inst.chosen_cluster(combo))
+            if best is None or not cost_le(best[2], cost):
+                best = combo, centroid, cost
+        indices, centroid, cost = best
+    else:
+        indices, summed = _column_minimum(inst, combos, stats)
+        centroid, cost = optimal_cluster_cost(order, inst.chosen_cluster(indices))
+        if not cost_eq(cost, summed):
+            raise AssertionError("column optima do not sum to the tuple's optimum")
+    return SelectionResult(cost_le(cost, inst.budget), indices, centroid, cost, stats)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    def __init__(self, fill: Callable):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _column_minimum(inst: SelectionInstance, combos: Iterator[tuple[int, ...]],
+                    stats: dict) -> tuple[tuple[int, ...], Cost]:
+    """The first of ``combos`` whose columns' optimal costs sum least, and
+    that sum; for the separable orders.
+
+    A column is looked up by its cells in group order; one not seen before
+    is looked up again by the sorted multiset of its cells, and only a new
+    multiset is priced.  Exact costs are summed as integers where they are
+    (far faster than ``Fraction``), and basis costs by merging their terms
+    into one ``Cost`` per tuple.
+    """
+    order = inst.order
+    basis = order.kind == "lp" and order.p != 1
+
+    def price(cells):
+        stats["columns"] += 1
+        cluster = WeightedCluster(tuple((v,) for v, _ in cells), tuple(w for _, w in cells))
+        cost = optimal_cluster_cost(order, cluster)[1]
+        if basis:
+            return cost.terms or ()
+        value = cost.exact
+        return value.numerator if value.denominator == 1 else value
+
+    if basis:
+        def total_of(values) -> Cost:
+            terms: dict[int, int] = {}
+            for column in values:
+                for base, coeff in column:
+                    terms[base] = terms.get(base, 0) + coeff
+            return Cost.basis(terms, order.p)
+
+        def less(a: Cost, b: Cost) -> bool:
+            return not cost_le(b, a)
+    else:
+        total_of, less = sum, operator.lt
+
+    by_multiset = _Memo(price)
+    columns = _Memo(lambda cells: by_multiset[tuple(sorted(cells))])
+    rows = [[tuple(zip(pt, itertools.repeat(w))) for pt, w in zip(pts, ws)]
+            for pts, ws in zip(inst.groups, inst.weights)]
+    best = best_total = None
+    for combo, chosen in zip(combos, itertools.product(*rows)):
+        total = total_of(map(columns.__getitem__, zip(*chosen)))
+        if best is None or less(total, best_total):
+            best, best_total = combo, total
+    return best, best_total if basis else Cost.of(best_total)
 
 
 class _Incumbent:

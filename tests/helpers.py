@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from minkclust import (
     DistanceOrder,
     Graph,
     SelectionInstance,
+    SelectionResult,
+    cost_le,
+    optimal_cluster_cost,
 )
 
 
@@ -75,6 +79,18 @@ def random_selection_instance(
         groups.append(grp)
         weights.append(ws)
     return SelectionInstance.of(groups, budget, order, weights)
+
+
+def bruteforce_reference(inst: SelectionInstance) -> SelectionResult:
+    """The naive selection oracle: every tuple in ``itertools.product`` order
+    priced whole by ``optimal_cluster_cost``, the first minimum kept."""
+    best = None
+    for combo in itertools.product(*(range(len(g)) for g in inst.groups)):
+        centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(combo))
+        if best is None or not cost_le(best.cost, cost):
+            best = SelectionResult(False, combo, centroid, cost)
+    best.decision = cost_le(best.cost, inst.budget)
+    return best
 
 
 def random_clustering_instance(

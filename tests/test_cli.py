@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import minkclust
+from minkclust import cli
 from minkclust import Cost, DistanceOrder, SelectionInstance, cost_eval, select_bruteforce
 from minkclust.cli import (
     budget_to_string,
@@ -168,6 +169,25 @@ def test_cli_verify_sweep_small(capsys):
     assert run_cli(["verify", "l0-clique", "--sweep", "4"]) == 0
     out = capsys.readouterr().out
     assert "disagreements: 0" in out
+
+
+def test_cli_verify_sweep_reports_past_a_raising_source(monkeypatch, capsys):
+    real, seen = cli.verify_reduction, []
+
+    def raise_on_second(name, source, params):
+        seen.append(source)
+        if len(seen) == 2:
+            raise RuntimeError("family cap exceeded")
+        return real(name, source, params)
+
+    monkeypatch.setattr(cli, "verify_reduction", raise_on_second)
+    assert run_cli(["verify", "l0-clique", "--sweep", "4"]) == 2
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.count(" | ") == 3][1:]
+    assert len(rows) == len(seen) > 2
+    assert "ERROR | RuntimeError: family cap exceeded" in rows[1]
+    assert sum("ERROR" in row for row in rows) == 1
+    assert f"checked {len(seen)} instance(s); disagreements: 0; errors: 1" in out
 
 
 def test_cli_determinism(tmp_path, capsys):

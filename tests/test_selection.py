@@ -27,6 +27,7 @@ from tests.helpers import (
     EX_CLIQUE_COLORED,
     EX_LINF_COLORED,
     SELECTION_ENVELOPES,
+    bruteforce_reference,
     random_selection_instance,
 )
 
@@ -87,6 +88,43 @@ def test_bruteforce_cap():
     inst = SelectionInstance.of(groups, Cost.of(1), DistanceOrder.l1())
     with pytest.raises(EnumerationCapExceeded):
         select_bruteforce(inst, cap=100)
+
+
+def test_bruteforce_matches_naive_reference():
+    """The column-priced oracle returns what pricing every tuple whole
+    returns: the same first minimal tuple, cost, centroid and decision."""
+    orders = [DistanceOrder.l0(), DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.l1(),
+              DistanceOrder.l2(), DistanceOrder.linf()]
+    rnd = random.Random(1501)
+    for order in orders:
+        decisions, dims, counts, heavy = set(), set(), set(), False
+        for _ in range(50):
+            inst = random_selection_instance(rnd, order, Cost.of(0), t_max=4, per_group=3,
+                                             d_max=4, coord_lo=-1, coord_hi=1, weight_max=3)
+            dims.add(inst.dimension)
+            counts.add(inst.num_groups)
+            heavy |= any(w > 1 for ws in inst.weights for w in ws)
+            opt = bruteforce_reference(inst).cost
+            for budget in (opt, Cost.of(Fraction(rnd.randint(0, 12), 2))):
+                case = dataclasses.replace(inst, budget=budget)
+                ref, res = bruteforce_reference(case), select_bruteforce(case)
+                assert res.indices == ref.indices, (order, case)
+                assert cost_eq(res.cost, ref.cost)
+                assert res.centroid == ref.centroid
+                assert res.decision == ref.decision
+                decisions.add(res.decision)
+        assert decisions == {True, False} and heavy, order
+        assert dims == {1, 2, 3, 4} and counts == {1, 2, 3, 4}, order
+
+
+def test_bruteforce_counts_tuples_and_column_pricings():
+    # 16 tuples of 3 columns: 48 column lookups, 9 distinct multisets priced
+    res = select_bruteforce(gen_l1_selection_from_mcc(EX_LINF_COLORED, 3))
+    assert res.stats == {"tuples": 16, "columns": 9}
+    assert res.cost == Cost.of(18)
+    # the max distance is not separable: every tuple is priced whole
+    res = select_bruteforce(gen_linf_selection_from_mcc(EX_LINF_COLORED, 3))
+    assert res.stats == {"tuples": 4, "columns": 0}
 
 
 def test_select_lp01_figure():
