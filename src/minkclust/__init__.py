@@ -20,7 +20,9 @@ from .centroids import (
     centroid_linf_grid,
     centroid_linf_lp,
     centroid_lp,
+    cluster_cost,
     optimal_cluster_cost,
+    summed_cost,
 )
 from .hypergraph import (
     Hypergraph,

@@ -6,6 +6,11 @@ the squared Euclidean cost, the weighted mode for the Hamming cost, and for
 the max distance a small linear program solved exactly: at its cheapest
 vertex up to three points, as a dense integer transportation flow beyond
 (plus an exhaustive half-integral grid used as an independent check).
+
+``optimal_cluster_cost`` returns a centroid and a ``Cost``.  ``cluster_cost``
+returns the same optimum alone, as a plain value, for callers that price many
+clusters and keep few of them; each order's rule has one home that both
+share.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import mpmath
 
@@ -58,27 +63,71 @@ class WeightedCluster:
         return sum(self.weights)
 
 
-def _column(cluster: WeightedCluster, i: int) -> list[tuple[Number, int]]:
-    return [(pt[i], w) for pt, w in zip(cluster.points, cluster.weights)]
+def _tallies(points: Sequence[Point], weights: Sequence[int]) -> Iterator[dict[Number, int]]:
+    """Per coordinate, the weight behind each value; a coordinate's Hamming
+    cost is the total weight less that of its mode."""
+    for col in zip(*points):
+        counts: dict[Number, int] = {}
+        for v, w in zip(col, weights):
+            counts[v] = counts.get(v, 0) + w
+        yield counts
+
+
+def _median(cells: list[tuple[Number, int]], w_all: int) -> tuple[Number, int]:
+    """The lowest weighted median of one coordinate's (value, weight) cells and
+    the total absolute deviation from it."""
+    cells.sort()
+    acc = 0
+    for median, w in cells:
+        acc += w
+        if 2 * acc >= w_all:
+            break
+    return median, sum(w * abs(v - median) for v, w in cells)
+
+
+def _present_value(cells: list[tuple[Number, int]], p: Fraction) -> tuple[Number, dict[int, int]]:
+    """The best present value of one coordinate for an exponent p in (0, 1)
+    and its cost as basis terms {gap: weight}.  Candidates are compared
+    exactly (``cost_le``); ties resolve to the lowest value."""
+    best_val = None
+    best_terms: dict[int, int] = {}
+    best_cost = None
+    for cand in sorted({v for v, _ in cells}):
+        terms: dict[int, int] = {}
+        for v, w in cells:
+            gap = abs(v - cand)
+            if gap:
+                terms[gap] = terms.get(gap, 0) + w
+        cost = Cost.basis(terms, p)
+        if best_cost is None or not cost_le(best_cost, cost):
+            best_val, best_terms, best_cost = cand, terms, cost
+    return best_val, best_terms
+
+
+def mean_cost(w_all: int, sums: Sequence[int], sq: int) -> Fraction:
+    """The squared Euclidean cost about the weighted mean, (W Q - |S|^2) / W,
+    from the total weight W, the weighted sums S = sum w x and
+    Q = sum w |x|^2."""
+    return Fraction(w_all * sq - sum(s * s for s in sums), w_all)
+
+
+def _weighted_sums(points: Sequence[Point], weights: Sequence[int]) -> tuple[list[Number], Number]:
+    """S = sum w x per coordinate and Q = sum w |x|^2."""
+    sums = [sum(w * v for v, w in zip(col, weights)) for col in zip(*points)]
+    sq = sum(w * sum(v * v for v in pt) for pt, w in zip(points, weights))
+    return sums, sq
 
 
 def centroid_l1(cluster: WeightedCluster) -> tuple[Point, Cost]:
     """Per-coordinate weighted median (lowest optimal value on ties) and the
     exact total absolute deviation."""
+    w_all = cluster.total_weight
     centroid: list[Number] = []
     total = 0
-    w_all = cluster.total_weight
-    for i in range(cluster.dimension):
-        col = sorted(_column(cluster, i))
-        acc = 0
-        median = col[-1][0]
-        for value, w in col:
-            acc += w
-            if 2 * acc >= w_all:
-                median = value
-                break
+    for col in zip(*cluster.points):
+        median, cost = _median(list(zip(col, cluster.weights)), w_all)
         centroid.append(median)
-        total += sum(w * abs(v - median) for v, w in col)
+        total += cost
     return tuple(centroid), Cost.of(total)
 
 
@@ -92,22 +141,10 @@ def centroid_lp(cluster: WeightedCluster, p: Fraction) -> tuple[Point, Cost]:
         raise ValueError("exponent must lie strictly between 0 and 1")
     centroid: list[Number] = []
     total: dict[int, int] = {}
-    for i in range(cluster.dimension):
-        col = _column(cluster, i)
-        best_val = None
-        best_terms: dict[int, int] = {}
-        best_cost = None
-        for cand in sorted({v for v, _ in col}):
-            terms: dict[int, int] = {}
-            for v, w in col:
-                gap = abs(v - cand)
-                if gap:
-                    terms[gap] = terms.get(gap, 0) + w
-            cost = Cost.basis(terms, p)
-            if best_cost is None or not cost_le(best_cost, cost):
-                best_val, best_terms, best_cost = cand, terms, cost
-        centroid.append(best_val)
-        for base, coeff in best_terms.items():
+    for col in zip(*cluster.points):
+        value, terms = _present_value(list(zip(col, cluster.weights)), p)
+        centroid.append(value)
+        for base, coeff in terms.items():
             total[base] = total.get(base, 0) + coeff
     return tuple(centroid), Cost.basis(total, p)
 
@@ -115,14 +152,9 @@ def centroid_lp(cluster: WeightedCluster, p: Fraction) -> tuple[Point, Cost]:
 def centroid_l2(cluster: WeightedCluster) -> tuple[Point, Cost]:
     """Exact weighted mean per coordinate and the exact squared-deviation sum."""
     w_all = cluster.total_weight
-    centroid: list[Number] = []
-    total = Fraction(0)
-    for i in range(cluster.dimension):
-        col = _column(cluster, i)
-        mean = Fraction(sum(w * v for v, w in col), w_all)
-        centroid.append(mean)
-        total += sum(w * (Fraction(v) - mean) ** 2 for v, w in col)
-    return tuple(centroid), Cost.of(total)
+    sums, sq = _weighted_sums(cluster.points, cluster.weights)
+    centroid = tuple(Fraction(s, w_all) for s in sums)
+    return centroid, Cost.of(mean_cost(w_all, sums, sq))
 
 
 def centroid_l0(cluster: WeightedCluster) -> tuple[Point, Cost]:
@@ -130,10 +162,7 @@ def centroid_l0(cluster: WeightedCluster) -> tuple[Point, Cost]:
     w_all = cluster.total_weight
     centroid: list[Number] = []
     total = 0
-    for i in range(cluster.dimension):
-        counts: dict[Number, int] = {}
-        for v, w in _column(cluster, i):
-            counts[v] = counts.get(v, 0) + w
+    for counts in _tallies(cluster.points, cluster.weights):
         mode = min(counts, key=lambda v: (-counts[v], v))
         centroid.append(mode)
         total += w_all - counts[mode]
@@ -237,6 +266,32 @@ def _linf_flow(gaps: list[list[int]], weights: Sequence[int]) -> list[int]:
     return radii2
 
 
+def _linf_doubled(points: Sequence[Point], weights: Sequence[int]) -> tuple[list[int], int]:
+    """A doubled optimal max-distance centroid and the doubled optimal cost.
+
+    Up to three points the LP's cheapest vertex gives the doubled radii
+    (``_linf_vertex``), beyond that a dense integer transportation flow does
+    (``_linf_flow``).  The centroid is read back off the interval
+    intersections, and the cost it attains is checked exactly against the
+    radii's.
+    """
+    n = len(points)
+    if n == 1:
+        return [2 * v for v in points[0]], 0
+    gaps = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            gaps[u][v] = gaps[v][u] = max(abs(a - b) for a, b in zip(points[u], points[v]))
+    radii2 = (_linf_vertex if n <= 3 else _linf_flow)(gaps, weights)
+    gain = sum(w * r for w, r in zip(weights, radii2))
+    centroid2 = [max(2 * v - r for v, r in zip(col, radii2)) for col in zip(*points)]
+    attained = sum(w * max(abs(2 * v - c) for v, c in zip(x, centroid2))
+                   for x, w in zip(points, weights))
+    if attained != gain:
+        raise AssertionError("recovered centroid does not attain the LP optimum")
+    return centroid2, gain
+
+
 def centroid_linf_lp(cluster: WeightedCluster) -> tuple[Point, Cost]:
     """Exact optimum of the max-distance cluster cost.
 
@@ -245,27 +300,11 @@ def centroid_linf_lp(cluster: WeightedCluster) -> tuple[Point, Cost]:
     pair (the per-coordinate intervals then intersect, by Helly's theorem for
     boxes).  Twice that LP is a transportation problem on the bipartite
     double cover, so an optimum is half-integral (Nemhauser and Trotter).
-    Up to three points, the cheapest vertex of the LP gives the radii
-    (``_linf_vertex``); beyond that a dense integer transportation flow does
-    (``_linf_flow``).  A centroid is read back off the interval
-    intersections, and its cost is checked exactly against the radii's.
+    ``_linf_doubled`` solves it in integers.
     """
-    points, weights = cluster.points, cluster.weights
-    n = len(points)
-    if n == 1:
-        return points[0], Cost.of(0)
-    gaps = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            gaps[u][v] = gaps[v][u] = max(abs(a - b) for a, b in zip(points[u], points[v]))
-    radii2 = (_linf_vertex if n <= 3 else _linf_flow)(gaps, weights)
-    gain = sum(w * r for w, r in zip(weights, radii2))
-    centroid2 = [max(2 * x[j] - r for x, r in zip(points, radii2))
-                 for j in range(cluster.dimension)]
-    attained = sum(w * max(abs(2 * v - c) for v, c in zip(x, centroid2))
-                   for x, w in zip(points, weights))
-    if attained != gain:
-        raise AssertionError("recovered centroid does not attain the LP optimum")
+    if len(cluster.points) == 1:
+        return cluster.points[0], Cost.of(0)
+    centroid2, gain = _linf_doubled(cluster.points, cluster.weights)
     return tuple(Fraction(c, 2) for c in centroid2), Cost.of(Fraction(gain, 2))
 
 
@@ -342,3 +381,47 @@ def optimal_cluster_cost(order: DistanceOrder, cluster: WeightedCluster) -> tupl
     if order.p == 1:
         return centroid_l1(cluster)
     return centroid_lp(cluster, order.p)
+
+
+def cluster_cost(order: DistanceOrder, points: Sequence[Point],
+                 weights: Sequence[int]) -> int | Fraction | tuple[tuple[int, int], ...]:
+    """The exact optimal cost of the cluster of ``points`` with ``weights``,
+    priced without a ``WeightedCluster``, a centroid or a ``Cost``.
+
+    It is what ``optimal_cluster_cost`` returns as a cost, by the same
+    per-coordinate rules: an ``int`` for the Hamming distance and p = 1, a
+    ``Fraction`` for the squared Euclidean cost and the max distance, and for
+    p in (0, 1) the basis terms as sorted (base, coefficient) pairs.
+    ``summed_cost`` turns such values into a ``Cost``.  The inputs are trusted:
+    a nonempty cluster of equal-length points and positive weights.
+    """
+    kind = order.kind
+    if kind == "l0":
+        if weights.count(1) == len(weights):  # unit weights: the same tally, counted in C
+            modes = sum(max(map(col.count, col)) for col in zip(*points))
+        else:
+            modes = sum(max(counts.values()) for counts in _tallies(points, weights))
+        return sum(weights) * len(points[0]) - modes
+    if kind == "l2":
+        return mean_cost(sum(weights), *_weighted_sums(points, weights))
+    if kind == "linf":
+        return Fraction(_linf_doubled(points, weights)[1], 2)
+    if order.p == 1:
+        w_all = sum(weights)
+        return sum(_median(list(zip(col, weights)), w_all)[1] for col in zip(*points))
+    total: dict[int, int] = {}
+    for col in zip(*points):
+        for base, coeff in _present_value(list(zip(col, weights)), order.p)[1].items():
+            total[base] = total.get(base, 0) + coeff
+    return tuple(sorted(total.items()))
+
+
+def summed_cost(order: DistanceOrder, values) -> Cost:
+    """The ``Cost`` of a sum of values that ``cluster_cost`` returned."""
+    if order.kind == "lp" and order.p != 1:
+        terms: dict[int, int] = {}
+        for value in values:
+            for base, coeff in value:
+                terms[base] = terms.get(base, 0) + coeff
+        return Cost.basis(terms, order.p)
+    return Cost.of(sum(values))

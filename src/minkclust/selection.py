@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .centroids import WeightedCluster, optimal_cluster_cost
+from .centroids import (WeightedCluster, cluster_cost, mean_cost, optimal_cluster_cost,
+                        summed_cost)
 from .core import DistanceOrder, Number, Point, distance
 from .cost_model import Cost, cost_eq, cost_eval, cost_le
 from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
@@ -145,35 +146,38 @@ def select_bruteforce(inst: SelectionInstance, cap: int = 1_000_000) -> Selectio
     """Exhaustive oracle over all group tuples, each costed at its exact
     optimal centroid.  Returns the first minimal tuple in lexicographic order.
 
-    Every order but the max distance picks its optimal centroid one coordinate
-    at a time, so a tuple's optimal cost is the exact sum of the optimal costs
-    of its columns, each column a one-coordinate cluster of (value, weight)
-    cells.  Those columns repeat across tuples: each distinct multiset of
-    cells is priced once per call through ``optimal_cluster_cost``, and
-    ``stats["columns"]`` counts these pricings.  The winning tuple is priced
-    again as a whole for its centroid, and that cost must equal the column
-    sum.  The max distance is not separable, so there every tuple is priced
-    whole.  ``stats["tuples"]`` counts the tuples; beyond ``cap`` of them
-    ``EnumerationCapExceeded`` is raised.
+    Costs are priced cost only (``cluster_cost``) and compared as plain
+    values.  Every order but the max distance picks its optimal centroid one
+    coordinate at a time, so a tuple's optimal cost is the exact sum of the
+    optimal costs of its columns, each column a one-coordinate cluster of
+    (value, weight) cells.  Those columns repeat across tuples: each distinct
+    multiset of cells is priced once per call, and ``stats["columns"]``
+    counts these pricings.  The max distance is not separable, so there
+    every tuple is priced whole.  The winning tuple is priced again through
+    ``optimal_cluster_cost`` for its centroid, and that cost must equal the
+    one the search found.  ``stats["tuples"]`` counts the tuples; beyond
+    ``cap`` of them ``EnumerationCapExceeded`` is raised.
     """
     size = math.prod(map(len, inst.groups))
     if size > cap:
         raise EnumerationCapExceeded(f"{size} tuples exceed the cap {cap}")
     order = inst.order
     combos = itertools.product(*(range(len(g)) for g in inst.groups))
+    rows = [list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)]
     stats = {"tuples": size, "columns": 0}
     if order.kind == "linf":
-        best = None
-        for combo in combos:
-            centroid, cost = optimal_cluster_cost(order, inst.chosen_cluster(combo))
-            if best is None or not cost_le(best[2], cost):
-                best = combo, centroid, cost
-        indices, centroid, cost = best
+        best = best_value = None
+        for combo, chosen in zip(combos, itertools.product(*rows)):
+            pts, ws = zip(*chosen)
+            value = cluster_cost(order, pts, ws)
+            if best is None or value < best_value:
+                best, best_value = combo, value
+        indices, found = best, Cost.of(best_value)
     else:
-        indices, summed = _column_minimum(inst, combos, stats)
-        centroid, cost = optimal_cluster_cost(order, inst.chosen_cluster(indices))
-        if not cost_eq(cost, summed):
-            raise AssertionError("column optima do not sum to the tuple's optimum")
+        indices, found = _column_minimum(order, rows, combos, stats)
+    centroid, cost = optimal_cluster_cost(order, inst.chosen_cluster(indices))
+    if not cost_eq(cost, found):
+        raise AssertionError("the winning tuple's optimum differs from its cost-only price")
     return SelectionResult(cost_le(cost, inst.budget), indices, centroid, cost, stats)
 
 
@@ -189,10 +193,11 @@ class _Memo(dict):
         return value
 
 
-def _column_minimum(inst: SelectionInstance, combos: Iterator[tuple[int, ...]],
+def _column_minimum(order: DistanceOrder, rows: list, combos: Iterator[tuple[int, ...]],
                     stats: dict) -> tuple[tuple[int, ...], Cost]:
     """The first of ``combos`` whose columns' optimal costs sum least, and
-    that sum; for the separable orders.
+    that sum; for the separable orders.  ``rows`` holds each group's
+    (vector, weight) pairs.
 
     A column is looked up by its cells in group order; one not seen before
     is looked up again by the sorted multiset of its cells, and only a new
@@ -200,25 +205,18 @@ def _column_minimum(inst: SelectionInstance, combos: Iterator[tuple[int, ...]],
     (far faster than ``Fraction``), and basis costs by merging their terms
     into one ``Cost`` per tuple.
     """
-    order = inst.order
     basis = order.kind == "lp" and order.p != 1
 
     def price(cells):
         stats["columns"] += 1
-        cluster = WeightedCluster(tuple((v,) for v, _ in cells), tuple(w for _, w in cells))
-        cost = optimal_cluster_cost(order, cluster)[1]
+        value = cluster_cost(order, [(v,) for v, _ in cells], [w for _, w in cells])
         if basis:
-            return cost.terms or ()
-        value = cost.exact
+            return value
         return value.numerator if value.denominator == 1 else value
 
     if basis:
         def total_of(values) -> Cost:
-            terms: dict[int, int] = {}
-            for column in values:
-                for base, coeff in column:
-                    terms[base] = terms.get(base, 0) + coeff
-            return Cost.basis(terms, order.p)
+            return summed_cost(order, values)
 
         def less(a: Cost, b: Cost) -> bool:
             return not cost_le(b, a)
@@ -227,10 +225,9 @@ def _column_minimum(inst: SelectionInstance, combos: Iterator[tuple[int, ...]],
 
     by_multiset = _Memo(price)
     columns = _Memo(lambda cells: by_multiset[tuple(sorted(cells))])
-    rows = [[tuple(zip(pt, itertools.repeat(w))) for pt, w in zip(pts, ws)]
-            for pts, ws in zip(inst.groups, inst.weights)]
+    cell_rows = [[tuple(zip(pt, itertools.repeat(w))) for pt, w in group] for group in rows]
     best = best_total = None
-    for combo, chosen in zip(combos, itertools.product(*rows)):
+    for combo, chosen in zip(combos, itertools.product(*cell_rows)):
         total = total_of(map(columns.__getitem__, zip(*chosen)))
         if best is None or less(total, best_total):
             best, best_total = combo, total
@@ -345,6 +342,7 @@ def _coordinate_search(
         return False
 
     rec(0, [0] * len(rows))
+    del rec  # rec refers to itself: free the search's state now, not at a full collection
     return inc.result(stats)
 
 
@@ -398,6 +396,7 @@ def _tuple_search(
         return False
 
     rec(0, start)
+    del rec  # rec refers to itself: free the search's state now, not at a full collection
     return inc.result(stats)
 
 
@@ -410,8 +409,7 @@ def _l2_price(state, pt: Point, w: int):
     total += w
     sums = [s + w * x for s, x in zip(sums, pt)]
     sq += w * sum(x * x for x in pt)
-    cost = Cost.of(Fraction(total * sq - sum(s * s for s in sums), total))
-    return (total, sums, sq), cost, None
+    return (total, sums, sq), Cost.of(mean_cost(total, sums, sq)), None
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .centroids import WeightedCluster, optimal_cluster_cost
+from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, summed_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
-from .cost_model import Cost, cost_eval, cost_floor, cost_le
+from .cost_model import Cost, cost_eq, cost_eval, cost_floor, cost_le
 from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
 from .selection import CENTROID_CAP, SelectionInstance, SelectionResult, solve_selection
 
@@ -121,23 +121,32 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     ``len(initial) - k`` excess units; only merge families of that excess are
     enumerated.  A branch is cut once its lower bound, its parts' costs plus
     the per-merge cost floor for each merge left, reaches the incumbent's
-    cost; ties keep the incumbent, the first minimum found.  ``family_cap``
-    bounds the parts the search tries, cut or not, and raises
-    ``RuntimeError`` past it; ``stats["families"]`` counts the improving
-    families reached.
+    cost; ties keep the incumbent, the first minimum found.  Each distinct
+    part is priced once, cost only (``cluster_cost``), and kept as a float
+    and its exact value; a ``Cost`` is summed only for an improving family
+    and for a bound inside the float band.  The winning family is priced
+    again part by part through ``optimal_cluster_cost`` for its witness, and
+    that total must equal the search's best cost.  ``family_cap`` bounds the
+    parts the search tries, cut or not, and raises ``RuntimeError`` past it.
+    ``stats["families"]`` counts the improving families reached,
+    ``stats["parts"]`` the parts tried and ``stats["pricings"]`` the distinct
+    parts priced.
     """
     initial = regularize(inst.dataset)
     n_ic = len(initial)
     excess = n_ic - inst.k
     if excess <= 0:
         clustering = _assemble_clustering(inst.order, initial, ())
-        return BruteForceResult(True, clustering, Cost.of(0), {"families": 1})
+        return BruteForceResult(True, clustering, Cost.of(0),
+                                {"families": 1, "parts": 0, "pricings": 0})
 
-    alpha = merge_cost_bound(inst.order)
+    order = inst.order
+    alpha = merge_cost_bound(order)
     alpha_f = float(alpha)
-    kind, p = inst.order.kind, inst.order.p
+    kind, p = order.kind, order.p
+    basis = kind == "lp" and p < 1
     # the floor per merge as a cost of the order's regime (alpha * 1**p for p < 1)
-    step = Cost.basis({1: int(alpha)}, p) if kind == "lp" and p < 1 else Cost.of(alpha)
+    step = Cost.basis({1: int(alpha)}, p) if basis else Cost.of(alpha)
     # Floats filter the cut.  A float sum of at most n part costs, each
     # rounded from its exact value, is within 2n * 2**-53 of it relative, so a
     # branch's bound and the incumbent differ from their floats by 4n * 2**-53
@@ -146,18 +155,16 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     # floats add exactly below 2**50.
     halves = kind in ("l0", "linf") or (kind == "lp" and p == 1)
     rel = (n_ic + 4) * 2.0**-50
-    part_cache: dict[tuple[int, ...], tuple[float, Cost]] = {}
+    points = [ic.representative for ic in initial]
+    sizes = [ic.size for ic in initial]
+    part_cache: dict[tuple[int, ...], tuple] = {}  # part -> (float, exact value)
 
-    def part_cost(part: tuple[int, ...]) -> tuple[float, Cost]:
+    def part_cost(part: tuple[int, ...]) -> tuple:
         hit = part_cache.get(part)
         if hit is None:
-            cluster = WeightedCluster(
-                tuple(initial[i].representative for i in part),
-                tuple(initial[i].size for i in part),
-            )
-            _, cost = optimal_cluster_cost(inst.order, cluster)
-            hit = (float(cost.exact if cost.exact is not None else cost_eval(cost)), cost)
-            part_cache[part] = hit
+            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
+            f = float(cost_eval(summed_cost(order, (value,)))) if basis else float(value)
+            hit = part_cache[part] = (f, value)
         return hit
 
     best_cost: Cost | None = None
@@ -165,13 +172,15 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     best_exact = False  # whether the floats at the incumbent are exact
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = tried = 0
+    current_parts: list[tuple[int, ...]] = []
+    current_values: list = []  # the exact values of current_parts
 
-    def rec(pool: tuple[int, ...], left: int, total: Cost, total_f: float):
+    def rec(pool: tuple[int, ...], left: int, total_f: float):
         nonlocal best_cost, best_lo, best_hi, best_exact, best_family, families, tried
         if left == 0:
             # the cut below lets through only a family cheaper than the incumbent
             families += 1
-            best_cost = total
+            best_cost = summed_cost(order, current_values)
             best_family = tuple(tuple(sorted(p)) for p in current_parts)
             best_exact = halves and total_f < 2.0**50
             width = 0.0 if best_exact else rel
@@ -186,29 +195,36 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
                     if tried > family_cap:
                         raise RuntimeError("family cap exceeded")
                     part = (anchor,) + extra
-                    f, cost = part_cost(part)
+                    f, value = part_cost(part)
                     after = left - extra_size
                     # cut once the branch's lower bound reaches the incumbent:
                     # by floats outside the band, exactly inside it
                     bound_f = total_f + f + alpha_f * after
                     if bound_f >= best_lo and (
                             bound_f > best_hi or best_exact
-                            or cost_le(best_cost, total + cost + step.scaled(after))):
+                            or cost_le(best_cost, summed_cost(order, current_values + [value])
+                                       + step.scaled(after))):
                         continue
                     leftover = tuple(x for x in rest if x not in extra)
                     current_parts.append(part)
-                    rec(leftover, after, total + cost, total_f + f)
+                    current_values.append(value)
+                    rec(leftover, after, total_f + f)
                     current_parts.pop()
+                    current_values.pop()
 
-    current_parts: list[tuple[int, ...]] = []
-    rec(tuple(range(n_ic)), excess, Cost.of(0), 0.0)
+    rec(tuple(range(n_ic)), excess, 0.0)
+    # rec's closure holds rec itself; break that cycle so that the part cache
+    # is freed on return rather than at the next full garbage collection
+    del rec
+    stats = {"families": families, "parts": tried, "pricings": len(part_cache)}
     if best_family is None:
         # no merge family exists (k too small for the dataset)
-        return BruteForceResult(False, None, Cost.of(0), {"families": 0})
-    clustering = _assemble_clustering(inst.order, initial, best_family)
+        return BruteForceResult(False, None, Cost.of(0), stats)
+    clustering = _assemble_clustering(order, initial, best_family)
+    if not cost_eq(clustering.total_cost, best_cost):
+        raise AssertionError("the witness's optimal costs do not sum to the search's best")
     decision = cost_le(best_cost, inst.budget)
-    return BruteForceResult(decision, clustering, best_cost,
-                            {"families": families})
+    return BruteForceResult(decision, clustering, best_cost, stats)
 
 
 def coloring_success_estimate(t_colors: int, trials: int, seed: int = 0) -> tuple[float, int]:
@@ -343,7 +359,9 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                         return hit
             return None
 
-        return rec(tuple(sorted(classes)), n_ic - inst.k, Cost.of(0))
+        hit = rec(tuple(sorted(classes)), n_ic - inst.k, Cost.of(0))
+        del rec  # rec refers to itself: free the coloring's state now, not at a full collection
+        return hit
 
     if cfg.policy == "exhaustive":
         colorings, confidence = _rainbow_colorings(n_ic, t_colors), 1.0

@@ -14,8 +14,10 @@ from minkclust import (
     Graph,
     SelectionInstance,
     SelectionResult,
+    WeightedCluster,
     cost_le,
     optimal_cluster_cost,
+    regularize,
 )
 
 
@@ -91,6 +93,36 @@ def bruteforce_reference(inst: SelectionInstance) -> SelectionResult:
             best = SelectionResult(False, combo, centroid, cost)
     best.decision = cost_le(best.cost, inst.budget)
     return best
+
+
+def set_partitions(items: list, k: int):
+    """Every partition of ``items`` into at most ``k`` nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first = items[0]
+    for blocks in set_partitions(items[1:], k):
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
+        if len(blocks) < k:
+            yield [[first]] + blocks
+
+
+def solve_bruteforce_reference(inst: ClusteringInstance) -> tuple[bool, Cost]:
+    """The naive clustering oracle: every partition of the initial clusters
+    into at most k parts, each part priced by ``optimal_cluster_cost``, with no
+    cut.  Returns the decision and the minimum cost."""
+    initial = regularize(inst.dataset)
+    best = None
+    for blocks in set_partitions(list(range(len(initial))), inst.k):
+        total = Cost.of(0)
+        for block in blocks:
+            cluster = WeightedCluster(tuple(initial[i].representative for i in block),
+                                      tuple(initial[i].size for i in block))
+            total = total + optimal_cluster_cost(inst.order, cluster)[1]
+        if best is None or not cost_le(best, total):
+            best = total
+    return cost_le(best, inst.budget), best
 
 
 def random_clustering_instance(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from minkclust import (
+    DistanceOrder,
     WeightedCluster,
     binary_coordinate_cost,
     centroid_l0,
@@ -13,7 +14,11 @@ from minkclust import (
     centroid_linf_grid,
     centroid_linf_lp,
     centroid_lp,
+    cluster_cost,
+    cost_eq,
     cost_eval,
+    optimal_cluster_cost,
+    summed_cost,
 )
 from minkclust import simplex
 from minkclust.centroids import _linf_flow, _linf_vertex
@@ -318,3 +323,29 @@ def test_l2_mean_first_order():
                 shifted = list(mean)
                 shifted[j] = mean[j] + sign * eps
                 assert total_at(shifted) >= cost.exact
+
+
+@pytest.mark.parametrize("order, kind", [
+    (DistanceOrder.l0(), int),
+    (DistanceOrder.l1(), int),
+    (DistanceOrder.lp(Fraction(1, 2)), tuple),
+    (DistanceOrder.lp(Fraction(1, 3)), tuple),
+    (DistanceOrder.l2(), Fraction),
+    (DistanceOrder.linf(), Fraction),
+])
+def test_cluster_cost_equals_optimal_cluster_cost(order, kind):
+    """The cost-only entry against the centroid rules, exactly, on clusters of
+    1 to 6 points (both max-distance paths: the LP's vertex up to three
+    points, the flow beyond), repeated points included."""
+    rnd = random.Random(16)
+    sizes = set()
+    for _ in range(300):
+        n, d = rnd.randint(1, 6), rnd.randint(1, 4)
+        pts = [tuple(rnd.randint(-3, 3) for _ in range(d)) for _ in range(n)]
+        ws = [rnd.randint(1, 3) for _ in range(n)]
+        value = cluster_cost(order, pts, ws)
+        assert isinstance(value, kind)
+        _, cost = optimal_cluster_cost(order, WeightedCluster.of(pts, ws))
+        assert cost_eq(summed_cost(order, (value,)), cost)
+        sizes.add(n)
+    assert sizes == set(range(1, 7))

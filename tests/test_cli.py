@@ -131,6 +131,7 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert run_cli(["solve", str(inst), "--mode", "oracle"]) == 0
     out = capsys.readouterr().out
     assert "minimal cost: 3" in out
+    assert "stat parts: 556" in out and "stat pricings: 286" in out
 
     body = json.loads(inst.read_text())
     body["budget"] = "2"

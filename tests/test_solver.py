@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkclust import simplex, solver
+from minkclust import selection, simplex, solver
 from minkclust import (
     ClusteringInstance,
     Cost,
@@ -15,7 +15,9 @@ from minkclust import (
     Graph,
     SolveConfig,
     WeightedCluster,
+    cluster_cost,
     coloring_success_estimate,
+    cost_eq,
     cost_le,
     gen_l0_clustering_from_clique,
     gen_linf2_from_hioct,
@@ -34,6 +36,7 @@ from tests.helpers import (
     EX_LINF_GRAPH,
     EX_OCT_GRAPH,
     random_clustering_instance,
+    solve_bruteforce_reference,
 )
 
 
@@ -122,6 +125,38 @@ def test_solve_bruteforce_cap_counts_every_part_tried():
     assert res.decision and res.stats["families"] == 1
     with pytest.raises(RuntimeError, match="family cap exceeded"):
         solve_bruteforce(inst, family_cap=0)
+
+
+def test_solve_bruteforce_counts_parts_and_pricings():
+    """The example Hamming clique instance merges 12 initial clusters into 10.
+    Every pair and triple is priced once (66 + 220 pricings); the parts tried
+    count each again wherever the search meets it.  The early return of a k
+    at or above the initial cluster count reports both counters at zero."""
+    inst = gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3)
+    assert len(regularize(inst.dataset)) == 12 and inst.k == 10
+    res = solve_bruteforce(inst)
+    assert res.min_cost.exact == 3
+    assert res.stats == {"families": 2, "parts": 556, "pricings": 286}
+    ds = Dataset(1, ((0,), (10,)), (1, 1))
+    res = solve_bruteforce(ClusteringInstance(ds, 2, Cost.of(0), DistanceOrder.l1()))
+    assert res.stats == {"families": 1, "parts": 0, "pricings": 0}
+
+
+def test_bruteforce_oracles_reprice_their_winner(monkeypatch):
+    """Both brute-force oracles search on cost-only prices and re-price the
+    winner through the centroid rules; a cost-only price that disagrees with
+    them raises instead of returning a wrong optimum."""
+    def off_by_one(order, points, weights):
+        return cluster_cost(order, points, weights) + 1
+
+    monkeypatch.setattr(solver, "cluster_cost", off_by_one)
+    with pytest.raises(AssertionError, match="search's best"):
+        solve_bruteforce(gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3))
+    monkeypatch.setattr(selection, "cluster_cost", off_by_one)
+    groups = [[(0, 1), (3, 3)], [(1, 1), (4, 0)]]
+    for order in (DistanceOrder.l0(), DistanceOrder.l1(), DistanceOrder.linf()):
+        with pytest.raises(AssertionError, match="cost-only price"):
+            select_bruteforce(SelectionInstance.of(groups, Cost.of(1), order))
 
 
 def test_color_coding_figures():
@@ -249,6 +284,26 @@ def test_color_coding_equals_bruteforce_sample(order, budgets, seed, max_initial
             assert cost_le(clustering.total_cost, inst.budget)
     if max_initial == 6:
         assert narrow_yes >= 10
+
+
+@pytest.mark.parametrize("order,budgets,seed",
+                         [pytest.param(*row, id=str(row[0])) for row in ORDER_BUDGETS[:5]])
+def test_solve_bruteforce_equals_naive_reference(order, budgets, seed):
+    """The cut search against the uncut partition oracle, on up to 7 initial
+    clusters: the same minimum, exactly, and the same decision."""
+    rnd = random.Random(seed + 100)
+    seen = Counter()
+    for _ in range(60):
+        budget = Cost.of(budgets[rnd.randrange(len(budgets))])
+        inst = random_clustering_instance(rnd, order, budget, max_initial=7)
+        decision, min_cost = solve_bruteforce_reference(inst)
+        res = solve_bruteforce(inst)
+        assert cost_eq(res.min_cost, min_cost), inst
+        assert res.decision == decision, inst
+        seen[len(regularize(inst.dataset))] += 1
+        seen[decision] += 1
+    assert seen[7] >= 1 and seen[6] + seen[7] >= 5
+    assert seen[True] >= 5 and seen[False] >= 5
 
 
 def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
