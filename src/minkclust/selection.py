@@ -5,9 +5,12 @@ vector can be picked from each group so that the optimally-centered composite
 cluster costs at most the budget.  A brute-force oracle covers every distance
 order.  For the Hamming distance, p in (0, 1] and the squared Euclidean cost
 the optimal centroid is chosen one coordinate at a time, so a tuple's optimum
-is the sum of its columns' optima, and the oracle prices each distinct column
-once per call; the max distance is not separable, and there it prices every
-tuple whole.  ``solve_selection`` is the one exact solver: it runs a centroid
+is the sum of its columns' optima.  There the oracle walks merged column
+states, one group at a time: prefixes whose columns hold the same multisets of
+cells have the same completions at the same costs, so each such state is
+grown once, and each distinct column is priced once per call.  The max
+distance is not separable, and there the oracle prices every tuple whole.
+``solve_selection`` is the one exact solver: it runs a centroid
 search for exponents p in (0, 1) and the Hamming distance, and an exact tuple
 search for p = 1, the squared Euclidean cost and the max distance.  Both
 searches also have a minimising form, a branch and bound in which the best
@@ -150,22 +153,30 @@ def select_bruteforce(inst: SelectionInstance, cap: int = 1_000_000) -> Selectio
     values.  Every order but the max distance picks its optimal centroid one
     coordinate at a time, so a tuple's optimal cost is the exact sum of the
     optimal costs of its columns, each column a one-coordinate cluster of
-    (value, weight) cells.  Those columns repeat across tuples: each distinct
-    multiset of cells is priced once per call, and ``stats["columns"]``
-    counts these pricings.  The max distance is not separable, so there
-    every tuple is priced whole.  The winning tuple is priced again through
-    ``optimal_cluster_cost`` for its centroid, and that cost must equal the
-    one the search found.  ``stats["tuples"]`` counts the tuples; beyond
-    ``cap`` of them ``EnumerationCapExceeded`` is raised.
+    (value, weight) cells.  So a prefix's cost to come depends only on its
+    state, the multiset of cells in each of its columns, and
+    ``_column_minimum`` walks states instead of tuples: each state is grown
+    once, from the first prefix that reached it, and the last group's rows
+    are priced against every state.  The first minimum it finds is the one
+    product order finds (see there).  The max distance is not separable, so
+    there every tuple is priced whole.  The winning tuple is priced again
+    through ``optimal_cluster_cost`` for its centroid, and that cost must
+    equal the one the search found.
+
+    ``stats["tuples"]`` is the number of tuples, the product of the group
+    sizes, which ``cap`` bounds: beyond it ``EnumerationCapExceeded`` is
+    raised before any work.  ``stats["columns"]`` counts the distinct
+    multisets of cells priced, and ``stats["states"]`` the states entering
+    the last group (separable orders only).
     """
     size = math.prod(map(len, inst.groups))
     if size > cap:
         raise EnumerationCapExceeded(f"{size} tuples exceed the cap {cap}")
     order = inst.order
-    combos = itertools.product(*(range(len(g)) for g in inst.groups))
     rows = [list(zip(pts, ws)) for pts, ws in zip(inst.groups, inst.weights)]
     stats = {"tuples": size, "columns": 0}
     if order.kind == "linf":
+        combos = itertools.product(*(range(len(g)) for g in inst.groups))
         best = best_value = None
         for combo, chosen in zip(combos, itertools.product(*rows)):
             pts, ws = zip(*chosen)
@@ -174,7 +185,7 @@ def select_bruteforce(inst: SelectionInstance, cap: int = 1_000_000) -> Selectio
                 best, best_value = combo, value
         indices, found = best, Cost.of(best_value)
     else:
-        indices, found = _column_minimum(order, rows, combos, stats)
+        indices, found = _column_minimum(order, rows, stats)
     centroid, cost = optimal_cluster_cost(order, inst.chosen_cluster(indices))
     if not cost_eq(cost, found):
         raise AssertionError("the winning tuple's optimum differs from its cost-only price")
@@ -193,22 +204,55 @@ class _Memo(dict):
         return value
 
 
-def _column_minimum(order: DistanceOrder, rows: list, combos: Iterator[tuple[int, ...]],
-                    stats: dict) -> tuple[tuple[int, ...], Cost]:
-    """The first of ``combos`` whose columns' optimal costs sum least, and
-    that sum; for the separable orders.  ``rows`` holds each group's
-    (vector, weight) pairs.
+class _Column(dict):
+    """A column state: one multiset of cell codes, kept sorted in ``cells``,
+    and a memo from a code to the column grown by that cell.  ``registry``
+    maps each multiset to its one column object, so a column's identity is
+    its multiset's id, and a column hashes and compares by identity, not by
+    its memo's contents."""
 
-    A column is looked up by its cells in group order; one not seen before
-    is looked up again by the sorted multiset of its cells, and only a new
-    multiset is priced.  Exact costs are summed as integers where they are
-    (far faster than ``Fraction``), and basis costs by merging their terms
-    into one ``Cost`` per tuple.
+    __slots__ = ("cells", "registry")
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+
+    def __missing__(self, cell: int) -> "_Column":
+        cells = tuple(sorted((*self.cells, cell)))
+        grown = self.registry.get(cells)
+        if grown is None:
+            grown = self.registry[cells] = _Column()
+            grown.cells, grown.registry = cells, self.registry
+        self[cell] = grown
+        return grown
+
+
+def _column_minimum(order: DistanceOrder, rows: list,
+                    stats: dict) -> tuple[tuple[int, ...], Cost]:
+    """The first tuple in product order whose columns' optimal costs sum
+    least, and that sum; for the separable orders.  ``rows`` holds each
+    group's (vector, weight) pairs.
+
+    The walk runs over column states, not tuples.  Each distinct
+    (value, weight) cell gets an integer code.  A prefix's state is, per
+    coordinate, the ``_Column`` of the codes its rows put there, and
+    prefixes with one state have the same completions at the same costs, so
+    each state is kept once, with the first prefix that reached it.  Growing
+    a state by a row is one memo lookup per coordinate.  The last group
+    builds no states: each of its rows is priced against each state by
+    summing its grown columns' optima, each distinct multiset priced once
+    (``stats["columns"]``).  ``stats["states"]`` counts the states entering
+    the last group.  Exact costs are summed as integers where they are (far
+    faster than ``Fraction``), and basis costs by merging their terms into
+    one ``Cost`` per tuple.
     """
     basis = order.kind == "lp" and order.p != 1
+    code_of: dict = {}
+    coded = [[tuple(code_of.setdefault((v, w), len(code_of)) for v in pt) for pt, w in group]
+             for group in rows]
+    cells_of = list(code_of)
 
-    def price(cells):
+    def price(column: _Column):
         stats["columns"] += 1
+        cells = list(map(cells_of.__getitem__, column.cells))
         value = cluster_cost(order, [(v,) for v, _ in cells], [w for _, w in cells])
         if basis:
             return value
@@ -223,14 +267,37 @@ def _column_minimum(order: DistanceOrder, rows: list, combos: Iterator[tuple[int
     else:
         total_of, less = sum, operator.lt
 
-    by_multiset = _Memo(price)
-    columns = _Memo(lambda cells: by_multiset[tuple(sorted(cells))])
-    cell_rows = [[tuple(zip(pt, itertools.repeat(w))) for pt, w in group] for group in rows]
+    empty = _Column()
+    empty.cells, empty.registry = (), {(): empty}
+    states = {(empty,) * len(rows[0][0][0]): ()}
+    # The kept prefix of each state is its least prefix in lexicographic
+    # order, and the states are kept in the order of those prefixes.  By
+    # induction over the groups: the least prefix Q + (i,) of a state is
+    # reached from the kept prefix of Q's state, which is no larger than Q
+    # and grows by row i to the same state, and the grown prefixes are met in
+    # lexicographic order.  So the first minimum found below is the first in
+    # product order: the first minimal tuple P + (r,) ties with (the kept
+    # prefix of P's state) + (r,), which is no larger, so P is that kept
+    # prefix and P + (r,) is walked, before every later minimum.
+    for group in coded[:-1]:
+        grown: dict = {}
+        for state, prefix in states.items():
+            for i, row in enumerate(group):
+                key = tuple(map(dict.__getitem__, state, row))
+                if key not in grown:
+                    grown[key] = prefix + (i,)
+        states = grown
+    stats["states"] = len(states)
+    prices = _Memo(price)
     best = best_total = None
-    for combo, chosen in zip(combos, itertools.product(*cell_rows)):
-        total = total_of(map(columns.__getitem__, zip(*chosen)))
-        if best is None or less(total, best_total):
-            best, best_total = combo, total
+    for state, prefix in states.items():
+        for i, row in enumerate(coded[-1]):
+            total = total_of(map(prices.__getitem__, map(dict.__getitem__, state, row)))
+            if best is None or less(total, best_total):
+                best, best_total = prefix + (i,), total
+    # every column refers to the registry: break those cycles now, so the
+    # walk's columns are freed on return, not at a collection
+    empty.registry.clear()
     return best, best_total if basis else Cost.of(best_total)
 
 

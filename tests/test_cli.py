@@ -29,11 +29,11 @@ from minkclust.generators import (
 from tests.helpers import EX_CLIQUE_COLORED, EX_CLIQUE_GRAPH, EX_LINF_COLORED
 
 
-def run_module(args):
-    """Run ``python -m minkclust.cli`` on the package the tests import."""
+def run_module(args, module="minkclust.cli"):
+    """Run ``python -m <module>`` on the package the tests import."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(minkclust.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "minkclust.cli", *args],
+    return subprocess.run([sys.executable, "-m", module, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
@@ -101,7 +101,8 @@ def test_cli_select_paths(tmp_path, capsys):
     assert "decision: yes" in out and "cost: 2" in out
 
     assert run_cli(["select", str(inst), "--mode", "oracle"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert "stat tuples: 2" in out and "stat columns: 3" in out and "stat states: 2" in out
 
     # raise the bar: still yes; lower it: no (exit 1, not an error)
     body["budget"] = "z/s2:1/1"
@@ -260,6 +261,14 @@ def test_cli_entrypoint_subprocess(tmp_path):
     graph.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}))
     proc = run_module(["generate", "linf-clique", str(graph)])
     assert proc.returncode == 0
+    assert '"kind": "clustering"' in proc.stdout
+
+
+def test_package_runs_as_module(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}))
+    proc = run_module(["generate", "linf-clique", str(graph)], module="minkclust")
+    assert proc.returncode == 0, proc.stderr
     assert '"kind": "clustering"' in proc.stdout
 
 

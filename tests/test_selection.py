@@ -9,6 +9,7 @@ from minkclust import (
     Cost,
     DistanceOrder,
     EnumerationCapExceeded,
+    Graph,
     SelectionInstance,
     cost_eq,
     cost_eval,
@@ -29,6 +30,7 @@ from tests.helpers import (
     SELECTION_ENVELOPES,
     bruteforce_reference,
     random_selection_instance,
+    tagged_selection_instance,
 )
 
 
@@ -90,41 +92,79 @@ def test_bruteforce_cap():
         select_bruteforce(inst, cap=100)
 
 
-def test_bruteforce_matches_naive_reference():
-    """The column-priced oracle returns what pricing every tuple whole
+FIVE_ORDERS = [DistanceOrder.l0(), DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.l1(),
+               DistanceOrder.l2(), DistanceOrder.linf()]
+# (orders, instance builder, its shapes taken in turn, the dimensions and
+# group counts every order must meet, seed); the tagged groups draw their
+# rows from one small grid, so prefixes share column states
+NAIVE_REFERENCE_SETS = {
+    "spread": (FIVE_ORDERS, random_selection_instance,
+               [dict(t_max=4, per_group=3, d_max=4, coord_lo=-1, coord_hi=1, weight_max=3)],
+               {1, 2, 3, 4}, {1, 2, 3, 4}, 1501),
+    "merging": (FIVE_ORDERS + [DistanceOrder.lp(Fraction(1, 3))], tagged_selection_instance,
+                [dict(coord_hi=1), dict(coord_hi=2)], {5}, {5, 6}, 1701),
+}
+
+
+@pytest.mark.parametrize("name", list(NAIVE_REFERENCE_SETS), ids=str)
+def test_bruteforce_matches_naive_reference(name):
+    """The state-walking oracle returns what pricing every tuple whole
     returns: the same first minimal tuple, cost, centroid and decision."""
-    orders = [DistanceOrder.l0(), DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.l1(),
-              DistanceOrder.l2(), DistanceOrder.linf()]
-    rnd = random.Random(1501)
+    orders, build, shapes, want_dims, want_counts, seed = NAIVE_REFERENCE_SETS[name]
+    rnd = random.Random(seed)
     for order in orders:
-        decisions, dims, counts, heavy = set(), set(), set(), False
-        for _ in range(50):
-            inst = random_selection_instance(rnd, order, Cost.of(0), t_max=4, per_group=3,
-                                             d_max=4, coord_lo=-1, coord_hi=1, weight_max=3)
+        decisions, dims, counts, heavy, merged = set(), set(), set(), False, 0
+        for n in range(50):
+            inst = build(rnd, order, Cost.of(0), **shapes[n % len(shapes)])
             dims.add(inst.dimension)
             counts.add(inst.num_groups)
             heavy |= any(w > 1 for ws in inst.weights for w in ws)
-            opt = bruteforce_reference(inst).cost
-            for budget in (opt, Cost.of(Fraction(rnd.randint(0, 12), 2))):
+            ref = bruteforce_reference(inst)
+            for budget in (ref.cost, Cost.of(Fraction(rnd.randint(0, 12), 2))):
                 case = dataclasses.replace(inst, budget=budget)
-                ref, res = bruteforce_reference(case), select_bruteforce(case)
+                res = select_bruteforce(case)
                 assert res.indices == ref.indices, (order, case)
                 assert cost_eq(res.cost, ref.cost)
                 assert res.centroid == ref.centroid
-                assert res.decision == ref.decision
+                assert res.decision == cost_le(ref.cost, budget)
                 decisions.add(res.decision)
+            if order.kind != "linf":
+                merged += res.stats["states"] < math.prod(map(len, inst.groups[:-1]))
         assert decisions == {True, False} and heavy, order
-        assert dims == {1, 2, 3, 4} and counts == {1, 2, 3, 4}, order
+        assert dims == want_dims and counts == want_counts, order
+        if name == "merging" and order.kind != "linf":
+            assert merged >= 5, order
 
 
 def test_bruteforce_counts_tuples_and_column_pricings():
-    # 16 tuples of 3 columns: 48 column lookups, 9 distinct multisets priced
+    # 16 tuples of 3 columns, walked as 6 column states before the last
+    # group; 9 distinct multisets priced
     res = select_bruteforce(gen_l1_selection_from_mcc(EX_LINF_COLORED, 3))
-    assert res.stats == {"tuples": 16, "columns": 9}
+    assert res.stats == {"tuples": 16, "columns": 9, "states": 6}
     assert res.cost == Cost.of(18)
+    # six groups whose mirrored halves share their cells: 2,304 tuples, but
+    # only 68 states reach the last group
+    k222 = Graph.of(6, [(u, v) for u in range(1, 7) for v in range(u + 1, 7)
+                        if (u + 1) // 2 != (v + 1) // 2 and (u, v) != (1, 3)],
+                    colors=[1, 1, 2, 2, 3, 3])
+    res = select_bruteforce(gen_l1_selection_from_mcc(k222, 3))
+    assert res.stats == {"tuples": 2304, "columns": 15, "states": 68}
+    assert res.indices == (0, 0, 2, 0, 0, 2) and res.cost == Cost.of(21)
     # the max distance is not separable: every tuple is priced whole
     res = select_bruteforce(gen_linf_selection_from_mcc(EX_LINF_COLORED, 3))
     assert res.stats == {"tuples": 4, "columns": 0}
+
+
+def test_bruteforce_keeps_the_first_prefix_of_a_shared_state():
+    # the first two groups hold 0 and 2 in opposite orders, so the prefixes
+    # (0, 0) and (1, 1) share one state; around three 1s every tuple costs
+    # the same under these orders, and the first in product order must win
+    rows = [[(0,), (2,)], [(2,), (0,)], [(1,)], [(1,)], [(1,)]]
+    groups = [[row + (g,) for row in grp] for g, grp in enumerate(rows)]
+    for order in (DistanceOrder.l0(), DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.l1()):
+        res = select_bruteforce(SelectionInstance.of(groups, Cost.of(0), order))
+        assert res.indices == (0,) * 5, order
+        assert res.stats == {"tuples": 4, "columns": 4, "states": 3}
 
 
 def test_select_lp01_figure():
