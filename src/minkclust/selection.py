@@ -279,25 +279,27 @@ def _column_minimum(order: DistanceOrder, rows: list,
     # product order: the first minimal tuple P + (r,) ties with (the kept
     # prefix of P's state) + (r,), which is no larger, so P is that kept
     # prefix and P + (r,) is walked, before every later minimum.
-    for group in coded[:-1]:
-        grown: dict = {}
+    try:
+        for group in coded[:-1]:
+            grown: dict = {}
+            for state, prefix in states.items():
+                for i, row in enumerate(group):
+                    key = tuple(map(dict.__getitem__, state, row))
+                    if key not in grown:
+                        grown[key] = prefix + (i,)
+            states = grown
+        stats["states"] = len(states)
+        prices = _Memo(price)
+        best = best_total = None
         for state, prefix in states.items():
-            for i, row in enumerate(group):
-                key = tuple(map(dict.__getitem__, state, row))
-                if key not in grown:
-                    grown[key] = prefix + (i,)
-        states = grown
-    stats["states"] = len(states)
-    prices = _Memo(price)
-    best = best_total = None
-    for state, prefix in states.items():
-        for i, row in enumerate(coded[-1]):
-            total = total_of(map(prices.__getitem__, map(dict.__getitem__, state, row)))
-            if best is None or less(total, best_total):
-                best, best_total = prefix + (i,), total
-    # every column refers to the registry: break those cycles now, so the
-    # walk's columns are freed on return, not at a collection
-    empty.registry.clear()
+            for i, row in enumerate(coded[-1]):
+                total = total_of(map(prices.__getitem__, map(dict.__getitem__, state, row)))
+                if best is None or less(total, best_total):
+                    best, best_total = prefix + (i,), total
+    finally:
+        # every column refers to the registry: break those cycles now, so
+        # the walk's columns are freed on return, not at a collection
+        empty.registry.clear()
     return best, best_total if basis else Cost.of(best_total)
 
 

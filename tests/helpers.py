@@ -54,10 +54,9 @@ def random_selection_instance(
     weight_max: int = 1,
     d_min: int = 1,
     per_group_min: int = 1,
-    t_min: int = 1,
 ) -> SelectionInstance:
     d = rnd.randint(d_min, d_max)
-    t = rnd.randint(t_min, t_max)
+    t = rnd.randint(1, t_max)
     pool = set()
     groups = []
     weights = []
@@ -77,7 +76,7 @@ def random_selection_instance(
         if not grp:  # coordinate space exhausted; force a fresh dimension value
             return random_selection_instance(
                 rnd, order, budget, t_max, per_group, d_max, coord_lo, coord_hi, weight_max,
-                d_min, per_group_min, t_min
+                d_min, per_group_min
             )
         groups.append(grp)
         weights.append(ws)
@@ -88,25 +87,20 @@ def tagged_selection_instance(
     rnd: random.Random,
     order: DistanceOrder,
     budget: Cost,
-    t_min: int = 5,
-    t_max: int = 6,
-    per_group: int = 3,
-    d: int = 2,
     coord_hi: int = 1,
-    weight_max: int = 2,
 ) -> SelectionInstance:
-    """Groups of rows drawn from one small weighted grid, {0..coord_hi}^d
-    with a weight per grid row, made disjoint by three more coordinates
-    holding the group's index in binary.  Every prefix of g groups has the
-    same tag columns, so two prefixes share their column states whenever
-    they take the same grid rows in another order."""
-    t = rnd.randint(t_min, t_max)
-    grid = [(row, rnd.randint(1, weight_max))
-            for row in itertools.product(range(coord_hi + 1), repeat=d)]
+    """Five or six groups of at most three rows drawn from one small
+    weighted grid, {0..coord_hi}^2 with a weight 1 or 2 per grid row, made
+    disjoint by three more coordinates holding the group's index in binary.
+    Every prefix of g groups has the same tag columns, so two prefixes share
+    their column states whenever they take the same grid rows in another
+    order."""
+    t = rnd.randint(5, 6)
+    grid = [(row, rnd.randint(1, 2)) for row in itertools.product(range(coord_hi + 1), repeat=2)]
     groups, weights = [], []
     for g in range(t):
         tag = ((g >> 2) & 1, (g >> 1) & 1, g & 1)
-        rows = rnd.sample(grid, rnd.randint(1, min(per_group, len(grid))))
+        rows = rnd.sample(grid, rnd.randint(1, min(3, len(grid))))
         groups.append([row + tag for row, _ in rows])
         weights.append([w for _, w in rows])
     return SelectionInstance.of(groups, budget, order, weights)
