@@ -4,7 +4,8 @@ The main solver reduces clustering to Cluster Selection via color coding over
 initial clusters: color the initial clusters, search the families of disjoint
 color subsets (each future composite cluster) that merge exactly the excess
 over k, and ask the minimising selection solver once per distinct bundle of
-groups for the cheapest cost of that part.  The exhaustive policy is exact by
+groups for the cheapest cost of that part; a bundle of one vector per group
+is priced directly, cost only.  The exhaustive policy is exact by
 containment: a feasible solution merges at most T initial clusters, so some
 subset of min(T, n) initial clusters contains them all; coloring that subset
 with distinct colors and everything else like its first member gives each
@@ -105,6 +106,35 @@ def _assemble_clustering(
     return Clustering(tuple(member_lists), tuple(centroids), tuple(costs), total)
 
 
+def _part_pricer(order: DistanceOrder, initial: Sequence[InitialCluster], floats: bool = True):
+    """A cost-only pricer of parts of ``initial`` and its cache.
+
+    ``price(part)`` takes a tuple of initial-cluster indices and returns the
+    part's optimal cost as a float and as the exact ``cluster_cost`` value,
+    with no ``WeightedCluster`` or centroid.  Each distinct tuple is priced
+    once; the cache maps it to that pair.  With ``floats`` false the float is
+    None: for p < 1 it costs a high-precision evaluation.
+    """
+    points = [ic.representative for ic in initial]
+    sizes = [ic.size for ic in initial]
+    if not floats:
+        to_float = lambda value: None
+    elif order.kind == "lp" and order.p < 1:
+        to_float = lambda value: float(cost_eval(summed_cost(order, (value,))))
+    else:
+        to_float = float
+    cache: dict[tuple[int, ...], tuple] = {}  # part -> (float, exact value)
+
+    def price(part: tuple[int, ...]) -> tuple:
+        hit = cache.get(part)
+        if hit is None:
+            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
+            hit = cache[part] = (to_float(value), value)
+        return hit
+
+    return price, cache
+
+
 @dataclass
 class BruteForceResult:
     decision: bool
@@ -155,17 +185,7 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     # floats add exactly below 2**50.
     halves = kind in ("l0", "linf") or (kind == "lp" and p == 1)
     rel = (n_ic + 4) * 2.0**-50
-    points = [ic.representative for ic in initial]
-    sizes = [ic.size for ic in initial]
-    part_cache: dict[tuple[int, ...], tuple] = {}  # part -> (float, exact value)
-
-    def part_cost(part: tuple[int, ...]) -> tuple:
-        hit = part_cache.get(part)
-        if hit is None:
-            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
-            f = float(cost_eval(summed_cost(order, (value,)))) if basis else float(value)
-            hit = part_cache[part] = (f, value)
-        return hit
+    part_cost, part_cache = _part_pricer(order, initial)
 
     best_cost: Cost | None = None
     best_lo = best_hi = math.inf  # the incumbent's float band
@@ -269,25 +289,30 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     families of disjoint color sets that merge the n - k excess initial
     clusters, depth first, cutting a branch at a part whose bundle is
     infeasible or that takes the running cost over the budget.  Each part's
-    cost is the exact optimum of its Cluster Selection bundle, found by one
-    minimising ``solve_selection`` call per distinct bundle with the
-    instance budget as the bound; a bundle whose groups each hold one vector
-    is priced directly at its single tuple, and any other runs the order's
-    selection kernel.  A yes always carries a verified witness clustering.
-    The policy picks only the colorings and a no's confidence; one loop
-    tries them.  Under ``auto`` a no is one sided, with confidence
-    1 - (1 - e**-T)**N after N random colorings.  The exhaustive policy
-    tries each distinct coloring of a subset of min(T, n) initial clusters
-    once, which is exact by containment (see ``_rainbow_colorings``).
-    ``stats["iterations"]`` counts colorings and ``stats["families"]`` the
-    complete families reached (every part priced within the budget); the
-    stats also sum the selection solvers' counters under their own names.
+    cost is the exact optimum of its Cluster Selection bundle.  A bundle
+    whose color classes each hold one initial cluster has a single tuple:
+    that part is priced cost only, once per distinct set of initial
+    clusters, by the pricer ``solve_bruteforce`` uses.  Any other bundle
+    takes one minimising ``solve_selection`` call per distinct bundle, with
+    the instance budget as the bound.  A complete family is re-priced
+    through the centroid rules for its witness, and that total must equal
+    the search's running cost.  The policy picks only the colorings and a
+    no's confidence; one loop tries them.  Under ``auto`` a no is one
+    sided, with confidence 1 - (1 - e**-T)**N after N random colorings.  The
+    exhaustive policy tries each distinct coloring of a subset of min(T, n)
+    initial clusters once, which is exact by containment (see
+    ``_rainbow_colorings``).  ``stats["iterations"]`` counts colorings,
+    ``stats["families"]`` the complete families reached (every part priced
+    within the budget), ``stats["selection_calls"]`` the selection kernel
+    calls and ``stats["pricings"]`` the distinct one-vector parts priced;
+    the stats also sum the selection solvers' counters under their own
+    names.
     """
     cfg = cfg or SolveConfig()
     order = inst.order
     initial = regularize(inst.dataset)
     n_ic = len(initial)
-    stats: dict = {"iterations": 0, "families": 0, "selection_calls": 0}
+    stats: dict = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0}
 
     if n_ic == 0 or inst.k >= n_ic:
         clustering = _assemble_clustering(order, initial, ())
@@ -315,10 +340,25 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             min_cache[key] = res if res.decision else None
         return min_cache[key]
 
+    # per part of one-vector color classes, keyed by its sorted initial
+    # clusters: its optimal cost, or None when that exceeds the budget
+    price, _ = _part_pricer(order, initial, floats=False)
+    one_cache: dict[tuple[int, ...], Cost | None] = {}
+
+    def one_vector_cost(members: tuple[int, ...]) -> Cost | None:
+        key = tuple(sorted(members))
+        if key not in one_cache:
+            stats["pricings"] += 1
+            cost = summed_cost(order, (price(key)[1],))
+            one_cache[key] = cost if cost_le(cost, inst.budget) else None
+        return one_cache[key]
+
     def try_coloring(coloring: Sequence[int]) -> SolveResult | None:
         classes: dict[int, list[int]] = {}
         for ic_idx, color in enumerate(coloring):
             classes.setdefault(color, []).append(ic_idx)
+        single = {color: members[0] for color, members in classes.items()
+                  if len(members) == 1}
         groups = {color: tuple(initial[i].representative for i in members)
                   for color, members in classes.items()}
         weights = {color: tuple(initial[i].size for i in members)
@@ -330,9 +370,10 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             if left == 0:
                 stats["families"] += 1
                 clustering = _assemble_clustering(order, initial, parts)
-                if cost_le(clustering.total_cost, inst.budget):
-                    return SolveResult(True, clustering, stats)
-                return None
+                if not cost_eq(clustering.total_cost, running):
+                    raise AssertionError("the witness's optimal costs do not sum to the "
+                                         "search's total")
+                return SolveResult(True, clustering, stats)
             first, rest = pool[0], pool[1:]
             # m colors hold at most m - 1 merges, so while ``left`` is below
             # len(rest) any part size leaves enough; at equality only the
@@ -345,14 +386,22 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             for size in range(1 if fits else left, min(left, len(rest)) + 1):
                 for extra in itertools.combinations(rest, size):
                     part = (first,) + extra
-                    witness = min_feasible(tuple(groups[c] for c in part),
-                                           tuple(weights[c] for c in part))
-                    if witness is None:
-                        continue
-                    total = running + witness.cost
+                    if all(c in single for c in part):
+                        members = tuple(single[c] for c in part)  # in color order
+                        cost = one_vector_cost(members)
+                        if cost is None:
+                            continue
+                    else:
+                        witness = min_feasible(tuple(groups[c] for c in part),
+                                               tuple(weights[c] for c in part))
+                        if witness is None:
+                            continue
+                        members = tuple(classes[c][i] for c, i in zip(part, witness.indices))
+                        cost = witness.cost
+                    total = running + cost
                     if not cost_le(total, inst.budget):
                         continue
-                    parts.append(tuple(classes[c][i] for c, i in zip(part, witness.indices)))
+                    parts.append(members)
                     hit = rec(tuple(c for c in rest if c not in extra), left - size, total)
                     parts.pop()
                     if hit is not None:

@@ -141,6 +141,17 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert run_cli(["solve", str(low), "--policy", "exhaustive"]) == 1
     capsys.readouterr()
 
+    # T = 6 colors for 3 initial clusters: every part is one-vector, priced
+    # cost only, with no selection call
+    small = tmp_path / "small.json"
+    ds = minkclust.Dataset(1, ((0,), (1,), (5,)), (1, 1, 1))
+    small.write_text(json.dumps(instance_to_obj(
+        minkclust.ClusteringInstance(ds, 2, Cost.of(3), DistanceOrder.l1()))))
+    assert run_cli(["solve", str(small), "--policy", "exhaustive"]) == 0
+    out = capsys.readouterr().out
+    assert "total cost: 1" in out
+    assert "stat pricings: 2" in out and "stat selection_calls: 0" in out
+
     assert run_cli(["solve", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
 

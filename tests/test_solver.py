@@ -23,6 +23,7 @@ from minkclust import (
     gen_linf2_from_hioct,
     gen_linf_clustering_from_clique,
     HioctInstance,
+    merge_cost_bound,
     optimal_cluster_cost,
     regularize,
     select_bruteforce,
@@ -143,15 +144,22 @@ def test_solve_bruteforce_counts_parts_and_pricings():
 
 
 def test_bruteforce_oracles_reprice_their_winner(monkeypatch):
-    """Both brute-force oracles search on cost-only prices and re-price the
-    winner through the centroid rules; a cost-only price that disagrees with
-    them raises instead of returning a wrong optimum."""
+    """Both brute-force oracles and the colour-coding search's one-vector
+    parts use cost-only prices, and the winner is re-priced through the
+    centroid rules; a cost-only price that disagrees with them raises instead
+    of returning a wrong answer."""
     def off_by_one(order, points, weights):
         return cluster_cost(order, points, weights) + 1
 
     monkeypatch.setattr(solver, "cluster_cost", off_by_one)
     with pytest.raises(AssertionError, match="search's best"):
         solve_bruteforce(gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3))
+    # a yes with slack: the colour-coding search's one-vector parts, priced
+    # one over, still fit the budget, and the witness's re-pricing catches it
+    ds = Dataset(1, ((0,), (1,), (5,)), (1, 1, 1))
+    with pytest.raises(AssertionError, match="search's total"):
+        solve_color_coding(ClusteringInstance(ds, 2, Cost.of(3), DistanceOrder.l1()),
+                           SolveConfig(policy="exhaustive"))
     monkeypatch.setattr(selection, "cluster_cost", off_by_one)
     groups = [[(0, 1), (3, 3)], [(1, 1), (4, 0)]]
     for order in (DistanceOrder.l0(), DistanceOrder.l1(), DistanceOrder.linf()):
@@ -325,33 +333,70 @@ def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
 
 @pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
 def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed):
-    """The colour-coding solver asks the selection solver once per distinct
-    bundle of groups, and its stats sum the selection counters."""
-    calls = []
+    """The colour-coding solver handles each distinct bundle once: a bundle
+    with a group of several vectors takes one selection call, whose counters
+    the stats sum, and a part of one-vector groups is priced once, cost only."""
+    calls, priced = [], []
     inner = Counter()
-    real = solver.solve_selection
+    real_selection, real_cost = solver.solve_selection, solver.cluster_cost
 
     def counting(sel, **kwargs):
         calls.append((sel.groups, sel.weights))
-        res = real(sel, **kwargs)
+        res = real_selection(sel, **kwargs)
         inner.update({name: res.stats.get(name, 0) for name in solver.SELECTION_COUNTERS})
         return res
 
+    def pricing(order, points, weights):
+        priced.append((tuple(points), tuple(weights)))
+        return real_cost(order, points, weights)
+
     monkeypatch.setattr(solver, "solve_selection", counting)
+    monkeypatch.setattr(solver, "cluster_cost", pricing)
     rnd = random.Random(seed)
     total = 0
     for _ in range(15):
         budget = Cost.of(budgets[rnd.randrange(len(budgets))])
         inst = random_clustering_instance(rnd, order, budget, max_initial=6)
         calls.clear()
+        priced.clear()
         inner.clear()
         stats = solve_color_coding(inst, SolveConfig(policy="exhaustive")).stats
         assert stats["selection_calls"] == len(calls) == len(set(calls))
+        assert all(any(len(g) > 1 for g in groups) for groups, _ in calls)
+        assert stats["pricings"] == len(priced) == len(set(priced))
         for name in solver.SELECTION_COUNTERS:
             assert stats.get(name, 0) == inner[name]
         assert "cost_set_size" not in stats
-        total += len(calls)
+        total += len(calls) + len(priced)
     assert total > 0
+
+
+@pytest.mark.parametrize("order", [DistanceOrder.l1(), DistanceOrder.lp(Fraction(1, 2)),
+                                   DistanceOrder.l2(), DistanceOrder.linf(),
+                                   DistanceOrder.l0()], ids=str)
+def test_one_vector_bundles_skip_selection(monkeypatch, order):
+    """With T >= n colors every color class holds one initial cluster, so the
+    exhaustive policy prices each part directly and never calls the selection
+    solver, and still decides as the brute-force oracle does."""
+    def no_selection(sel, **kwargs):
+        raise AssertionError("a one-vector bundle reached solve_selection")
+
+    monkeypatch.setattr(solver, "solve_selection", no_selection)
+    rnd = random.Random(231)
+    alpha = merge_cost_bound(order)
+    answers = Counter()
+    for _ in range(20):
+        inst = random_clustering_instance(rnd, order, Cost.of(0), max_initial=5)
+        n_ic = len(regularize(inst.dataset))
+        # T = ceil(2 budget / alpha) >= n_ic
+        budget = Cost.of(alpha * n_ic / 2 + Fraction(rnd.randrange(4), 2))
+        inst = dataclasses.replace(inst, k=min(inst.k, n_ic - 1), budget=budget)
+        res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
+        assert res.stats["T"] >= n_ic and res.stats["iterations"] == 1
+        assert res.decision == solve_bruteforce(inst).decision
+        assert res.stats["selection_calls"] == 0 and res.stats["pricings"] > 0
+        answers[res.decision] += 1
+    assert answers[True] and answers[False]
 
 
 def test_randomized_no_is_one_sided():
