@@ -26,6 +26,7 @@ from .generators import (
     Graph,
     REDUCTION_NAMES,
     build_reduction,
+    reduction_source,
     verify_reduction,
 )
 from .selection import CENTROID_CAP, SelectionInstance, select_bruteforce, solve_selection
@@ -311,6 +312,9 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     params = {"k": args.k, "p": Fraction(args.p) if args.p else Fraction(2)}
     if args.sweep:
+        if reduction_source(args.reduction) is not Graph:
+            raise CliError(f"the sweep enumerates graphs, but {args.reduction} starts "
+                           f"from a 3-CNF formula")
         try:
             import networkx as nx
         except ImportError as exc:  # pragma: no cover
@@ -325,7 +329,7 @@ def cmd_verify(args) -> int:
                 g.number_of_nodes(),
                 [(u + 1, v + 1) for u, v in g.edges()],
             ))
-        if args.reduction in ("l0-mcc", "l1-mcc", "linf-mcc", "lp-mcc"):
+        if args.reduction.endswith("-mcc"):  # the colorful reductions, as in verify_reduction
             import random
 
             rnd = random.Random(args.seed)

@@ -573,22 +573,35 @@ REDUCTION_NAMES = (
 )
 
 
+def reduction_source(name: str) -> type:
+    """The kind of source reduction ``name`` starts from: ``CnfFormula`` for
+    ``3sat-hioct-linf2``, ``Graph`` for the others (coloured for the ``-mcc``
+    reductions).  Raises ``ValueError`` for an unknown name."""
+    if name not in REDUCTION_NAMES:
+        raise ValueError(f"unknown reduction {name!r}")
+    return CnfFormula if name == "3sat-hioct-linf2" else Graph
+
+
+def check_source(name: str, source) -> None:
+    """Raise ``TypeError`` unless ``source`` is of the kind reduction ``name``
+    starts from, and ``ValueError`` for an unknown name."""
+    kind = reduction_source(name)
+    if not isinstance(source, kind):
+        raise TypeError(f"{name} starts from "
+                        f"{'a 3-CNF formula' if kind is CnfFormula else 'a graph'}, "
+                        f"not a {type(source).__name__}")
+
+
 def build_reduction(name: str, source, k: int = 3, p: Fraction = Fraction(2),
                     include_isolated_edges: bool = True):
-    """The target instance of reduction ``name`` built from ``source``: a 3-CNF
-    formula for ``3sat-hioct-linf2``, a graph (coloured for the ``-mcc``
-    reductions) for the others.  ``p`` is the exponent of ``lp-mcc`` and
+    """The target instance of reduction ``name`` built from ``source``, of the
+    kind ``reduction_source`` names.  ``p`` is the exponent of ``lp-mcc`` and
     ``include_isolated_edges`` is passed to ``gen_linf2_from_hioct``.  Raises
     ``TypeError`` for a source of the wrong kind, ``ValueError`` for an
     unknown name and ``EmptyGroupError`` when a selection degenerates."""
+    check_source(name, source)
     if name == "3sat-hioct-linf2":
-        if not isinstance(source, CnfFormula):
-            raise TypeError(f"{name} starts from a 3-CNF formula")
         return gen_linf2_from_hioct(gen_hioct_from_3sat(source), include_isolated_edges)
-    if name not in REDUCTION_NAMES:
-        raise ValueError(f"unknown reduction {name!r}")
-    if not isinstance(source, Graph):
-        raise TypeError(f"{name} starts from a graph")
     if name == "lp-mcc":
         return gen_lp_selection_from_mcc(source, k, p)
     # built per call, so that a patched gen_* name (perfbench/ traces them) applies
@@ -603,7 +616,10 @@ def build_reduction(name: str, source, k: int = 3, p: Fraction = Fraction(2),
 
 def verify_reduction(name: str, source, params: dict | None = None) -> ReductionReport:
     """Compare the brute-forced source answer against the generated target
-    instance solved at the construction's budget."""
+    instance solved at the construction's budget.  A source of the wrong
+    kind raises ``TypeError`` and an unknown name ``ValueError``, before any
+    oracle runs."""
+    check_source(name, source)
     params = dict(params or {})
     k = params.get("k", 3)
     details: dict = {}
@@ -627,7 +643,7 @@ def verify_reduction(name: str, source, params: dict | None = None) -> Reduction
             # transversal layer can be refuted, and only on small gadgets
             target_yes = hioct_bruteforce(h)
             details["hioct"] = "brute-forced"
-    elif name in REDUCTION_NAMES:
+    else:
         source_yes = graph_has_clique(source, k, colorful=name.endswith("-mcc"))
         if name == "linf-clique" and source.n < k:
             # no k-clique fits and the construction degenerates: vacuous no
@@ -652,7 +668,5 @@ def verify_reduction(name: str, source, params: dict | None = None) -> Reduction
             res = select_bruteforce(inst)
             details["min_cost"] = res.cost
             target_yes = res.decision
-    else:
-        raise ValueError(f"unknown reduction {name!r}")
 
     return ReductionReport(name, source_yes, target_yes, source_yes == target_yes, details)

@@ -3,13 +3,13 @@
 The main solver reduces clustering to Cluster Selection via color coding over
 initial clusters: color the initial clusters, search the families of disjoint
 color subsets (each future composite cluster) that merge exactly the excess
-over k, and ask the minimising selection solver once per distinct bundle of
-groups for the cheapest cost of that part; a bundle of one vector per group
-is priced directly, cost only.  The exhaustive policy is exact by
-containment: a feasible solution merges at most T initial clusters, so some
-subset of min(T, n) initial clusters contains them all; coloring that subset
-with distinct colors and everything else like its first member gives each
-merged part a bundle whose minimum costs no more than the part itself.  A
+over k, and ask the minimising selection solver once per distinct bundle (the
+part's sorted color classes) for the cheapest cost of that part; a bundle of
+one vector per group is priced directly, cost only.  The exhaustive policy is
+exact by containment: a feasible solution merges at most T initial clusters,
+so some subset of min(T, n) initial clusters contains them all; coloring that
+subset with distinct colors and everything else like its first member gives
+each merged part a bundle whose minimum costs no more than the part itself.  A
 brute-force partition oracle over initial clusters provides ground truth at
 desk scale.
 """
@@ -26,7 +26,7 @@ from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, summ
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
 from .cost_model import Cost, cost_eq, cost_eval, cost_floor, cost_le
 from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
-from .selection import CENTROID_CAP, SelectionInstance, SelectionResult, solve_selection
+from .selection import CENTROID_CAP, SelectionInstance, solve_selection
 
 MAX_ITERATIONS = 100_000  # the default random coloring count stops here
 COLORING_CAP = 1_000_000  # no policy tries more colorings
@@ -106,35 +106,6 @@ def _assemble_clustering(
     return Clustering(tuple(member_lists), tuple(centroids), tuple(costs), total)
 
 
-def _part_pricer(order: DistanceOrder, initial: Sequence[InitialCluster], floats: bool = True):
-    """A cost-only pricer of parts of ``initial`` and its cache.
-
-    ``price(part)`` takes a tuple of initial-cluster indices and returns the
-    part's optimal cost as a float and as the exact ``cluster_cost`` value,
-    with no ``WeightedCluster`` or centroid.  Each distinct tuple is priced
-    once; the cache maps it to that pair.  With ``floats`` false the float is
-    None: for p < 1 it costs a high-precision evaluation.
-    """
-    points = [ic.representative for ic in initial]
-    sizes = [ic.size for ic in initial]
-    if not floats:
-        to_float = lambda value: None
-    elif order.kind == "lp" and order.p < 1:
-        to_float = lambda value: float(cost_eval(summed_cost(order, (value,))))
-    else:
-        to_float = float
-    cache: dict[tuple[int, ...], tuple] = {}  # part -> (float, exact value)
-
-    def price(part: tuple[int, ...]) -> tuple:
-        hit = cache.get(part)
-        if hit is None:
-            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
-            hit = cache[part] = (to_float(value), value)
-        return hit
-
-    return price, cache
-
-
 @dataclass
 class BruteForceResult:
     decision: bool
@@ -185,7 +156,17 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     # floats add exactly below 2**50.
     halves = kind in ("l0", "linf") or (kind == "lp" and p == 1)
     rel = (n_ic + 4) * 2.0**-50
-    part_cost, part_cache = _part_pricer(order, initial)
+    points = [ic.representative for ic in initial]
+    sizes = [ic.size for ic in initial]
+    to_float = (lambda value: float(cost_eval(summed_cost(order, (value,))))) if basis else float
+    part_cache: dict[tuple[int, ...], tuple] = {}  # part -> (float, exact value)
+
+    def part_cost(part: tuple[int, ...]) -> tuple:
+        hit = part_cache.get(part)
+        if hit is None:
+            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
+            hit = part_cache[part] = (to_float(value), value)
+        return hit
 
     best_cost: Cost | None = None
     best_lo = best_hi = math.inf  # the incumbent's float band
@@ -289,14 +270,16 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     families of disjoint color sets that merge the n - k excess initial
     clusters, depth first, cutting a branch at a part whose bundle is
     infeasible or that takes the running cost over the budget.  Each part's
-    cost is the exact optimum of its Cluster Selection bundle.  A bundle
-    whose color classes each hold one initial cluster has a single tuple:
-    that part is priced cost only, once per distinct set of initial
-    clusters, by the pricer ``solve_bruteforce`` uses.  Any other bundle
-    takes one minimising ``solve_selection`` call per distinct bundle, with
-    the instance budget as the bound.  A complete family is re-priced
-    through the centroid rules for its witness, and that total must equal
-    the search's running cost.  The policy picks only the colorings and a
+    cost is the exact optimum of its Cluster Selection bundle, the part's
+    color classes in sorted order, and one cache keyed by that bundle prices
+    each distinct bundle once, whatever colors its classes carry.  A bundle
+    whose classes each hold one initial cluster has a single tuple, priced
+    cost only by ``cluster_cost`` and checked against the budget; any other
+    bundle takes one minimising ``solve_selection`` call, with the instance
+    budget as the bound.  A composite cluster lists its members in that
+    sorted-class order.  A complete family is re-priced through the centroid
+    rules for its witness, and that total must equal the search's running
+    cost.  The policy picks only the colorings and a
     no's confidence; one loop tries them.  Under ``auto`` a no is one
     sided, with confidence 1 - (1 - e**-T)**N after N random colorings.  The
     exhaustive policy tries each distinct coloring of a subset of min(T, n)
@@ -324,45 +307,40 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     stats["T"] = t_colors
     stats.update(dict.fromkeys(SELECTION_COUNTERS, 0))
 
-    # per bundle of groups: its minimum-cost selection, or None when even that
-    # exceeds the budget
-    min_cache: dict[tuple, SelectionResult | None] = {}
+    points = [ic.representative for ic in initial]
+    sizes = [ic.size for ic in initial]
+    # per bundle, the part's color classes in sorted order: its cheapest part's
+    # cost and initial clusters, or None when that cost exceeds the budget
+    bundles: dict[tuple[tuple[int, ...], ...], tuple[Cost, tuple[int, ...]] | None] = {}
 
-    def min_feasible(groups: tuple, weights: tuple) -> SelectionResult | None:
-        key = (groups, weights)
-        if key not in min_cache:
-            sel = SelectionInstance(groups, weights, inst.dataset.dimension,
-                                    inst.budget, order)
+    def cheapest(bundle: tuple[tuple[int, ...], ...]) -> tuple[Cost, tuple[int, ...]] | None:
+        if bundle in bundles:
+            return bundles[bundle]
+        if all(len(members) == 1 for members in bundle):
+            part = tuple(members[0] for members in bundle)
+            stats["pricings"] += 1
+            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
+            cost = summed_cost(order, (value,))
+            hit = (cost, part) if cost_le(cost, inst.budget) else None
+        else:
+            sel = SelectionInstance(
+                tuple(tuple(points[i] for i in members) for members in bundle),
+                tuple(tuple(sizes[i] for i in members) for members in bundle),
+                inst.dataset.dimension, inst.budget, order)
             stats["selection_calls"] += 1
             res = solve_selection(sel, minimize=True, centroid_cap=cfg.centroid_cap)
             for name in SELECTION_COUNTERS:
                 stats[name] += res.stats.get(name, 0)
-            min_cache[key] = res if res.decision else None
-        return min_cache[key]
-
-    # per part of one-vector color classes, keyed by its sorted initial
-    # clusters: its optimal cost, or None when that exceeds the budget
-    price, _ = _part_pricer(order, initial, floats=False)
-    one_cache: dict[tuple[int, ...], Cost | None] = {}
-
-    def one_vector_cost(members: tuple[int, ...]) -> Cost | None:
-        key = tuple(sorted(members))
-        if key not in one_cache:
-            stats["pricings"] += 1
-            cost = summed_cost(order, (price(key)[1],))
-            one_cache[key] = cost if cost_le(cost, inst.budget) else None
-        return one_cache[key]
+            hit = None
+            if res.decision:
+                hit = (res.cost, tuple(members[i] for members, i in zip(bundle, res.indices)))
+        bundles[bundle] = hit
+        return hit
 
     def try_coloring(coloring: Sequence[int]) -> SolveResult | None:
-        classes: dict[int, list[int]] = {}
+        classes: dict[int, tuple[int, ...]] = {}
         for ic_idx, color in enumerate(coloring):
-            classes.setdefault(color, []).append(ic_idx)
-        single = {color: members[0] for color, members in classes.items()
-                  if len(members) == 1}
-        groups = {color: tuple(initial[i].representative for i in members)
-                  for color, members in classes.items()}
-        weights = {color: tuple(initial[i].size for i in members)
-                   for color, members in classes.items()}
+            classes[color] = classes.get(color, ()) + (ic_idx,)
         parts: list[tuple[int, ...]] = []  # the chosen initial clusters per part
 
         def rec(pool: tuple[int, ...], left: int, running: Cost) -> SolveResult | None:
@@ -385,19 +363,10 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                     return hit
             for size in range(1 if fits else left, min(left, len(rest)) + 1):
                 for extra in itertools.combinations(rest, size):
-                    part = (first,) + extra
-                    if all(c in single for c in part):
-                        members = tuple(single[c] for c in part)  # in color order
-                        cost = one_vector_cost(members)
-                        if cost is None:
-                            continue
-                    else:
-                        witness = min_feasible(tuple(groups[c] for c in part),
-                                               tuple(weights[c] for c in part))
-                        if witness is None:
-                            continue
-                        members = tuple(classes[c][i] for c, i in zip(part, witness.indices))
-                        cost = witness.cost
+                    priced = cheapest(tuple(sorted(classes[c] for c in (first,) + extra)))
+                    if priced is None:
+                        continue
+                    cost, members = priced
                     total = running + cost
                     if not cost_le(total, inst.budget):
                         continue

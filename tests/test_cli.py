@@ -184,6 +184,19 @@ def test_cli_verify_sweep_small(capsys):
     assert "disagreements: 0" in out
 
 
+def test_cli_verify_sweep_rejects_a_formula_reduction(monkeypatch, capsys):
+    """The sweep enumerates graphs; a reduction that starts from a 3-CNF
+    formula is an error before any source runs, with no table."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a sweep source ran")
+
+    monkeypatch.setattr(cli, "verify_reduction", ran)
+    assert run_cli(["verify", "3sat-hioct-linf2", "--sweep", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3sat-hioct-linf2 starts from a 3-CNF formula" in captured.err
+
+
 def test_cli_verify_sweep_reports_past_a_raising_source(monkeypatch, capsys):
     real, seen = cli.verify_reduction, []
 

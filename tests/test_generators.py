@@ -27,9 +27,12 @@ from minkclust import (
     solve_bruteforce,
     verify_reduction,
 )
+from minkclust import generators
 from minkclust.generators import (
+    REDUCTION_NAMES,
     BinarySelectionInstance,
     binary_lp_min_cost,
+    build_reduction,
     hioct_delta_from_assignment,
     linf2_witness_cost,
     lp_mcc_budget,
@@ -320,3 +323,23 @@ def test_verify_reduction_examples():
     assert rep.agree and rep.source_yes
     with pytest.raises(ValueError):
         verify_reduction("nope", EX_CLIQUE_GRAPH, {})
+
+
+@pytest.mark.parametrize("name", REDUCTION_NAMES)
+def test_reductions_reject_a_source_of_the_wrong_kind(monkeypatch, name):
+    """Each reduction names the kind of source it starts from; a source of the
+    other kind raises ``TypeError`` from both entry points before any oracle
+    or generator runs, rather than an ``AttributeError`` from inside one."""
+    def ran(*args, **kwargs):
+        raise AssertionError("an oracle or generator ran on a source of the wrong kind")
+
+    for attr in ("graph_has_clique", "sat_satisfying_assignment", "hioct_bruteforce",
+                 "gen_hioct_from_3sat", "solve_bruteforce", "select_bruteforce"):
+        monkeypatch.setattr(generators, attr, ran)
+    formula = CnfFormula(3, ((1, -2, 3),))
+    wrong = TRIANGLE_COLORED if name == "3sat-hioct-linf2" else formula
+    kind = "a 3-CNF formula" if name == "3sat-hioct-linf2" else "a graph"
+    for entry in (lambda: verify_reduction(name, wrong, {"k": 3}),
+                  lambda: build_reduction(name, wrong)):
+        with pytest.raises(TypeError, match=f"{name} starts from {kind}"):
+            entry()

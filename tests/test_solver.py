@@ -331,17 +331,23 @@ def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
         assert res.stats["families"] == int(yes)
 
 
+@pytest.mark.parametrize("policy", ["exhaustive", "auto"])
 @pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
-def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed):
-    """The colour-coding solver handles each distinct bundle once: a bundle
-    with a group of several vectors takes one selection call, whose counters
-    the stats sum, and a part of one-vector groups is priced once, cost only."""
+def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed, policy):
+    """The colour-coding solver handles each distinct bundle once, whatever
+    colours its classes carry: a bundle with a group of several vectors takes
+    one selection call, whose counters the stats sum, and a part of one-vector
+    groups is priced once, cost only.  Under ``auto`` one set of classes meets
+    several colour orders, so no two calls may get the same multiset of
+    (group, weights) pairs."""
+    cfg = (SolveConfig(policy="exhaustive") if policy == "exhaustive"
+           else SolveConfig(iterations=30, seed=seed))
     calls, priced = [], []
     inner = Counter()
     real_selection, real_cost = solver.solve_selection, solver.cluster_cost
 
     def counting(sel, **kwargs):
-        calls.append((sel.groups, sel.weights))
+        calls.append(tuple(sorted(zip(sel.groups, sel.weights))))
         res = real_selection(sel, **kwargs)
         inner.update({name: res.stats.get(name, 0) for name in solver.SELECTION_COUNTERS})
         return res
@@ -360,9 +366,9 @@ def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed):
         calls.clear()
         priced.clear()
         inner.clear()
-        stats = solve_color_coding(inst, SolveConfig(policy="exhaustive")).stats
-        assert stats["selection_calls"] == len(calls) == len(set(calls))
-        assert all(any(len(g) > 1 for g in groups) for groups, _ in calls)
+        stats = solve_color_coding(inst, cfg).stats
+        assert stats["selection_calls"] == len(calls) == len(set(calls)), inst
+        assert all(any(len(g) > 1 for g, _ in pairs) for pairs in calls)
         assert stats["pricings"] == len(priced) == len(set(priced))
         for name in solver.SELECTION_COUNTERS:
             assert stats.get(name, 0) == inner[name]
