@@ -138,6 +138,8 @@ def instance_from_obj(obj: dict):
         if kind == "selection":
             group_ids = [int(g) for g in obj["groups"]]
             weights = obj.get("weights") or [1] * len(vectors)
+            if not len(vectors) == len(group_ids) == len(weights):
+                raise CliError("vectors, groups and weights must have the same length")
             if sorted(set(group_ids)) != list(range(1, max(group_ids) + 1)):
                 raise CliError("group indices must be contiguous from 1")
             t = max(group_ids)
@@ -403,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cap-families", dest="cap_families", type=int,
                          default=5_000_000,
                          help="bound on the merge parts the brute-force oracle "
-                              "(--mode oracle) tries, cut or not")
+                              "(--mode oracle) tries, cut or not; under Hamming, "
+                              "p = 1 and max distance each step of its member "
+                              "walk counts as a part")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sel = sub.add_parser("select", help="solve a selection instance")

@@ -481,13 +481,10 @@ def hioct_delta_from_assignment(h: HioctInstance, assignment: Sequence[bool]) ->
     return delta
 
 
-def linf2_witness_cost(h: HioctInstance, delta: Sequence[int],
-                       include_isolated_edges: bool = True) -> Fraction:
-    """Exact cost of the 2-clustering witness induced by a valid transversal.
-
-    Splits vectors along a proper 2-coloring of the graph minus the deleted
-    edges and assigns explicit centroid values per edge coordinate; each
-    vertex then pays at most 1 + delta(v)."""
+def _linf2_witness(h: HioctInstance, delta: Sequence[int],
+                   include_isolated_edges: bool) -> tuple[tuple, list[int], list[list[int]]]:
+    """The 2-clustering witness of a valid transversal: the encoded graph's
+    edges (one coordinate each), every vertex's side and the two centroids."""
     g, full_delta = _two_clustering_graph(h, include_isolated_edges, delta)
     n, edges = g.n, g.edges
     kept = [(u, v) for u, v in edges if full_delta[u - 1] + full_delta[v - 1] < 2]
@@ -512,12 +509,35 @@ def linf2_witness_cost(h: HioctInstance, delta: Sequence[int],
                 centroids[cl][idx] = 1
             elif v_in:
                 centroids[cl][idx] = -1
+    return edges, side, centroids
+
+
+def linf2_witness_cost(h: HioctInstance, delta: Sequence[int],
+                       include_isolated_edges: bool = True) -> Fraction:
+    """Exact cost of the 2-clustering witness induced by a valid transversal.
+
+    Splits vectors along a proper 2-coloring of the graph minus the deleted
+    edges and assigns explicit centroid values per edge coordinate; each
+    vertex then pays at most 1 + delta(v).  A vertex's vector is +2 or -2 on
+    its incident coordinates and 0 elsewhere, so its distance is the larger
+    of its incident gaps and its side's largest centroid value, by size, on a
+    coordinate not incident to it: O(|E| log |E| + |V| deg) in all."""
+    edges, side, centroids = _linf2_witness(h, delta, include_isolated_edges)
+    own: list[dict[int, int]] = [{} for _ in range(len(side) + 1)]  # coordinate -> value
+    for idx, (a, b) in enumerate(edges):
+        own[a][idx] = 2
+        own[b][idx] = -2
+    by_size = [sorted(range(len(edges)), key=lambda idx: -abs(c[idx])) for c in centroids]
     # every value is an integer; only the returned total is a Fraction
     total = 0
-    for v in range(1, n + 1):
+    for v in range(1, len(side) + 1):
         c = centroids[side[v - 1]]
-        total += max(abs((2 if a == v else -2 if b == v else 0) - y)
-                     for (a, b), y in zip(edges, c))
+        incident = own[v]
+        cost = max((abs(x - c[idx]) for idx, x in incident.items()), default=0)
+        far = next((idx for idx in by_size[side[v - 1]] if idx not in incident), None)
+        if far is not None:
+            cost = max(cost, abs(c[far]))
+        total += cost
     return Fraction(total)
 
 

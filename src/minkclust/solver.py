@@ -20,6 +20,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, summed_cost
@@ -120,15 +121,30 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
 
     Cluster costs only grow under merging, so the optimum merges exactly
     ``len(initial) - k`` excess units; only merge families of that excess are
-    enumerated.  A branch is cut once its lower bound, its parts' costs plus
-    the per-merge cost floor for each merge left, reaches the incumbent's
-    cost; ties keep the incumbent, the first minimum found.  Each distinct
-    part is priced once, cost only (``cluster_cost``), and kept as a float
-    and its exact value; a ``Cost`` is summed only for an improving family
-    and for a bound inside the float band.  The winning family is priced
+    enumerated, each anchor's parts by size and, within a size, in
+    lexicographic order.  A branch is cut once its lower bound, its parts'
+    costs plus a look-ahead for the merges left, reaches the incumbent's cost;
+    ties keep the incumbent, the first minimum found.  Each distinct part is
+    priced once, cost only (``cluster_cost``).  The winning family is priced
     again part by part through ``optimal_cluster_cost`` for its witness, and
-    that total must equal the search's best cost.  ``family_cap`` bounds the
-    parts the search tries, cut or not, and raises ``RuntimeError`` past it.
+    that total must equal the search's best cost.
+
+    Hamming, p = 1 and max-distance costs of integer points are integers or
+    halves; they are compared exactly as doubled integers.  These distances
+    are metrics, so the two-point optimum is min(w_a, w_b) * d(a, b), and
+    summing w_a d(a, c) + w_b d(b, c) >= that over the pairs of a part of s
+    members gives (s - 1) * cost >= its pair sum.  The search prices every
+    pair first.  With c2 the cheapest pair, parts making m > 0 merges cost at
+    least max(alpha * m, (m + 1) * c2 / 2), alpha the per-merge floor.  A
+    part is grown member by member, dropping a prefix whose costliest pair
+    already reaches the incumbent, and a part whose pair bound does is cut
+    before it is priced.  The other orders look ahead alpha per merge only,
+    and cut by floats outside a rounding band and by a summed ``Cost``
+    inside it.
+
+    ``family_cap`` bounds the parts tried, cut or not, and raises
+    ``RuntimeError`` past it; for the three metric orders a part tried is a
+    step of the member walk, a prefix or a whole part.
     ``stats["families"]`` counts the improving families reached,
     ``stats["parts"]`` the parts tried and ``stats["pricings"]`` the distinct
     parts priced.
@@ -143,80 +159,119 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
 
     order = inst.order
     alpha = merge_cost_bound(order)
-    alpha_f = float(alpha)
     kind, p = order.kind, order.p
     basis = kind == "lp" and p < 1
+    metric = kind in ("l0", "linf") or (kind == "lp" and p == 1)
     # the floor per merge as a cost of the order's regime (alpha * 1**p for p < 1)
     step = Cost.basis({1: int(alpha)}, p) if basis else Cost.of(alpha)
-    # Floats filter the cut.  A float sum of at most n part costs, each
-    # rounded from its exact value, is within 2n * 2**-53 of it relative, so a
-    # branch's bound and the incumbent differ from their floats by 4n * 2**-53
-    # together; within twice that band of the incumbent the exact sum decides.
-    # Hamming, p = 1 and max-distance costs are integers or halves, which
-    # floats add exactly below 2**50.
-    halves = kind in ("l0", "linf") or (kind == "lp" and p == 1)
+    # Floats filter the cut of the other orders.  A float sum of at most n
+    # part costs, each rounded from its exact value, is within 2n * 2**-53 of
+    # it relative, so a branch's bound and the incumbent differ from their
+    # floats by 4n * 2**-53 together; within twice that band of the incumbent
+    # the exact sum decides.
     rel = (n_ic + 4) * 2.0**-50
     points = [ic.representative for ic in initial]
     sizes = [ic.size for ic in initial]
-    to_float = (lambda value: float(cost_eval(summed_cost(order, (value,))))) if basis else float
-    part_cache: dict[tuple[int, ...], tuple] = {}  # part -> (float, exact value)
+    if metric:
+        to_key = _doubled
+    elif basis:
+        to_key = lambda value: float(cost_eval(summed_cost(order, (value,))))  # noqa: E731
+    else:
+        to_key = float
+    part_cache: dict[tuple[int, ...], tuple] = {}  # part -> (key, exact value)
 
     def part_cost(part: tuple[int, ...]) -> tuple:
         hit = part_cache.get(part)
         if hit is None:
             value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
-            hit = part_cache[part] = (to_float(value), value)
+            hit = part_cache[part] = (to_key(value), value)
         return hit
 
+    if metric:
+        pair = [[0] * n_ic for _ in range(n_ic)]  # pair[a][b]: the doubled cost of {a, b}
+        for a, b in itertools.combinations(range(n_ic), 2):
+            pair[a][b] = pair[b][a] = part_cost((a, b))[0]
+        c2 = min(pair[a][b] for a, b in itertools.combinations(range(n_ic), 2))
+        # doubled costs are integers, so each bound rounds up
+        ahead = [0] + [max(int(2 * alpha) * m, -(-(m + 1) * c2 // 2)) for m in range(1, excess + 1)]
+    else:
+        ahead = [float(alpha) * m for m in range(excess + 1)]
+
     best_cost: Cost | None = None
-    best_lo = best_hi = math.inf  # the incumbent's float band
-    best_exact = False  # whether the floats at the incumbent are exact
+    best_lo = best_hi = math.inf  # the incumbent's key, or for floats its band
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = tried = 0
     current_parts: list[tuple[int, ...]] = []
     current_values: list = []  # the exact values of current_parts
 
-    def rec(pool: tuple[int, ...], left: int, total_f: float):
-        nonlocal best_cost, best_lo, best_hi, best_exact, best_family, families, tried
+    def count() -> None:
+        nonlocal tried
+        tried += 1
+        if tried > family_cap:
+            raise RuntimeError("family cap exceeded")
+
+    def rec(pool: tuple[int, ...], left: int, total) -> None:
+        nonlocal best_cost, best_lo, best_hi, best_family, families
         if left == 0:
-            # the cut below lets through only a family cheaper than the incumbent
+            # the cut in take lets through only a family cheaper than the incumbent
             families += 1
             best_cost = summed_cost(order, current_values)
             best_family = tuple(tuple(sorted(p)) for p in current_parts)
-            best_exact = halves and total_f < 2.0**50
-            width = 0.0 if best_exact else rel
-            best_lo, best_hi = total_f * (1 - width), total_f * (1 + width)
+            best_lo, best_hi = (total, total) if metric else (total * (1 - rel), total * (1 + rel))
             return
         for ai in range(len(pool)):
             anchor = pool[ai]
             rest = pool[ai + 1:]
-            for extra_size in range(1, min(left, len(rest)) + 1):
-                for extra in itertools.combinations(rest, extra_size):
-                    tried += 1
-                    if tried > family_cap:
-                        raise RuntimeError("family cap exceeded")
-                    part = (anchor,) + extra
-                    f, value = part_cost(part)
-                    after = left - extra_size
-                    # cut once the branch's lower bound reaches the incumbent:
-                    # by floats outside the band, exactly inside it
-                    bound_f = total_f + f + alpha_f * after
-                    if bound_f >= best_lo and (
-                            bound_f > best_hi or best_exact
-                            or cost_le(best_cost, summed_cost(order, current_values + [value])
-                                       + step.scaled(after))):
-                        continue
-                    leftover = tuple(x for x in rest if x not in extra)
-                    current_parts.append(part)
-                    current_values.append(value)
-                    rec(leftover, after, total_f + f)
-                    current_parts.pop()
-                    current_values.pop()
+            for size in range(1, min(left, len(rest)) + 1):
+                if metric:
+                    walk((anchor,), rest, 0, size, left - size, total, 0, 0)
+                    continue
+                for extra in itertools.combinations(rest, size):
+                    count()
+                    take((anchor,) + extra, rest, left - size, total)
 
-    rec(tuple(range(n_ic)), excess, 0.0)
-    # rec's closure holds rec itself; break that cycle so that the part cache
-    # is freed on return rather than at the next full garbage collection
-    del rec
+    def walk(part: tuple[int, ...], rest: tuple[int, ...], start: int, size: int,
+             after: int, total: int, top: int, pair_sum: int) -> None:
+        # grow part (an anchor and its first extras) by rest[start:] towards
+        # size extras; top and pair_sum are its costliest pair and pair sum
+        for i in range(start, len(rest) - size + len(part)):
+            count()
+            x = rest[i]
+            row = pair[x]
+            t, s = top, pair_sum
+            for y in part:
+                s += row[y]
+                if row[y] > t:
+                    t = row[y]
+            room = best_lo - total - ahead[after]
+            if t >= room:
+                continue
+            grown = part + (x,)
+            if len(grown) <= size:
+                walk(grown, rest, i + 1, size, after, total, t, s)
+            elif -(-s // size) < room:
+                take(grown, rest, after, total)
+
+    def take(part: tuple[int, ...], rest: tuple[int, ...], after: int, total) -> None:
+        # price part and search on without it, unless the branch's bound
+        # reaches the incumbent: by keys outside the float band, exactly inside it
+        f, value = part_cost(part)
+        bound = total + f + ahead[after]
+        if bound >= best_lo and (
+                metric or bound > best_hi
+                or cost_le(best_cost, summed_cost(order, current_values + [value])
+                           + step.scaled(after))):
+            return
+        current_parts.append(part)
+        current_values.append(value)
+        rec(tuple(x for x in rest if x not in part), after, total + f)
+        current_parts.pop()
+        current_values.pop()
+
+    rec(tuple(range(n_ic)), excess, 0 if metric else 0.0)
+    # the three closures hold one another; break those cycles so that the part
+    # cache is freed on return rather than at the next full garbage collection
+    del rec, walk, take
     stats = {"families": families, "parts": tried, "pricings": len(part_cache)}
     if best_family is None:
         # no merge family exists (k too small for the dataset)
@@ -226,6 +281,14 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
         raise AssertionError("the witness's optimal costs do not sum to the search's best")
     decision = cost_le(best_cost, inst.budget)
     return BruteForceResult(decision, clustering, best_cost, stats)
+
+
+def _doubled(value: int | Fraction) -> int:
+    """Twice a Hamming, p = 1 or max-distance cost of integer points, an integer."""
+    twice = 2 * value
+    if twice.denominator != 1:
+        raise ValueError("the brute-force oracle takes integer vectors")
+    return twice.numerator
 
 
 def coloring_success_estimate(t_colors: int, trials: int, seed: int = 0) -> tuple[float, int]:

@@ -157,6 +157,7 @@ def random_clustering_instance(
     coord_lo: int = 0,
     coord_hi: int = 3,
     k_max: int = 4,
+    w_max: int = 2,
 ) -> ClusteringInstance:
     d = rnd.randint(1, d_max)
     n_pts = rnd.randint(2, max_initial)
@@ -170,7 +171,7 @@ def random_clustering_instance(
             continue
         seen.add(pt)
         pts.append(pt)
-    mults = tuple(rnd.randint(1, 2) for _ in pts)
+    mults = tuple(rnd.randint(1, w_max) for _ in pts)
     k = rnd.randint(1, min(k_max, len(pts)))
     ds = Dataset(d, tuple(pts), mults)
     return ClusteringInstance(ds, k, budget, order)

@@ -349,3 +349,27 @@ def test_cluster_cost_equals_optimal_cluster_cost(order, kind):
         assert cost_eq(summed_cost(order, (value,)), cost)
         sizes.add(n)
     assert sizes == set(range(1, 7))
+
+
+@pytest.mark.parametrize("order, dist", [
+    (DistanceOrder.l0(), lambda x, y: sum(a != b for a, b in zip(x, y))),
+    (DistanceOrder.l1(), lambda x, y: sum(abs(a - b) for a, b in zip(x, y))),
+    (DistanceOrder.linf(), lambda x, y: max(abs(a - b) for a, b in zip(x, y))),
+], ids=["l0", "l1", "linf"])
+def test_cluster_cost_is_bounded_by_its_pair_costs(order, dist):
+    """Under a metric the two-point optimum is min(w_x, w_y) * d(x, y), and a
+    cluster of s points costs at least every pair and at least its pair sum
+    over s - 1: the bounds behind ``solve_bruteforce``'s pair table."""
+    rnd = random.Random(21)
+    for _ in range(200):
+        s, d = rnd.randint(3, 5), rnd.randint(1, 3)
+        pts = rnd.sample(list(itertools.product(range(4), repeat=d)), min(s, 4 ** d))
+        ws = [rnd.randint(1, 3) for _ in pts]
+        pairs = []
+        for i, j in itertools.combinations(range(len(pts)), 2):
+            cost = cluster_cost(order, [pts[i], pts[j]], [ws[i], ws[j]])
+            assert cost == min(ws[i], ws[j]) * dist(pts[i], pts[j])
+            pairs.append(cost)
+        whole = cluster_cost(order, pts, ws)
+        assert whole >= max(pairs)
+        assert whole * (len(pts) - 1) >= sum(pairs)

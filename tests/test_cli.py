@@ -123,7 +123,31 @@ def test_cli_empty_group_is_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("groups", [1, 1, 2]),
+    ("weights", [1, 1, 1]),
+    ("vectors", [[0], [5], [1]]),
+], ids=["short-groups", "short-weights", "short-vectors"])
+def test_cli_selection_lists_must_have_one_length(tmp_path, capsys, field, value):
+    """A selection file whose vectors, groups and weights differ in length is
+    an error (exit 2); zipping them would silently drop vectors."""
+    inst = {
+        "kind": "selection", "p": "1", "dimension": 1,
+        "vectors": [[0], [5], [1], [9]], "groups": [1, 1, 2, 2],
+        "weights": [1, 1, 1, 1], "budget": "1",
+    }
+    inst[field] = value
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(inst))
+    assert run_cli(["select", str(path), "--mode", "oracle"]) == 2
+    assert "same length" in capsys.readouterr().err
+
+
 def test_cli_solve_paths(tmp_path, capsys):
+    """The oracle's counters on the example Hamming clique instance read 300
+    parts tried (steps of the member walk) and 86 pricings (66 pairs and the
+    20 triples the pair bounds let through); before the pair table they read
+    556 and 286."""
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 4]]}))
     inst = tmp_path / "cl.json"
@@ -132,7 +156,7 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert run_cli(["solve", str(inst), "--mode", "oracle"]) == 0
     out = capsys.readouterr().out
     assert "minimal cost: 3" in out
-    assert "stat parts: 556" in out and "stat pricings: 286" in out
+    assert "stat parts: 300" in out and "stat pricings: 86" in out
 
     body = json.loads(inst.read_text())
     body["budget"] = "2"

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -220,6 +221,35 @@ def test_hioct_sat_witness_chain():
     inst = gen_linf2_from_hioct(h)
     witness = linf2_witness_cost(h, delta)
     assert witness <= inst.budget.exact
+
+
+def test_linf2_witness_cost_equals_the_direct_max():
+    """Pricing each vertex by its incident gaps and its side's largest
+    centroid value off them gives the max over every coordinate, with and
+    without the fresh isolated edges, on random satisfiable formulas."""
+    rnd = random.Random(2121)
+    checked = 0
+    while checked < 12:
+        n = rnd.randint(3, 5)
+        clauses = tuple(
+            tuple(v * rnd.choice((1, -1)) for v in rnd.sample(range(1, n + 1), 3))
+            for _ in range(rnd.randint(1, 5))
+        )
+        f = CnfFormula(n, clauses)
+        assignment = sat_satisfying_assignment(f)
+        if assignment is None:
+            continue
+        h = gen_hioct_from_3sat(f)
+        delta = hioct_delta_from_assignment(h, assignment)
+        for include in (True, False):
+            edges, side, centroids = generators._linf2_witness(h, delta, include)
+            direct = sum(
+                max(abs((2 if a == v else -2 if b == v else 0) - y)
+                    for (a, b), y in zip(edges, centroids[side[v - 1]]))
+                for v in range(1, len(side) + 1)
+            )
+            assert linf2_witness_cost(h, delta, include) == direct
+        checked += 1
 
 
 def test_unsat_formula_detected():

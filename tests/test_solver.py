@@ -130,14 +130,16 @@ def test_solve_bruteforce_cap_counts_every_part_tried():
 
 def test_solve_bruteforce_counts_parts_and_pricings():
     """The example Hamming clique instance merges 12 initial clusters into 10.
-    Every pair and triple is priced once (66 + 220 pricings); the parts tried
-    count each again wherever the search meets it.  The early return of a k
+    Without the pair table every pair and triple was priced (66 + 220
+    pricings, 556 parts tried).  Now all 66 pairs are priced first and only
+    20 triples pass the pair bounds, and a part tried is a step of the member
+    walk, so ``family_cap`` still bounds the work.  The early return of a k
     at or above the initial cluster count reports both counters at zero."""
     inst = gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3)
     assert len(regularize(inst.dataset)) == 12 and inst.k == 10
     res = solve_bruteforce(inst)
     assert res.min_cost.exact == 3
-    assert res.stats == {"families": 2, "parts": 556, "pricings": 286}
+    assert res.stats == {"families": 2, "parts": 300, "pricings": 86}
     ds = Dataset(1, ((0,), (10,)), (1, 1))
     res = solve_bruteforce(ClusteringInstance(ds, 2, Cost.of(0), DistanceOrder.l1()))
     assert res.stats == {"families": 1, "parts": 0, "pricings": 0}
@@ -294,24 +296,43 @@ def test_color_coding_equals_bruteforce_sample(order, budgets, seed, max_initial
         assert narrow_yes >= 10
 
 
-@pytest.mark.parametrize("order,budgets,seed",
-                         [pytest.param(*row, id=str(row[0])) for row in ORDER_BUDGETS[:5]])
-def test_solve_bruteforce_equals_naive_reference(order, budgets, seed):
-    """The cut search against the uncut partition oracle, on up to 7 initial
-    clusters: the same minimum, exactly, and the same decision."""
+# (order, budgets, seed, max_initial, w_max): the five orders with
+# multiplicities 1-2, then the three metric orders, whose search cuts by pair
+# costs, with multiplicities 1-3
+REFERENCE_ROWS = [pytest.param(*row, 7, 2, id=str(row[0])) for row in ORDER_BUDGETS[:5]] + [
+    pytest.param(DistanceOrder.l1(), [1, 2, 4, 6], 231, 8, 3, id="1-weighted"),
+    pytest.param(DistanceOrder.linf(), [1, Fraction(3, 2), 2, 3], 234, 8, 3, id="inf-weighted"),
+    pytest.param(DistanceOrder.l0(), [1, 2, 3, 4], 235, 8, 3, id="0-weighted"),
+]
+
+
+@pytest.mark.parametrize("order,budgets,seed,max_initial,w_max", REFERENCE_ROWS)
+def test_solve_bruteforce_equals_naive_reference(order, budgets, seed, max_initial, w_max):
+    """The cut search against the uncut partition oracle, on up to 7 or 8
+    initial clusters: the same minimum, exactly, and the same decision.  For
+    the metric orders some instance prices fewer parts than a search that
+    prices before it cuts, which prices all comb(n, s) parts of each size
+    s = 2 .. excess + 1."""
     rnd = random.Random(seed + 100)
     seen = Counter()
+    cut_unpriced = 0
     for _ in range(60):
         budget = Cost.of(budgets[rnd.randrange(len(budgets))])
-        inst = random_clustering_instance(rnd, order, budget, max_initial=7)
+        inst = random_clustering_instance(rnd, order, budget, max_initial=max_initial, w_max=w_max)
         decision, min_cost = solve_bruteforce_reference(inst)
         res = solve_bruteforce(inst)
         assert cost_eq(res.min_cost, min_cost), inst
         assert res.decision == decision, inst
-        seen[len(regularize(inst.dataset))] += 1
+        n = len(regularize(inst.dataset))
+        excess = n - inst.k
+        every_part = sum(math.comb(n, s) for s in range(2, excess + 2))
+        cut_unpriced += res.stats["pricings"] < every_part
+        seen[n] += 1
         seen[decision] += 1
-    assert seen[7] >= 1 and seen[6] + seen[7] >= 5
+    assert seen[max_initial] >= 1 and seen[max_initial - 1] + seen[max_initial] >= 5
     assert seen[True] >= 5 and seen[False] >= 5
+    if order.kind in ("l0", "linf") or order.p == 1:
+        assert cut_unpriced >= 1
 
 
 def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
