@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import mpmath
 
 from .core import DistanceOrder, Number, Point
-from .cost_model import Cost, DEFAULT_DIGITS, cost_le
+from .cost_model import Cost, DEFAULT_DIGITS, approx_sign, approx_terms, cost_le
 from .cost_model import cost_eval  # noqa: F401  (traced by perfbench/)
 
 
@@ -87,20 +87,35 @@ def _median(cells: list[tuple[Number, int]], w_all: int) -> tuple[Number, int]:
 
 def _present_value(cells: list[tuple[Number, int]], p: Fraction) -> tuple[Number, dict[int, int]]:
     """The best present value of one coordinate for an exponent p in (0, 1)
-    and its cost as basis terms {gap: weight}.  Candidates are compared
-    exactly (``cost_le``); ties resolve to the lowest value."""
-    best_val = None
-    best_terms: dict[int, int] = {}
-    best_cost = None
+    and its cost as basis terms {gap: weight}.
+
+    Each candidate's cost is first bounded in floats (``approx_terms``): one
+    whose bound lies wholly above the best so far is passed over, and one
+    wholly below replaces it.  Only where the two bounds overlap are both
+    built as a ``Cost`` (the best's once) and compared exactly
+    (``cost_le``).  A candidate replaces the best only when strictly cheaper,
+    so ties resolve to the lowest value.
+    """
+    best_val = best_terms = best_bound = best_cost = None
     for cand in sorted({v for v, _ in cells}):
         terms: dict[int, int] = {}
         for v, w in cells:
             gap = abs(v - cand)
             if gap:
                 terms[gap] = terms.get(gap, 0) + w
-        cost = Cost.basis(terms, p)
-        if best_cost is None or not cost_le(best_cost, cost):
-            best_val, best_terms, best_cost = cand, terms, cost
+        bound = approx_terms(terms.items(), p)
+        cost = None
+        if best_val is not None:
+            sign = approx_sign(bound, best_bound)
+            if sign > 0:
+                continue
+            if sign == 0:
+                if best_cost is None:
+                    best_cost = Cost.basis(best_terms, p)
+                cost = Cost.basis(terms, p)
+                if cost_le(best_cost, cost):
+                    continue
+        best_val, best_terms, best_bound, best_cost = cand, terms, bound, cost
     return best_val, best_terms
 
 
@@ -134,8 +149,10 @@ def centroid_l1(cluster: WeightedCluster) -> tuple[Point, Cost]:
 def centroid_lp(cluster: WeightedCluster, p: Fraction) -> tuple[Point, Cost]:
     """Best present value per coordinate for exponents p in (0, 1).
 
-    Candidates are compared exactly (``cost_le``); ties resolve to the lowest
-    value.  The cost comes back as a basis combination.
+    ``_present_value`` orders each coordinate's candidates by float bounds
+    and exactly (``cost_le``) wherever the bounds overlap, so the choice is
+    exact; ties resolve to the lowest value.  The cost comes back as a basis
+    combination.
     """
     if not (0 < p < 1):
         raise ValueError("exponent must lie strictly between 0 and 1")

@@ -121,22 +121,30 @@ def instance_to_obj(inst) -> dict:
     raise CliError(f"cannot serialize {type(inst).__name__}")
 
 
+def _integer(value, what: str) -> int:
+    """An integer field of an instance file.  A boolean or a non-integral
+    number is an error: ``int`` would truncate it silently."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise CliError(f"{what}: {value!r} is not an integer")
+    return int(value)
+
+
 def instance_from_obj(obj: dict):
     try:
         kind = obj["kind"]
         order = DistanceOrder.parse(obj["p"])
-        dim = int(obj["dimension"])
-        vectors = [tuple(int(v) for v in row) for row in obj["vectors"]]
+        dim = _integer(obj["dimension"], "dimension")
+        vectors = [tuple(_integer(v, "vectors") for v in row) for row in obj["vectors"]]
         for row in vectors:
             if len(row) != dim:
                 raise CliError("vector length does not match dimension")
         budget = parse_budget(str(obj["budget"]), order)
         if kind == "clustering":
             mults = obj.get("multiplicities") or [1] * len(vectors)
-            ds = Dataset(dim, tuple(vectors), tuple(int(m) for m in mults))
-            return ClusteringInstance(ds, int(obj["k"]), budget, order)
+            ds = Dataset(dim, tuple(vectors), tuple(_integer(m, "multiplicities") for m in mults))
+            return ClusteringInstance(ds, _integer(obj["k"], "k"), budget, order)
         if kind == "selection":
-            group_ids = [int(g) for g in obj["groups"]]
+            group_ids = [_integer(g, "groups") for g in obj["groups"]]
             weights = obj.get("weights") or [1] * len(vectors)
             if not len(vectors) == len(group_ids) == len(weights):
                 raise CliError("vectors, groups and weights must have the same length")
@@ -147,7 +155,7 @@ def instance_from_obj(obj: dict):
             wlists: list[list[int]] = [[] for _ in range(t)]
             for pt, g, w in zip(vectors, group_ids, weights):
                 groups[g - 1].append(pt)
-                wlists[g - 1].append(int(w))
+                wlists[g - 1].append(_integer(w, "weights"))
             return SelectionInstance(
                 tuple(tuple(g) for g in groups),
                 tuple(tuple(w) for w in wlists),

@@ -135,38 +135,63 @@ def _cmp(a: Cost, b: Cost) -> int:
     if a == b:
         return 0
     try:
-        (fa, ea), (fb, eb) = _approx(a), _approx(b)
-    except OverflowError:  # beyond the float range the exact stage decides
-        fa = ea = fb = eb = math.nan
-    if fa + ea < fb - eb:
-        return -1
-    if fa - ea > fb + eb:
-        return 1
+        sign = approx_sign(_approx(a), _approx(b))
+    except OverflowError:  # a rational beyond the float range: the exact stage decides
+        sign = 0
+    if sign:
+        return sign
     coeffs, root, den = _radicals((a, 1), (b, -1))
     if not coeffs:
         return 0
     return 1 if _floor(coeffs, root, den) >= 0 else -1
 
 
-def _approx(cost: Cost) -> tuple[float, float]:
-    """A float value of the cost and a bound on its error.
+def approx_sign(a: tuple[float, float], b: tuple[float, float]) -> int:
+    """The sign of x - y, for values known only as (float, error bound)
+    pairs ``a`` and ``b``: -1 or 1 when the two bounds are disjoint, and 0
+    when they overlap, where only an exact comparison can tell.  An infinite
+    or NaN bound always overlaps."""
+    (fa, ea), (fb, eb) = a, b
+    if fa + ea < fb - eb:
+        return -1
+    if fa - ea > fb + eb:
+        return 1
+    return 0
 
-    A rational is rounded once.  A basis term coeff * a**p is off, relative
-    to its value and with u = 2**-53, by at most p * bits(a) * u from
-    rounding p, p * u from converting a, 2u from the power (libm's pow is
-    within an ulp, as glibc documents) and u each from converting coeff and
-    from the product; a sum of n terms adds (n - 1) * u.  The bound returned
-    is four times that total.
-    """
+
+def _approx(cost: Cost) -> tuple[float, float]:
+    """A float value of the cost and a bound on its error: a rational is
+    rounded once, and a basis cost is priced by ``approx_terms``."""
     if cost.exact is not None:
         value = cost.exact.numerator / cost.exact.denominator
         return value, value * 2.0**-52 + 5e-324
-    pf = cost.p.numerator / cost.p.denominator
+    return approx_terms(cost.terms, cost.p)
+
+
+def approx_terms(terms, p: Fraction) -> tuple[float, float]:
+    """A float value of ``sum(coeff * base**p)`` over the (base, coeff) pairs
+    ``terms``, in any order, and a bound on its error.
+
+    A term coeff * a**p is off, relative to its value and with u = 2**-53, by
+    at most p * bits(a) * u from rounding p, p * u from converting a, 2u from
+    the power (libm's pow is within an ulp, as glibc documents) and u each
+    from converting coeff and from the product; a sum of n terms adds
+    (n - 1) * u.  The bound returned is four times that total, with bits(a)
+    of the largest base.  A base too large for a float gives (0.0, inf): no
+    information, so every comparison by the bound falls through to an exact
+    one.  No terms is the exact (0.0, 0.0).
+    """
+    pf = p.numerator / p.denominator
     total = 0.0
-    for base, coeff in cost.terms:
-        total += coeff * base**pf
-    bits = cost.terms[-1][0].bit_length()  # terms are sorted by base
-    return total, total * 2.0**-51 * (pf * (bits + 1) + len(cost.terms) + 3)
+    top = 0
+    try:
+        for base, coeff in terms:
+            total += coeff * base**pf
+            if base > top:
+                top = base
+    except OverflowError:
+        return 0.0, math.inf
+    return total, total * 2.0**-51 * (pf * (top.bit_length() + 1) + len(terms) + 3)
 
 
 def _radicals(*parts: tuple[Cost, int | Fraction]) -> tuple[dict[int, int], int, int]:

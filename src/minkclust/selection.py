@@ -8,8 +8,10 @@ the optimal centroid is chosen one coordinate at a time, so a tuple's optimum
 is the sum of its columns' optima.  There the oracle walks merged column
 states, one group at a time: prefixes whose columns hold the same multisets of
 cells have the same completions at the same costs, so each such state is
-grown once, and each distinct column is priced once per call.  The max
-distance is not separable, and there the oracle prices every tuple whole.
+grown once, and each distinct column is priced once per call.  For
+p in (0, 1) a column's price also carries a float and a proven error bound,
+and tuples are ordered by those bounds, exactly only where two overlap.  The
+max distance is not separable, and there the oracle prices every tuple whole.
 ``solve_selection`` is the one exact solver: it runs a centroid
 search for exponents p in (0, 1) and the Hamming distance, and an exact tuple
 search for p = 1, the squared Euclidean cost and the max distance.  Both
@@ -44,7 +46,7 @@ from typing import Callable, Iterator, Sequence
 from .centroids import (WeightedCluster, cluster_cost, mean_cost, optimal_cluster_cost,
                         summed_cost)
 from .core import DistanceOrder, Number, Point, distance
-from .cost_model import Cost, cost_eq, cost_eval, cost_le
+from .cost_model import Cost, approx_sign, approx_terms, cost_eq, cost_eval, cost_le
 from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
 from .hypergraph import candidate_coordinate_sets  # noqa: F401  (traced by perfbench/)
 
@@ -150,18 +152,19 @@ def select_bruteforce(inst: SelectionInstance, cap: int = 1_000_000) -> Selectio
     optimal centroid.  Returns the first minimal tuple in lexicographic order.
 
     Costs are priced cost only (``cluster_cost``) and compared as plain
-    values.  Every order but the max distance picks its optimal centroid one
-    coordinate at a time, so a tuple's optimal cost is the exact sum of the
-    optimal costs of its columns, each column a one-coordinate cluster of
-    (value, weight) cells.  So a prefix's cost to come depends only on its
-    state, the multiset of cells in each of its columns, and
-    ``_column_minimum`` walks states instead of tuples: each state is grown
-    once, from the first prefix that reached it, and the last group's rows
-    are priced against every state.  The first minimum it finds is the one
-    product order finds (see there).  The max distance is not separable, so
-    there every tuple is priced whole.  The winning tuple is priced again
-    through ``optimal_cluster_cost`` for its centroid, and that cost must
-    equal the one the search found.
+    values, or for p in (0, 1) by float bounds, exactly only where two
+    overlap (``_least_basis_tuple``).  Every order but the max distance
+    picks its optimal centroid one coordinate at a time, so a tuple's
+    optimal cost is the exact sum of the optimal costs of its columns, each
+    column a one-coordinate cluster of (value, weight) cells.  So a prefix's
+    cost to come depends only on its state, the multiset of cells in each of
+    its columns, and ``_column_minimum`` walks states instead of tuples: each
+    state is grown once, from the first prefix that reached it, and the last
+    group's rows are priced against every state.  The first minimum it finds
+    is the one product order finds (see there).  The max distance is not
+    separable, so there every tuple is priced whole.  The winning tuple is
+    priced again through ``optimal_cluster_cost`` for its centroid, and that
+    cost must equal the one the search found.
 
     ``stats["tuples"]`` is the number of tuples, the product of the group
     sizes, which ``cap`` bounds: beyond it ``EnumerationCapExceeded`` is
@@ -241,8 +244,9 @@ def _column_minimum(order: DistanceOrder, rows: list,
     summing its grown columns' optima, each distinct multiset priced once
     (``stats["columns"]``).  ``stats["states"]`` counts the states entering
     the last group.  Exact costs are summed as integers where they are (far
-    faster than ``Fraction``), and basis costs by merging their terms into
-    one ``Cost`` per tuple.
+    faster than ``Fraction``); basis costs are compared by
+    ``_least_basis_tuple``, which builds a ``Cost`` only for the tuples that
+    float bounds cannot order.
     """
     basis = order.kind == "lp" and order.p != 1
     code_of: dict = {}
@@ -255,17 +259,8 @@ def _column_minimum(order: DistanceOrder, rows: list,
         cells = list(map(cells_of.__getitem__, column.cells))
         value = cluster_cost(order, [(v,) for v, _ in cells], [w for _, w in cells])
         if basis:
-            return value
+            return (*approx_terms(value, order.p), value)
         return value.numerator if value.denominator == 1 else value
-
-    if basis:
-        def total_of(values) -> Cost:
-            return summed_cost(order, values)
-
-        def less(a: Cost, b: Cost) -> bool:
-            return not cost_le(b, a)
-    else:
-        total_of, less = sum, operator.lt
 
     empty = _Column()
     empty.cells, empty.registry = (), {(): empty}
@@ -290,17 +285,62 @@ def _column_minimum(order: DistanceOrder, rows: list,
             states = grown
         stats["states"] = len(states)
         prices = _Memo(price)
+        if basis:
+            return _least_basis_tuple(order, states, coded[-1], prices)
         best = best_total = None
         for state, prefix in states.items():
             for i, row in enumerate(coded[-1]):
-                total = total_of(map(prices.__getitem__, map(dict.__getitem__, state, row)))
-                if best is None or less(total, best_total):
+                total = sum(map(prices.__getitem__, map(dict.__getitem__, state, row)))
+                if best is None or total < best_total:
                     best, best_total = prefix + (i,), total
     finally:
         # every column refers to the registry: break those cycles now, so
         # the walk's columns are freed on return, not at a collection
         empty.registry.clear()
-    return best, best_total if basis else Cost.of(best_total)
+    return best, Cost.of(best_total)
+
+
+def _least_basis_tuple(order: DistanceOrder, states: dict, last: list,
+                       prices: _Memo) -> tuple[tuple[int, ...], Cost]:
+    """The first least tuple of ``_column_minimum`` for p in (0, 1), and its
+    exact cost.
+
+    Each column's price is (float, error bound, terms), from ``approx_terms``.
+    A tuple's float is the sum of its columns' floats, and its error the sum
+    of their errors plus a rounding of 2u times the float for each of the
+    d - 1 additions (u = 2**-53); the fourfold margin of every column's
+    bound absorbs the rounding of these sums and of the comparisons.  A
+    tuple whose bound lies wholly above the best's is passed over, and one
+    wholly below replaces it; both without a ``Cost``.  Where the two bounds
+    overlap, both tuples are summed into a ``Cost`` (``summed_cost``, the
+    best's once) and ``cost_le`` decides.  A tuple replaces the best only
+    when strictly cheaper, so the first minimum is kept.  An infinite or
+    NaN bound, from a base or a total beyond the float range, always falls
+    to the exact path (``approx_sign``).
+    """
+    rounding = max(len(next(iter(states))) - 1, 0) * 2.0**-52
+    value_of, error_of = operator.itemgetter(0), operator.itemgetter(1)
+    best = best_cols = best_bound = best_cost = None
+    for state, prefix in states.items():
+        for i, row in enumerate(last):
+            cols = list(map(prices.__getitem__, map(dict.__getitem__, state, row)))
+            value = sum(map(value_of, cols))
+            bound = value, sum(map(error_of, cols)) + value * rounding
+            cost = None
+            if best is not None:
+                sign = approx_sign(bound, best_bound)
+                if sign > 0:
+                    continue
+                if sign == 0:
+                    if best_cost is None:
+                        best_cost = summed_cost(order, [c[2] for c in best_cols])
+                    cost = summed_cost(order, [c[2] for c in cols])
+                    if cost_le(best_cost, cost):
+                        continue
+            best, best_cols, best_bound, best_cost = prefix + (i,), cols, bound, cost
+    if best_cost is None:
+        best_cost = summed_cost(order, [c[2] for c in best_cols])
+    return best, best_cost
 
 
 class _Incumbent:
@@ -496,7 +536,8 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
     """Decide Cluster Selection with the search for the instance's order.
 
     - p in (0, 1): the centroid search (``_coordinate_search``) with
-      coordinate cost |a - v|**p.  Its float totals only filter, within a
+      coordinate cost |a - v|**p, as exp(p * log|a - v|) for a gap beyond
+      the float range.  Its float totals only filter, within a
       ``_FLOAT_SLACK`` share of the bound; the exact greedy cost decides.
     - Hamming: the centroid search with integer mismatch counts.
     - Squared Euclidean: a no at once when more than 4D + 1 groups exist,
@@ -530,8 +571,17 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
             bound = float(cost_eval(inc.bound))
             return bound + _FLOAT_SLACK * max(1.0, bound)
 
-        return _coordinate_search(inst, lambda a, v: abs(a - v) ** p, limit, centroid_cap,
-                                  minimize)
+        def coord_cost(a: int, v: int) -> float:
+            gap = abs(a - v)
+            try:
+                return gap**p
+            except OverflowError:  # the gap is beyond the float range, gap**p may not be
+                try:
+                    return math.exp(p * math.log(gap))
+                except OverflowError:
+                    return math.inf
+
+        return _coordinate_search(inst, coord_cost, limit, centroid_cap, minimize)
     if order.kind != "lp" and inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
     if order.kind == "l0":

@@ -219,3 +219,32 @@ EX_LINF_GRAPH = Graph.of(5, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
 EX_LINF_COLORED = Graph.of(5, [(1, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)],
                             colors=[1, 2, 2, 3, 3])
 EX_OCT_GRAPH = Graph.of(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+
+
+def tied_selection_instance(
+    rnd: random.Random,
+    order: DistanceOrder,
+    budget: Cost,
+) -> SelectionInstance:
+    """Tie-prone groups for an exponent p = 1/q.  One group holds the origin
+    alone, at a weight no smaller than all others together, so that it is
+    every tuple's optimal centroid.  The other one to three groups hold two
+    or three distinct rows of weight 1 or 2, each a unit vector, 2**q times
+    one, or the sum of two, in d = 3 or 4 coordinates.  A row costs its
+    weight times its number of 1s plus twice its number of 2**q, since
+    (2**q)**p = 2: rows such as (2**q, 0, 0) and (1, 1, 0) cost the same with
+    different term lists, and so do the tuples that take them."""
+    far = round(2 ** (1 / order.p))
+    d = rnd.randint(3, 4)
+    pool = [row for row in itertools.product((0, 1, far), repeat=d)
+            if sorted(row)[-2:] in ([0, 1], [0, far], [1, 1])]
+    rnd.shuffle(pool)
+    groups, weights = [], []
+    for _ in range(rnd.randint(1, 3)):
+        size = rnd.randint(2, 3)
+        groups.append([pool.pop() for _ in range(size)])
+        weights.append([rnd.randint(1, 2) for _ in range(size)])
+    at = rnd.randint(0, len(groups))
+    groups.insert(at, [(0,) * d])
+    weights.insert(at, [2 * len(groups)])
+    return SelectionInstance.of(groups, budget, order, weights)

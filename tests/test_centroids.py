@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from minkclust import (
+    Cost,
     DistanceOrder,
     WeightedCluster,
     binary_coordinate_cost,
@@ -17,11 +18,12 @@ from minkclust import (
     cluster_cost,
     cost_eq,
     cost_eval,
+    cost_le,
     optimal_cluster_cost,
     summed_cost,
 )
-from minkclust import simplex
-from minkclust.centroids import _linf_flow, _linf_vertex
+from minkclust import centroids, simplex
+from minkclust.centroids import _linf_flow, _linf_vertex, _present_value
 
 
 def test_median_examples():
@@ -165,6 +167,54 @@ def test_present_value_optimality_on_grid():
         for step in range(8 * lo, 8 * hi + 1):
             z = step / 8
             assert got <= sum(w * abs(v - z) ** pf for v, w in zip(vals, ws)) + 1e-9
+
+
+def _present_value_reference(cells, p):
+    """Every candidate priced as a ``Cost`` and compared exactly, the lowest
+    value kept on ties."""
+    best = None
+    for cand in sorted({v for v, _ in cells}):
+        terms = {}
+        for v, w in cells:
+            if v != cand:
+                terms[abs(v - cand)] = terms.get(abs(v - cand), 0) + w
+        cost = Cost.basis(terms, p)
+        if best is None or not cost_le(best[2], cost):
+            best = (cand, terms, cost)
+    return best[:2]
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)], ids=str)
+def test_present_value_matches_all_exact_reference(p):
+    """The float-filtered present value is the all-exact one, on random
+    weighted cells."""
+    rnd = random.Random(2207)
+    for _ in range(400):
+        cells = [(rnd.randint(-6, 6), rnd.randint(1, 3)) for _ in range(rnd.randint(1, 6))]
+        assert _present_value(cells, p) == _present_value_reference(cells, p), cells
+
+
+@pytest.mark.parametrize("cells,want", [
+    # 0 costs 1 + 9**(1/2) + 2 * 5**(1/2), and 5 costs 2 * 4**(1/2) + 2 * 5**(1/2)
+    ([(0, 2), (1, 1), (5, 2), (9, 1)], 0),
+    # 0 costs 4**(1/2) + 5**(1/2) + 9**(1/2), and 4 costs 2 * 4**(1/2) + 1 + 5**(1/2)
+    ([(0, 2), (4, 1), (5, 1), (9, 1)], 0),
+    # 4 costs 2 * 4**(1/2) + 2 * 5**(1/2), and 9 costs 9**(1/2) + 2 * 5**(1/2) + 1
+    ([(0, 1), (4, 2), (8, 1), (9, 2)], 4),
+    # 0 costs 1 + 2 * 2**(1/2) + 9**(1/2), and 1 costs 4 + 8**(1/2); 2 is cheaper
+    ([(0, 2), (1, 1), (2, 2), (9, 1)], 2),
+], ids=["first", "first-of-two", "later", "tie-above-optimum"])
+def test_present_value_exact_ties(monkeypatch, cells, want):
+    """Candidates of different term lists with exactly equal costs: the float
+    bounds overlap, the exact comparison decides, and the lowest value wins."""
+    calls = []
+    monkeypatch.setattr(centroids, "cost_le",
+                        lambda a, b: calls.append((a, b)) or cost_le(a, b))
+    half = Fraction(1, 2)
+    value, terms = _present_value(cells, half)
+    assert (value, terms) == _present_value_reference(cells, half)
+    assert value == want
+    assert any(cost_eq(a, b) and a.terms != b.terms for a, b in calls)
 
 
 def test_half_weight_fixing():

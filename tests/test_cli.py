@@ -334,3 +334,33 @@ def test_cli_unknown_reduction_exits_2(tmp_path):
     graph.write_text(json.dumps({"n": 3, "edges": [[1, 2]]}))
     proc = run_module(["generate", "not-a-thing", str(graph)])
     assert proc.returncode == 2
+
+
+SELECTION_FILE = {"kind": "selection", "p": "1", "dimension": 1,
+                  "vectors": [[2], [7], [3], [9]], "groups": [1, 1, 2, 2], "budget": "1"}
+CLUSTERING_FILE = {"kind": "clustering", "p": "1", "dimension": 1,
+                   "vectors": [[0], [1], [5], [6]], "multiplicities": [1, 1, 1, 1],
+                   "k": 2, "budget": "2"}
+
+
+@pytest.mark.parametrize("command,body,field,value", [
+    ("select", SELECTION_FILE, "vectors", [[2.9], [7], [3], [9]]),
+    ("select", SELECTION_FILE, "weights", [1, 1.5, 1, 1]),
+    ("select", SELECTION_FILE, "groups", [1, 1, 2, 2.5]),
+    ("select", SELECTION_FILE, "dimension", True),
+    ("solve", CLUSTERING_FILE, "k", 2.9),
+    ("solve", CLUSTERING_FILE, "multiplicities", [1, 1.5, 1, 1]),
+    ("solve", CLUSTERING_FILE, "vectors", [[0], [1], [5], [True]]),
+], ids=["vectors", "weights", "groups", "bool-dimension", "k", "multiplicities",
+        "bool-vectors"])
+def test_cli_non_integer_numbers_are_errors(tmp_path, capsys, command, body, field, value):
+    """A boolean or a non-integral number where an instance file needs an
+    integer is an error (exit 2), not truncated; the file is otherwise
+    valid, and an integral float such as 2.0 still reads as 2."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(body))
+    assert run_cli([command, str(path)]) == 0
+    assert instance_from_obj({**body, "dimension": 1.0}) == instance_from_obj(body)
+    path.write_text(json.dumps({**body, field: value}))
+    assert run_cli([command, str(path)]) == 2
+    assert "not an integer" in capsys.readouterr().err

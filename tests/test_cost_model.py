@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from minkclust import (
     enumerate_cost_set,
     optimal_cluster_cost,
 )
-from minkclust.cost_model import cost_floor
+from minkclust.cost_model import approx_sign, approx_terms, cost_floor
 
 
 def test_cost_eval_examples():
@@ -74,6 +75,29 @@ def test_equal_values_with_different_terms():
         assert cost_le(rational, three) == le
         assert cost_le(three, rational) == ge
         assert cost_eq(rational, three) == (le and ge)
+
+
+def test_approx_terms_bounds_the_value():
+    """The float and its error bound enclose the exact value, in any term
+    order; a base beyond the float range gives no information, (0.0, inf),
+    which every bound comparison leaves to the exact path."""
+    rnd = random.Random(77)
+    for p in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+        for _ in range(200):
+            terms = {rnd.choice([rnd.randint(1, 40), rnd.randint(1, 2**80)]): rnd.randint(1, 5)
+                     for _ in range(rnd.randint(1, 5))}
+            exact = cost_eval(Cost.basis(terms, p))
+            for pairs in (terms.items(), Cost.basis(terms, p).terms):
+                value, error = approx_terms(pairs, p)
+                assert value - error <= exact <= value + error
+    assert approx_terms((), Fraction(1, 2)) == (0.0, 0.0)
+    huge = approx_terms([(1, 1), (2**1100, 1)], Fraction(1, 2))
+    assert huge == (0.0, math.inf)
+    assert approx_sign(huge, (0.0, 0.0)) == approx_sign((0.0, 0.0), huge) == 0
+    assert approx_sign((1.0, 0.1), (2.0, 0.1)) == -1 and approx_sign((2.0, 0.1), (1.0, 0.1)) == 1
+    assert approx_sign((math.nan, math.nan), (1.0, 0.0)) == 0
+    big = Cost.basis({1: 1, 2**1100: 1}, Fraction(1, 2))
+    assert cost_le(Cost.basis({2**1100: 1}, Fraction(1, 2)), big) and not cost_eq(big, Cost.of(1))
 
 
 def test_cost_floor_is_exact():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from minkclust import (
     EnumerationCapExceeded,
     Graph,
     SelectionInstance,
+    centroid_lp,
     cost_eq,
     cost_eval,
     cost_le,
@@ -22,6 +24,7 @@ from minkclust import (
     select_bruteforce,
     select_fixed_centroid,
     solve_selection,
+    summed_cost,
 )
 from minkclust import selection
 from tests.helpers import (
@@ -31,6 +34,7 @@ from tests.helpers import (
     bruteforce_reference,
     random_selection_instance,
     tagged_selection_instance,
+    tied_selection_instance,
 )
 
 
@@ -96,13 +100,16 @@ FIVE_ORDERS = [DistanceOrder.l0(), DistanceOrder.lp(Fraction(1, 2)), DistanceOrd
                DistanceOrder.l2(), DistanceOrder.linf()]
 # (orders, instance builder, its shapes taken in turn, the dimensions and
 # group counts every order must meet, seed); the tagged groups draw their
-# rows from one small grid, so prefixes share column states
+# rows from one small grid, so prefixes share column states, and the tied
+# groups make tuples of different term lists cost exactly the same
 NAIVE_REFERENCE_SETS = {
     "spread": (FIVE_ORDERS, random_selection_instance,
                [dict(t_max=4, per_group=3, d_max=4, coord_lo=-1, coord_hi=1, weight_max=3)],
                {1, 2, 3, 4}, {1, 2, 3, 4}, 1501),
     "merging": (FIVE_ORDERS + [DistanceOrder.lp(Fraction(1, 3))], tagged_selection_instance,
                 [dict(coord_hi=1), dict(coord_hi=2)], {5}, {5, 6}, 1701),
+    "ties": ([DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.lp(Fraction(1, 3))],
+             tied_selection_instance, [{}], {3, 4}, {2, 3, 4}, 1901),
 }
 
 
@@ -113,7 +120,7 @@ def test_bruteforce_matches_naive_reference(name):
     orders, build, shapes, want_dims, want_counts, seed = NAIVE_REFERENCE_SETS[name]
     rnd = random.Random(seed)
     for order in orders:
-        decisions, dims, counts, heavy, merged = set(), set(), set(), False, 0
+        decisions, dims, counts, heavy, merged, tied = set(), set(), set(), False, 0, 0
         for n in range(50):
             inst = build(rnd, order, Cost.of(0), **shapes[n % len(shapes)])
             dims.add(inst.dimension)
@@ -130,10 +137,16 @@ def test_bruteforce_matches_naive_reference(name):
                 decisions.add(res.decision)
             if order.kind != "linf":
                 merged += res.stats["states"] < math.prod(map(len, inst.groups[:-1]))
+            if name == "ties":
+                costs = (optimal_cluster_cost(order, inst.chosen_cluster(combo))[1]
+                         for combo in itertools.product(*map(range, map(len, inst.groups))))
+                tied += len({c.terms for c in costs if cost_eq(c, ref.cost)}) > 1
         assert decisions == {True, False} and heavy, order
         assert dims == want_dims and counts == want_counts, order
         if name == "merging" and order.kind != "linf":
             assert merged >= 5, order
+        if name == "ties":  # minima shared by tuples of different term lists
+            assert tied >= 5, order
 
 
 def test_bruteforce_counts_tuples_and_column_pricings():
@@ -165,6 +178,45 @@ def test_bruteforce_keeps_the_first_prefix_of_a_shared_state():
         res = select_bruteforce(SelectionInstance.of(groups, Cost.of(0), order))
         assert res.indices == (0,) * 5, order
         assert res.stats == {"tuples": 4, "columns": 4, "states": 3}
+
+
+def test_bruteforce_builds_few_basis_costs(monkeypatch):
+    """For p in (0, 1) the oracle orders its 256 tuples by float bounds and
+    sums a tuple's terms into a ``Cost`` only where two bounds overlap, and
+    once for the winner."""
+    calls = []
+    monkeypatch.setattr(selection, "summed_cost",
+                        lambda *args: calls.append(args) or summed_cost(*args))
+    groups = [[(g, (3 * g + i) % 5, (i * i + g) % 4, (2 * i + g) % 3) for i in range(4)]
+              for g in range(4)]
+    weights = [[1 + (g + i) % 3 for i in range(4)] for g in range(4)]
+    inst = SelectionInstance.of(groups, Cost.of(0), DistanceOrder.lp(Fraction(1, 2)), weights)
+    res = select_bruteforce(inst)
+    assert len(calls) == 3
+    assert res.stats == {"tuples": 256, "columns": 501, "states": 64}
+    assert res.indices == bruteforce_reference(inst).indices == (3, 1, 2, 0)
+    assert res.cost == Cost.basis({1: 8, 2: 1}, Fraction(1, 2))
+
+
+def test_lp01_selection_prices_gaps_beyond_the_float_range():
+    """The centroid search's float filter prices a gap too large for a float
+    as exp(p * log(gap)), so both forms answer at the oracle's optimum
+    instead of raising; the exact oracle and ``centroid_lp`` are unchanged."""
+    big = 2**1100
+    groups = [[(0, 0), (big, 0)], [(2 * big, 1), (4 * big, 0)], [(big, 1), (0, 1)]]
+    half = Fraction(1, 2)
+    inst = SelectionInstance.of(groups, Cost.of(0), DistanceOrder.lp(half))
+    opt = Cost.basis({1: 1, big: 1}, half)
+    ref = select_bruteforce(inst)
+    assert (ref.indices, ref.centroid, ref.cost) == ((1, 0, 0), (big, 1), opt)
+    assert centroid_lp(inst.chosen_cluster((1, 0, 0)), half) == ((big, 1), opt)
+    at_opt = dataclasses.replace(inst, budget=opt)
+    for minimize in (False, True):
+        res = solve_selection(at_opt, minimize=minimize)
+        assert res.decision and res.indices == (1, 0, 0) and cost_eq(res.cost, opt)
+    # just below the optimum, by far less than the float filter's slack
+    below = dataclasses.replace(inst, budget=Cost.basis({big: 1}, half))
+    assert not solve_selection(below).decision
 
 
 def test_select_lp01_figure():
