@@ -73,15 +73,11 @@ def budget_to_string(budget: Cost, order: DistanceOrder | None = None) -> str:
     if budget.terms is not None:
         return "basis:" + ",".join(f"{a}:{c}" for a, c in budget.terms)
     val = budget.exact
-    if order is not None and order.kind == "l2":
-        root = math.isqrt(val.denominator)
-        if root * root == val.denominator:
-            return f"z/s2:{val.numerator}/{root}"
+    root = math.isqrt(val.denominator)
+    if root * root == val.denominator and (root > 1 or order is not None and order.kind == "l2"):
+        return f"z/s2:{val.numerator}/{root}"
     if val.denominator == 1:
         return str(val.numerator)
-    root = math.isqrt(val.denominator)
-    if root * root == val.denominator and val.denominator > 1:
-        return f"z/s2:{val.numerator}/{root}"
     return f"{val.numerator}/{val.denominator}"
 
 
@@ -185,11 +181,12 @@ def graph_from_obj(obj: dict):
     """A graph, or a 3-CNF formula when ``kind`` is ``3sat``."""
     try:
         if obj.get("kind") == "3sat":
-            clauses = tuple(tuple(int(l) for l in cl) for cl in obj["clauses"])
-            return CnfFormula(int(obj["num_vars"]), clauses)
+            clauses = tuple(tuple(_integer(l, "clauses") for l in cl) for cl in obj["clauses"])
+            return CnfFormula(_integer(obj["num_vars"], "num_vars"), clauses)
         colors = obj.get("colors")
-        return Graph.of(int(obj["n"]), obj["edges"],
-                        [int(c) for c in colors] if colors else None)
+        return Graph.of(_integer(obj["n"], "n"),
+                        [[_integer(v, "edges") for v in edge] for edge in obj["edges"]],
+                        [_integer(c, "colors") for c in colors] if colors else None)
     except (KeyError, ValueError, TypeError) as exc:
         raise CliError(f"malformed graph file: {exc}") from exc
 
@@ -413,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--cap-families", dest="cap_families", type=int,
                          default=5_000_000,
                          help="bound on the merge parts the brute-force oracle "
-                              "(--mode oracle) tries, cut or not; under Hamming, "
-                              "p = 1 and max distance each step of its member "
-                              "walk counts as a part")
+                              "(--mode oracle) tries, cut or not; each step of "
+                              "its member walk counts as a part")
     p_solve.set_defaults(func=cmd_solve)
 
     p_sel = sub.add_parser("select", help="solve a selection instance")

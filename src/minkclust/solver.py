@@ -129,25 +129,32 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     again part by part through ``optimal_cluster_cost`` for its witness, and
     that total must equal the search's best cost.
 
-    Hamming, p = 1 and max-distance costs of integer points are integers or
-    halves; they are compared exactly as doubled integers.  These distances
-    are metrics, so the two-point optimum is min(w_a, w_b) * d(a, b), and
-    summing w_a d(a, c) + w_b d(b, c) >= that over the pairs of a part of s
-    members gives (s - 1) * cost >= its pair sum.  The search prices every
-    pair first.  With c2 the cheapest pair, parts making m > 0 merges cost at
-    least max(alpha * m, (m + 1) * c2 / 2), alpha the per-merge floor.  A
-    part is grown member by member, dropping a prefix whose costliest pair
-    already reaches the incumbent, and a part whose pair bound does is cut
-    before it is priced.  The other orders look ahead alpha per merge only,
-    and cut by floats outside a rounding band and by a summed ``Cost``
-    inside it.
+    The bounds come from pairs, under every order.  A pair {a, b} is priced
+    as its own optimum P(a, b); with c* a part's optimal centroid, P(a, b) <=
+    w_a d(a, c*) + w_b d(b, c*), and summing that over the pairs of a part of
+    s members gives (s - 1) * cost >= its pair sum, while a part never costs
+    less than any of its pairs.  The search prices every pair first.  With
+    c2 the cheapest pair, parts making m > 0 merges cost at least
+    max(alpha * m, (m + 1) * c2 / 2), alpha the per-merge floor.  A part is
+    grown member by member, dropping a prefix whose costliest pair already
+    reaches the incumbent, and a part whose pair sum does is cut before it is
+    priced.
+
+    The search compares keys.  Costs of integer points are integers or
+    halves under Hamming, p = 1 and max distance, and multiples of 1/W for a
+    squared L2 part of weight W.  Scaled by 2, or for squared L2 by
+    lcm(1, ..., W) with W the dataset's total weight, they are integers and
+    compared exactly; a value that does not scale to an integer raises
+    ``ValueError``.  For p in (0, 1) the keys are floats: a branch is
+    cut only above a rounding band over the incumbent, and a complete family
+    below it is compared with the incumbent by ``cost_le``, exactly where
+    the floats cannot tell.
 
     ``family_cap`` bounds the parts tried, cut or not, and raises
-    ``RuntimeError`` past it; for the three metric orders a part tried is a
-    step of the member walk, a prefix or a whole part.
-    ``stats["families"]`` counts the improving families reached,
-    ``stats["parts"]`` the parts tried and ``stats["pricings"]`` the distinct
-    parts priced.
+    ``RuntimeError`` past it; a part tried is a step of the member walk, a
+    prefix or a whole part.  ``stats["families"]`` counts the improving
+    families reached, ``stats["parts"]`` the parts tried and
+    ``stats["pricings"]`` the distinct parts priced.
     """
     initial = regularize(inst.dataset)
     n_ic = len(initial)
@@ -158,26 +165,20 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
                                 {"families": 1, "parts": 0, "pricings": 0})
 
     order = inst.order
-    alpha = merge_cost_bound(order)
-    kind, p = order.kind, order.p
-    basis = kind == "lp" and p < 1
-    metric = kind in ("l0", "linf") or (kind == "lp" and p == 1)
-    # the floor per merge as a cost of the order's regime (alpha * 1**p for p < 1)
-    step = Cost.basis({1: int(alpha)}, p) if basis else Cost.of(alpha)
-    # Floats filter the cut of the other orders.  A float sum of at most n
-    # part costs, each rounded from its exact value, is within 2n * 2**-53 of
-    # it relative, so a branch's bound and the incumbent differ from their
-    # floats by 4n * 2**-53 together; within twice that band of the incumbent
-    # the exact sum decides.
-    rel = (n_ic + 4) * 2.0**-50
     points = [ic.representative for ic in initial]
     sizes = [ic.size for ic in initial]
-    if metric:
-        to_key = _doubled
-    elif basis:
+    if order.kind == "lp" and order.p < 1:
+        # A float key is within 2**-52 of its cost, relative, and a float sum
+        # of j keys within (j + 1) * 2**-52 of theirs.  A bound sums at most
+        # comb(n, 2) pair keys or n part keys and a look-ahead, the incumbent
+        # n part keys, so together they are off by under (n**2 + 4) * 2**-52;
+        # the band is four times that.
+        scale, unit, rel = 1, 0, (n_ic * n_ic + 4) * 2.0**-50
         to_key = lambda value: float(cost_eval(summed_cost(order, (value,))))  # noqa: E731
     else:
-        to_key = float
+        scale = math.lcm(*range(1, sum(sizes) + 1)) if order.kind == "l2" else 2
+        unit, rel = 1, 0  # integer keys: a bound rounds up to an integer
+        to_key = lambda value: _scaled(value, scale)  # noqa: E731
     part_cache: dict[tuple[int, ...], tuple] = {}  # part -> (key, exact value)
 
     def part_cost(part: tuple[int, ...]) -> tuple:
@@ -187,55 +188,53 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
             hit = part_cache[part] = (to_key(value), value)
         return hit
 
-    if metric:
-        pair = [[0] * n_ic for _ in range(n_ic)]  # pair[a][b]: the doubled cost of {a, b}
-        for a, b in itertools.combinations(range(n_ic), 2):
-            pair[a][b] = pair[b][a] = part_cost((a, b))[0]
-        c2 = min(pair[a][b] for a, b in itertools.combinations(range(n_ic), 2))
-        # doubled costs are integers, so each bound rounds up
-        ahead = [0] + [max(int(2 * alpha) * m, -(-(m + 1) * c2 // 2)) for m in range(1, excess + 1)]
-    else:
-        ahead = [float(alpha) * m for m in range(excess + 1)]
+    pair = [[0] * n_ic for _ in range(n_ic)]  # pair[a][b]: the key of {a, b}
+    for a, b in itertools.combinations(range(n_ic), 2):
+        pair[a][b] = pair[b][a] = part_cost((a, b))[0]
+    c2 = Fraction(min(pair[a][b] for a, b in itertools.combinations(range(n_ic), 2)))
+    floors = (max(merge_cost_bound(order) * scale * m, (m + 1) * c2 / 2)
+              for m in range(1, excess + 1))
+    ahead = [0] + [math.ceil(b) if unit else float(b) for b in floors]
 
     best_cost: Cost | None = None
-    best_lo = best_hi = math.inf  # the incumbent's key, or for floats its band
+    best = math.inf  # the incumbent's key; for float keys, the top of its band
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = tried = 0
     current_parts: list[tuple[int, ...]] = []
     current_values: list = []  # the exact values of current_parts
 
-    def count() -> None:
-        nonlocal tried
-        tried += 1
-        if tried > family_cap:
-            raise RuntimeError("family cap exceeded")
-
     def rec(pool: tuple[int, ...], left: int, total) -> None:
-        nonlocal best_cost, best_lo, best_hi, best_family, families
+        nonlocal best_cost, best, best_family, families
         if left == 0:
-            # the cut in take lets through only a family cheaper than the incumbent
+            # the cuts let through only a family whose key is below best: with
+            # integer keys a cheaper one, with floats one that cost_le, which
+            # filters by floats too, must tell from the incumbent
+            cost = summed_cost(order, current_values)
+            if rel and best_cost is not None and cost_le(best_cost, cost):
+                return
             families += 1
-            best_cost = summed_cost(order, current_values)
+            best_cost = cost
             best_family = tuple(tuple(sorted(p)) for p in current_parts)
-            best_lo, best_hi = (total, total) if metric else (total * (1 - rel), total * (1 + rel))
+            best = total * (1 + rel) if rel else total  # integer keys stay integers
             return
         for ai in range(len(pool)):
-            anchor = pool[ai]
             rest = pool[ai + 1:]
             for size in range(1, min(left, len(rest)) + 1):
-                if metric:
-                    walk((anchor,), rest, 0, size, left - size, total, 0, 0)
-                    continue
-                for extra in itertools.combinations(rest, size):
-                    count()
-                    take((anchor,) + extra, rest, left - size, total)
+                walk((pool[ai],), rest, 0, size, left - size, total, 0, 0)
 
     def walk(part: tuple[int, ...], rest: tuple[int, ...], start: int, size: int,
-             after: int, total: int, top: int, pair_sum: int) -> None:
+             after: int, total, top, pair_sum) -> None:
         # grow part (an anchor and its first extras) by rest[start:] towards
-        # size extras; top and pair_sum are its costliest pair and pair sum
+        # size extras; top and pair_sum are its costliest pair and pair sum.
+        # best starts as a float inf, which an integer key beyond the float
+        # range may be compared with but not subtracted from, so the cuts
+        # add to the branch's bound.
+        nonlocal tried
+        base = total + ahead[after]
         for i in range(start, len(rest) - size + len(part)):
-            count()
+            tried += 1
+            if tried > family_cap:
+                raise RuntimeError("family cap exceeded")
             x = rest[i]
             row = pair[x]
             t, s = top, pair_sum
@@ -243,24 +242,19 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
                 s += row[y]
                 if row[y] > t:
                     t = row[y]
-            room = best_lo - total - ahead[after]
-            if t >= room:
+            if base + t >= best:
                 continue
             grown = part + (x,)
             if len(grown) <= size:
                 walk(grown, rest, i + 1, size, after, total, t, s)
-            elif -(-s // size) < room:
+            elif s + (base + unit) * size <= best * size:  # the part's key is at least s / size
                 take(grown, rest, after, total)
 
     def take(part: tuple[int, ...], rest: tuple[int, ...], after: int, total) -> None:
         # price part and search on without it, unless the branch's bound
-        # reaches the incumbent: by keys outside the float band, exactly inside it
+        # reaches best
         f, value = part_cost(part)
-        bound = total + f + ahead[after]
-        if bound >= best_lo and (
-                metric or bound > best_hi
-                or cost_le(best_cost, summed_cost(order, current_values + [value])
-                           + step.scaled(after))):
+        if total + f + ahead[after] >= best:
             return
         current_parts.append(part)
         current_values.append(value)
@@ -268,7 +262,7 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
         current_parts.pop()
         current_values.pop()
 
-    rec(tuple(range(n_ic)), excess, 0 if metric else 0.0)
+    rec(tuple(range(n_ic)), excess, 0)
     # the three closures hold one another; break those cycles so that the part
     # cache is freed on return rather than at the next full garbage collection
     del rec, walk, take
@@ -283,12 +277,12 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     return BruteForceResult(decision, clustering, best_cost, stats)
 
 
-def _doubled(value: int | Fraction) -> int:
-    """Twice a Hamming, p = 1 or max-distance cost of integer points, an integer."""
-    twice = 2 * value
-    if twice.denominator != 1:
+def _scaled(value: int | Fraction, scale: int) -> int:
+    """``scale`` times a cost of integer points, which must be an integer."""
+    scaled = scale * value
+    if scaled.denominator != 1:
         raise ValueError("the brute-force oracle takes integer vectors")
-    return twice.numerator
+    return scaled.numerator
 
 
 def coloring_success_estimate(t_colors: int, trials: int, seed: int = 0) -> tuple[float, int]:

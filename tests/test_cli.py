@@ -364,3 +364,28 @@ def test_cli_non_integer_numbers_are_errors(tmp_path, capsys, command, body, fie
     path.write_text(json.dumps({**body, field: value}))
     assert run_cli([command, str(path)]) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+GRAPH_FILE = {"n": 3, "edges": [[1, 2]], "colors": [1, 2, 1]}
+CNF_FILE = {"kind": "3sat", "num_vars": 3, "clauses": [[1, -2, 3]]}
+
+
+@pytest.mark.parametrize("argv,body,bad", [
+    (["generate", "l0-clique"], GRAPH_FILE, {"n": 3.9, "colors": [1, 2.5, True]}),
+    (["generate", "l0-clique"], GRAPH_FILE, {"edges": [[1, 2.5]]}),
+    (["verify", "3sat-hioct-linf2"], CNF_FILE, {"clauses": [[1, -2, 3.5]]}),
+    (["verify", "3sat-hioct-linf2"], CNF_FILE, {"num_vars": 3.5}),
+], ids=["graph", "edge", "cnf-literal", "cnf-num-vars"])
+def test_cli_graph_non_integer_numbers_are_errors(tmp_path, capsys, argv, body, bad):
+    """Graph and 3-CNF files read their numbers as instance files do: a
+    boolean or a non-integral number is an error (exit 2), where ``int``
+    once truncated a vertex count of 3.9 to 3 and a color of 2.5 to 2."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(body))
+    assert run_cli(argv + [str(path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(CliError, match="not an integer"):
+        cli.graph_from_obj({**body, **bad})
+    path.write_text(json.dumps({**body, **bad}))
+    assert run_cli(argv + [str(path)]) == 2
+    assert "not an integer" in capsys.readouterr().err

@@ -110,6 +110,28 @@ def test_solve_bruteforce_respects_k():
     assert res2.decision and res2.min_cost.exact == 0
 
 
+def test_solve_bruteforce_rejects_fractional_points():
+    """The search compares integer keys under every order but p in (0, 1):
+    a point with a 1/3 coordinate prices its pair at 1/3 under L1 and at
+    1/18 under squared L2, neither an integer once scaled, so it raises
+    rather than compare floats."""
+    ds = Dataset(1, ((0,), (Fraction(1, 3),)), (1, 1))
+    for order in (DistanceOrder.l1(), DistanceOrder.l2()):
+        with pytest.raises(ValueError, match="integer vectors"):
+            solve_bruteforce(ClusteringInstance(ds, 1, Cost.of(1), order))
+
+
+def test_solve_bruteforce_l2_keys_beyond_the_float_range():
+    """Squared L2 keys are costs scaled by lcm(1, ..., W) for the total
+    weight W; at W = 900 that is above 10**308, so a key cannot meet the
+    search's initial float incumbent in arithmetic, only in comparisons."""
+    ds = Dataset(1, ((0,), (1,), (3,)), (300, 300, 300))
+    assert math.lcm(*range(1, 901)) > 10**308
+    res = solve_bruteforce(ClusteringInstance(ds, 2, Cost.of(150), DistanceOrder.l2()))
+    assert res.decision and res.min_cost.exact == 150
+    assert res.clustering.clusters[0] == (((0,), 300), ((1,), 300))
+
+
 def test_solve_bruteforce_cap_counts_every_part_tried():
     """The cap bounds the parts the search tries, cut or not.  This Hamming
     clique instance (24 initial clusters into 19, five merges) improves its
@@ -143,6 +165,22 @@ def test_solve_bruteforce_counts_parts_and_pricings():
     ds = Dataset(1, ((0,), (10,)), (1, 1))
     res = solve_bruteforce(ClusteringInstance(ds, 2, Cost.of(0), DistanceOrder.l1()))
     assert res.stats == {"families": 1, "parts": 0, "pricings": 0}
+
+
+def test_solve_bruteforce_keeps_the_first_minimum_on_exact_ties():
+    """For p in (0, 1) a family whose float total lands inside the
+    incumbent's rounding band is compared exactly, so an exact tie keeps the
+    first minimum found.  The second instance ties between different term
+    lists: gaps 8 and 2 at weight 1 cost 8**(1/2) + 2**(1/2), and gaps 2 at
+    weight 1 and at weights 2, 2 cost 3 * 2**(1/2)."""
+    half = DistanceOrder.lp(Fraction(1, 2))
+    line = Dataset(1, ((0,), (1,), (2,)), (1, 1, 1))
+    spread = Dataset(1, ((0,), (8,), (20,), (22,), (40,), (42,)), (1, 1, 1, 1, 2, 2))
+    for ds, k, first in ((line, 2, [[(0,), (1,)]]),
+                         (spread, 4, [[(0,), (8,)], [(20,), (22,)]])):
+        res = solve_bruteforce(ClusteringInstance(ds, k, Cost.of(5), half))
+        merged = [[pt for pt, _ in c] for c in res.clustering.clusters if len(c) > 1]
+        assert merged == first and res.stats["families"] == 1
 
 
 def test_bruteforce_oracles_reprice_their_winner(monkeypatch):
@@ -297,10 +335,12 @@ def test_color_coding_equals_bruteforce_sample(order, budgets, seed, max_initial
 
 
 # (order, budgets, seed, max_initial, w_max): the five orders with
-# multiplicities 1-2, then the three metric orders, whose search cuts by pair
-# costs, with multiplicities 1-3
+# multiplicities 1-2, then each order again on 8 initial clusters with
+# multiplicities 1-3
 REFERENCE_ROWS = [pytest.param(*row, 7, 2, id=str(row[0])) for row in ORDER_BUDGETS[:5]] + [
     pytest.param(DistanceOrder.l1(), [1, 2, 4, 6], 231, 8, 3, id="1-weighted"),
+    pytest.param(DistanceOrder.l2(), [Fraction(1, 2), 1, 2, 3], 232, 8, 3, id="2-weighted"),
+    pytest.param(DistanceOrder.lp(Fraction(1, 2)), [1, 2, 3, 4], 233, 8, 3, id="1/2-weighted"),
     pytest.param(DistanceOrder.linf(), [1, Fraction(3, 2), 2, 3], 234, 8, 3, id="inf-weighted"),
     pytest.param(DistanceOrder.l0(), [1, 2, 3, 4], 235, 8, 3, id="0-weighted"),
 ]
@@ -309,10 +349,9 @@ REFERENCE_ROWS = [pytest.param(*row, 7, 2, id=str(row[0])) for row in ORDER_BUDG
 @pytest.mark.parametrize("order,budgets,seed,max_initial,w_max", REFERENCE_ROWS)
 def test_solve_bruteforce_equals_naive_reference(order, budgets, seed, max_initial, w_max):
     """The cut search against the uncut partition oracle, on up to 7 or 8
-    initial clusters: the same minimum, exactly, and the same decision.  For
-    the metric orders some instance prices fewer parts than a search that
-    prices before it cuts, which prices all comb(n, s) parts of each size
-    s = 2 .. excess + 1."""
+    initial clusters: the same minimum, exactly, and the same decision.  Some
+    instance prices fewer parts than a search that prices before it cuts,
+    which prices all comb(n, s) parts of each size s = 2 .. excess + 1."""
     rnd = random.Random(seed + 100)
     seen = Counter()
     cut_unpriced = 0
@@ -331,8 +370,7 @@ def test_solve_bruteforce_equals_naive_reference(order, budgets, seed, max_initi
         seen[decision] += 1
     assert seen[max_initial] >= 1 and seen[max_initial - 1] + seen[max_initial] >= 5
     assert seen[True] >= 5 and seen[False] >= 5
-    if order.kind in ("l0", "linf") or order.p == 1:
-        assert cut_unpriced >= 1
+    assert cut_unpriced >= 1
 
 
 def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
