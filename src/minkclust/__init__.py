@@ -22,6 +22,7 @@ from .centroids import (
     centroid_lp,
     cluster_cost,
     optimal_cluster_cost,
+    pair_cost,
     summed_cost,
 )
 from .hypergraph import (

@@ -11,11 +11,22 @@ vertex up to three points, as a dense integer transportation flow beyond
 returns the same optimum alone, as a plain value, for callers that price many
 clusters and keep few of them; each order's rule has one home that both
 share.
+
+A two-point cluster {x, y} with weights w_x, w_y is priced in closed form
+(``pair_cost``), which ``cluster_cost`` uses for every pair.  Under a metric
+(Hamming, |.|_p for p in (0, 1], max distance) the optimum is
+min(w_x, w_y) * d(x, y): by the triangle inequality any centroid c pays
+w_x d(x, c) + w_y d(y, c) >= min(w_x, w_y) * d(x, y), and the heavier point,
+a present value in every coordinate, pays exactly that.  Under the squared
+Euclidean cost the weighted mean pays w_x w_y |x - y|^2 / (w_x + w_y).
+``optimal_cluster_cost`` keeps the general rules for pairs too, so the
+witness re-pricing checks the closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -400,6 +411,35 @@ def optimal_cluster_cost(order: DistanceOrder, cluster: WeightedCluster) -> tupl
     return centroid_lp(cluster, order.p)
 
 
+def pair_cost(order: DistanceOrder, x: Point, w_x: int, y: Point,
+              w_y: int) -> int | Fraction | tuple[tuple[int, int], ...]:
+    """The exact optimal cost of the two-point cluster {x, y} with weights
+    ``w_x`` and ``w_y``, in closed form, as ``cluster_cost`` returns it.
+
+    Under the squared Euclidean cost it is w_x w_y |x - y|^2 / (w_x + w_y),
+    the cost about the weighted mean.  Under the metric orders it is
+    min(w_x, w_y) * d(x, y), attained at the heavier point (see the module
+    docstring); for p in (0, 1) that is min(w_x, w_y) on the basis term of
+    each nonzero coordinate gap.
+    """
+    kind = order.kind
+    if kind == "l0":
+        return min(w_x, w_y) * sum(map(operator.ne, x, y))
+    gaps = [abs(a - b) for a, b in zip(x, y)]
+    if kind == "l2":
+        return Fraction(w_x * w_y * sum(g * g for g in gaps), w_x + w_y)
+    w = min(w_x, w_y)
+    if kind == "linf":
+        return Fraction(w * max(gaps))
+    if order.p == 1:
+        return w * sum(gaps)
+    terms: dict[int, int] = {}
+    for gap in gaps:
+        if gap:
+            terms[gap] = terms.get(gap, 0) + w
+    return tuple(sorted(terms.items()))
+
+
 def cluster_cost(order: DistanceOrder, points: Sequence[Point],
                  weights: Sequence[int]) -> int | Fraction | tuple[tuple[int, int], ...]:
     """The exact optimal cost of the cluster of ``points`` with ``weights``,
@@ -410,8 +450,19 @@ def cluster_cost(order: DistanceOrder, points: Sequence[Point],
     ``Fraction`` for the squared Euclidean cost and the max distance, and for
     p in (0, 1) the basis terms as sorted (base, coefficient) pairs.
     ``summed_cost`` turns such values into a ``Cost``.  The inputs are trusted:
-    a nonempty cluster of equal-length points and positive weights.
+    a nonempty cluster of equal-length points and positive weights.  A pair
+    is priced in closed form by ``pair_cost``: min(w_x, w_y) * d(x, y) under
+    the metric orders, w_x w_y |x - y|^2 / (w_x + w_y) under the squared
+    Euclidean cost, both exact optima (see the module docstring).
     """
+    if len(points) == 2:
+        return pair_cost(order, points[0], weights[0], points[1], weights[1])
+    return _general_cost(order, points, weights)
+
+
+def _general_cost(order: DistanceOrder, points: Sequence[Point],
+                  weights: Sequence[int]) -> int | Fraction | tuple[tuple[int, int], ...]:
+    """``cluster_cost`` by the per-order rules, for any number of points."""
     kind = order.kind
     if kind == "l0":
         if weights.count(1) == len(weights):  # unit weights: the same tally, counted in C

@@ -47,10 +47,15 @@ class CliError(Exception):
 
 
 def parse_budget(text: str, order: DistanceOrder) -> Cost:
+    """A budget string: ``z/s2:<z>/<s>`` for z / s**2, ``basis:<base>:<coeff>,...``
+    for a basis combination, or a rational literal.  A decimal literal, with a
+    point or an exponent, is legal only for exponents in (0, 1)."""
     text = text.strip()
     if text.startswith("z/s2:"):
-        z_str, s_str = text[len("z/s2:"):].split("/")
-        z, s = int(z_str), int(s_str)
+        fields = text[len("z/s2:"):].split("/")
+        if len(fields) != 2:
+            raise CliError(f"budget {text!r} is not of the form z/s2:<z>/<s>")
+        z, s = int(fields[0]), int(fields[1])
         if s < 1:
             raise CliError("denominator root must be positive")
         return Cost.of(Fraction(z, s * s))
@@ -62,11 +67,12 @@ def parse_budget(text: str, order: DistanceOrder) -> Cost:
             base_str, coeff_str = item.split(":")
             mapping[int(base_str)] = mapping.get(int(base_str), 0) + int(coeff_str)
         return Cost.basis(mapping, order.p)
-    if "." in text:
-        if not (order.kind == "lp" and order.p != 1):
-            raise CliError("decimal budgets are only legal for exponents in (0, 1)")
+    if ("." in text or "e" in text.lower()) and not (order.kind == "lp" and order.p != 1):
+        raise CliError("decimal budgets are only legal for exponents in (0, 1)")
+    try:
         return Cost.of(Fraction(text))
-    return Cost.of(Fraction(text))
+    except ZeroDivisionError:
+        raise CliError(f"budget {text!r} has a zero denominator") from None
 
 
 def budget_to_string(budget: Cost, order: DistanceOrder | None = None) -> str:

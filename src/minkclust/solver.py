@@ -130,15 +130,19 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     that total must equal the search's best cost.
 
     The bounds come from pairs, under every order.  A pair {a, b} is priced
-    as its own optimum P(a, b); with c* a part's optimal centroid, P(a, b) <=
-    w_a d(a, c*) + w_b d(b, c*), and summing that over the pairs of a part of
-    s members gives (s - 1) * cost >= its pair sum, while a part never costs
-    less than any of its pairs.  The search prices every pair first.  With
-    c2 the cheapest pair, parts making m > 0 merges cost at least
-    max(alpha * m, (m + 1) * c2 / 2), alpha the per-merge floor.  A part is
-    grown member by member, dropping a prefix whose costliest pair already
-    reaches the incumbent, and a part whose pair sum does is cut before it is
-    priced.
+    as its own optimum P(a, b), in closed form (``centroids.pair_cost``):
+    min(w_a, w_b) * d(a, b) under the metric orders, where the heavier point
+    is an optimal centroid, and w_a w_b |a - b|^2 / (w_a + w_b), the cost
+    about the weighted mean, under squared L2.  With c* a part's optimal
+    centroid, P(a, b) <= w_a d(a, c*) + w_b d(b, c*), and summing that over
+    the pairs of a part of s members gives (s - 1) * cost >= its pair sum,
+    while a part never costs less than any of its pairs.  The search prices
+    every pair first, straight through ``cluster_cost``, into the part
+    cache, so pairs count among the pricings.  With c2 the cheapest pair,
+    parts making m > 0 merges cost at least max(alpha * m, (m + 1) * c2 / 2),
+    alpha the per-merge floor.  A part is grown member by member, dropping a
+    prefix whose costliest pair already reaches the incumbent, and a part
+    whose pair sum does is cut before it is priced.
 
     The search compares keys.  Costs of integer points are integers or
     halves under Hamming, p = 1 and max distance, and multiples of 1/W for a
@@ -190,7 +194,9 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
 
     pair = [[0] * n_ic for _ in range(n_ic)]  # pair[a][b]: the key of {a, b}
     for a, b in itertools.combinations(range(n_ic), 2):
-        pair[a][b] = pair[b][a] = part_cost((a, b))[0]
+        value = cluster_cost(order, (points[a], points[b]), (sizes[a], sizes[b]))
+        key = pair[a][b] = pair[b][a] = to_key(value)
+        part_cache[a, b] = (key, value)
     c2 = Fraction(min(pair[a][b] for a, b in itertools.combinations(range(n_ic), 2)))
     floors = (max(merge_cost_bound(order) * scale * m, (m + 1) * c2 / 2)
               for m in range(1, excess + 1))

@@ -134,7 +134,12 @@ def set_partitions(items: list, k: int):
 def solve_bruteforce_reference(inst: ClusteringInstance) -> tuple[bool, Cost]:
     """The naive clustering oracle: every partition of the initial clusters
     into at most k parts, each part priced by ``optimal_cluster_cost``, with no
-    cut.  Returns the decision and the minimum cost."""
+    cut.  Returns the decision and the minimum cost.
+
+    ``optimal_cluster_cost`` prices pairs by the general centroid rules too,
+    the max distance by its LP, so this reference is independent of the
+    closed-form ``pair_cost`` that the oracle's pair table and ``cluster_cost``
+    use; keep it so."""
     initial = regularize(inst.dataset)
     best = None
     for blocks in set_partitions(list(range(len(initial))), inst.k):

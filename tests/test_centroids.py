@@ -423,3 +423,49 @@ def test_cluster_cost_is_bounded_by_its_pair_costs(order, dist):
         whole = cluster_cost(order, pts, ws)
         assert whole >= max(pairs)
         assert whole * (len(pts) - 1) >= sum(pairs)
+
+
+@pytest.mark.parametrize("order", [
+    DistanceOrder.l0(), DistanceOrder.l1(), DistanceOrder.l2(), DistanceOrder.linf(),
+    DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.lp(Fraction(1, 3)),
+], ids=["l0", "l1", "l2", "linf", "1/2", "1/3"])
+def test_pair_cost_equals_the_general_rules(order):
+    """The closed-form two-point optimum has the value and the type of the
+    per-order rules (``_general_cost``), and the value of the centroid rules
+    (``optimal_cluster_cost``), on random integer pairs with weights 1 to 4,
+    equal weights and equal points included."""
+    rnd = random.Random(24)
+    equal_weights = equal_points = 0
+    for _ in range(300):
+        d = rnd.randint(1, 4)
+        x = tuple(rnd.randint(-3, 3) for _ in range(d))
+        y = x if rnd.random() < 0.1 else tuple(rnd.randint(-3, 3) for _ in range(d))
+        w_x, w_y = rnd.randint(1, 4), rnd.randint(1, 4)
+        equal_weights += w_x == w_y
+        equal_points += x == y
+        value = centroids.pair_cost(order, x, w_x, y, w_y)
+        general = centroids._general_cost(order, [x, y], [w_x, w_y])
+        assert value == general and type(value) is type(general)
+        _, cost = optimal_cluster_cost(order, WeightedCluster.of([x, y], [w_x, w_y]))
+        assert cost_eq(summed_cost(order, (value,)), cost)
+    assert equal_weights and equal_points
+
+
+def test_two_point_cluster_cost_skips_the_general_rules(monkeypatch):
+    """A pair is priced in closed form, never by the per-order rules."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a pair reached the general rules")
+
+    for name in ("_linf_doubled", "_tallies", "_median", "_present_value", "_weighted_sums"):
+        monkeypatch.setattr(centroids, name, unreachable)
+    x, y = (0, 3, 1, 5), (2, 3, -1, 4)  # gaps 2, 0, 2, 1
+    for order, want in (
+        (DistanceOrder.l0(), 2 * 3),
+        (DistanceOrder.l1(), 2 * 5),
+        (DistanceOrder.l2(), Fraction(2 * 3 * 9, 5)),
+        (DistanceOrder.linf(), Fraction(2 * 2)),
+        (DistanceOrder.lp(Fraction(1, 2)), ((1, 2), (2, 4))),
+    ):
+        for points, weights in (((x, y), (2, 3)), ((y, x), (3, 2))):
+            value = cluster_cost(order, points, weights)
+            assert value == want and type(value) is type(want)

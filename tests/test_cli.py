@@ -66,6 +66,36 @@ def test_budget_strings():
         assert again == cost
 
 
+def test_exponent_budgets_are_decimals(tmp_path, capsys):
+    """A literal with an exponent is a decimal: legal for p in (0, 1), an
+    error (exit 2) elsewhere, where it used to be read as a rational and
+    decided."""
+    l1, half = DistanceOrder.l1(), DistanceOrder.lp(Fraction(1, 2))
+    for text in ("1e-3", "2E1", "5e0"):
+        with pytest.raises(CliError, match="decimal budgets"):
+            parse_budget(text, l1)
+    assert parse_budget("1e-3", half).exact == Fraction(1, 1000)
+    assert parse_budget("2E1", half).exact == 20
+    body = {"kind": "clustering", "p": "1", "dimension": 1,
+            "vectors": [[0], [5]], "k": 1, "budget": "1e-3"}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(body))
+    assert run_cli(["solve", str(path), "--mode", "oracle"]) == 2
+    assert "decimal budgets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("z/s2:3", "z/s2:<z>/<s>"),
+    ("z/s2:3/1/2", "z/s2:<z>/<s>"),
+    ("1/0", "zero denominator"),
+])
+def test_malformed_budgets_are_cli_errors(text, message):
+    """A ``z/s2:`` budget without exactly one slash and a zero denominator
+    each raise ``CliError`` with a message naming the fault."""
+    with pytest.raises(CliError, match=message):
+        parse_budget(text, DistanceOrder.l2())
+
+
 GENERATED = [
     gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3),
     gen_l0_selection_from_mcc(EX_CLIQUE_COLORED, 3),
