@@ -64,8 +64,11 @@ def parse_budget(text: str, order: DistanceOrder) -> Cost:
             raise CliError("basis budgets need a fractional exponent")
         mapping: dict[int, int] = {}
         for item in text[len("basis:"):].split(","):
-            base_str, coeff_str = item.split(":")
-            mapping[int(base_str)] = mapping.get(int(base_str), 0) + int(coeff_str)
+            fields = item.split(":")
+            if len(fields) != 2:
+                raise CliError(f"basis budget item {item!r} is not of the form <base>:<coeff>")
+            base, coeff = int(fields[0]), int(fields[1])
+            mapping[base] = mapping.get(base, 0) + coeff
         return Cost.basis(mapping, order.p)
     if ("." in text or "e" in text.lower()) and not (order.kind == "lp" and order.p != 1):
         raise CliError("decimal budgets are only legal for exponents in (0, 1)")

@@ -111,11 +111,17 @@ def cost_eval(cost: Cost, digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
     _MP.dps = digits
     if cost.exact is not None:
         return _MP.mpf(cost.exact.numerator) / cost.exact.denominator
-    exponent = _MP.mpf(cost.p.numerator) / cost.p.denominator
     value = _MP.mpf(0)
     for base, coeff in cost.terms:
-        value += coeff * _MP.power(base, exponent)
+        value += coeff * _power(base, cost.p, digits)
     return value
+
+
+@lru_cache(maxsize=4096)
+def _power(base: int, p: Fraction, digits: int) -> mpmath.mpf:
+    """base**p to ``digits`` decimal digits, as ``cost_eval`` sums it."""
+    _MP.dps = digits
+    return _MP.power(base, _MP.mpf(p.numerator) / p.denominator)
 
 
 def cost_le(a: Cost, b: Cost) -> bool:

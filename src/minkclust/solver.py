@@ -21,9 +21,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, summed_cost
+from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, pair_cost, summed_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
 from .cost_model import Cost, cost_eq, cost_eval, cost_floor, cost_le
 from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
@@ -115,6 +115,68 @@ class BruteForceResult:
     stats: dict = field(default_factory=dict)
 
 
+class _PairBounds(NamedTuple):
+    to_key: Callable  # a ``cluster_cost`` value -> its key
+    unit: int  # 1 for integer keys, 0 for float keys
+    rel: float  # the float keys' relative rounding band, 0 for integer keys
+    scale: int  # an integer key is scale times its cost
+    pair: list[list]  # pair[a][b]: the key of the pair {a, b}
+    pairs: dict[tuple[int, int], tuple]  # (a, b), a < b -> (key, exact value)
+    ahead: list  # ahead[m]: at most the key of any parts making m merges
+
+
+def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
+                 price: Callable[[int, int], object]) -> _PairBounds:
+    """The pair bounds of both clustering searches, over initial clusters of
+    weights ``sizes`` owing ``excess`` merges; ``price(a, b)`` is the exact
+    value of the pair {a, b} as ``cluster_cost`` returns it.
+
+    A pair is priced at its own optimum P(a, b), and with c* any part's
+    optimal centroid P(a, b) <= w_a d(a, c*) + w_b d(b, c*): summed over the
+    pairs of a part of s initial clusters, (s - 1) * cost >= its pair sum,
+    and a part never costs less than any of its pairs.  With c2 the
+    cheapest pair, parts making m > 0 merges therefore cost at least
+    max(alpha * m, (m + 1) * c2 / 2), alpha the per-merge floor.
+
+    Keys: costs of integer points are integers or halves under Hamming,
+    p = 1 and max distance, and multiples of 1/W for a squared L2 part of
+    weight W.  Scaled by 2, or for squared L2 by lcm(1, ..., W) with W the
+    total weight, they are integers, and the look-ahead is rounded up; a
+    value that does not scale to an integer raises ``ValueError``.  For p in
+    (0, 1) the keys are floats, and a comparison may cut only above a
+    relative band of ``rel`` over its other side.
+    """
+    n = len(sizes)
+    if order.kind == "lp" and order.p < 1:
+        # A float key is within 2**-52 of its cost, relative, and a float sum
+        # of j keys within (j + 1) * 2**-52 of theirs.  A bound sums at most
+        # comb(n, 2) pair keys, or n part keys, pair minima and a look-ahead,
+        # and its other side at most n part keys, so together they are off by
+        # under (n**2 + 4) * 2**-52; the band is four times that.
+        scale, unit, rel = 1, 0, (n * n + 4) * 2.0**-50
+        to_key = lambda value: float(cost_eval(summed_cost(order, (value,))))  # noqa: E731
+    else:
+        scale = math.lcm(*range(1, sum(sizes) + 1)) if order.kind == "l2" else 2
+        unit, rel = 1, 0
+        to_key = lambda value: _scaled(value, scale)  # noqa: E731
+    pair = [[0] * n for _ in range(n)]
+    pairs = {}
+    for a, b in itertools.combinations(range(n), 2):
+        value = price(a, b)
+        key = pair[a][b] = pair[b][a] = to_key(value)
+        pairs[a, b] = (key, value)
+    c2 = min(key for key, _ in pairs.values())
+    alpha = merge_cost_bound(order)
+    if unit:  # rounded up, in integers
+        num, den = alpha.numerator * scale, alpha.denominator
+        ahead = [0] + [max(-(-num * m // den), -(-(m + 1) * c2 // 2))
+                       for m in range(1, excess + 1)]
+    else:
+        ahead = [0] + [float(max(alpha * m, (m + 1) * Fraction(c2) / 2))
+                       for m in range(1, excess + 1)]
+    return _PairBounds(to_key, unit, rel, scale, pair, pairs, ahead)
+
+
 def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> BruteForceResult:
     """Exact minimum over all regular clusterings into at most k nonempty
     clusters.
@@ -129,30 +191,23 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     again part by part through ``optimal_cluster_cost`` for its witness, and
     that total must equal the search's best cost.
 
-    The bounds come from pairs, under every order.  A pair {a, b} is priced
-    as its own optimum P(a, b), in closed form (``centroids.pair_cost``):
-    min(w_a, w_b) * d(a, b) under the metric orders, where the heavier point
-    is an optimal centroid, and w_a w_b |a - b|^2 / (w_a + w_b), the cost
-    about the weighted mean, under squared L2.  With c* a part's optimal
-    centroid, P(a, b) <= w_a d(a, c*) + w_b d(b, c*), and summing that over
-    the pairs of a part of s members gives (s - 1) * cost >= its pair sum,
-    while a part never costs less than any of its pairs.  The search prices
-    every pair first, straight through ``cluster_cost``, into the part
-    cache, so pairs count among the pricings.  With c2 the cheapest pair,
-    parts making m > 0 merges cost at least max(alpha * m, (m + 1) * c2 / 2),
-    alpha the per-merge floor.  A part is grown member by member, dropping a
-    prefix whose costliest pair already reaches the incumbent, and a part
-    whose pair sum does is cut before it is priced.
+    The bounds come from pairs, under every order (``_pair_bounds``, shared
+    with the colour-coding search): a part of s members costs at least its
+    costliest pair and its pair sum over s - 1, and parts making m > 0
+    merges at least max(alpha * m, (m + 1) * c2 / 2), with c2 the cheapest
+    pair and alpha the per-merge floor.  The search prices every pair first,
+    in closed form (``centroids.pair_cost``) straight through
+    ``cluster_cost``, into the part cache, so pairs count among the
+    pricings.  A part is grown member by member, dropping a prefix whose
+    costliest pair already reaches the incumbent, and a part whose pair sum
+    does is cut before it is priced.
 
-    The search compares keys.  Costs of integer points are integers or
-    halves under Hamming, p = 1 and max distance, and multiples of 1/W for a
-    squared L2 part of weight W.  Scaled by 2, or for squared L2 by
-    lcm(1, ..., W) with W the dataset's total weight, they are integers and
-    compared exactly; a value that does not scale to an integer raises
-    ``ValueError``.  For p in (0, 1) the keys are floats: a branch is
-    cut only above a rounding band over the incumbent, and a complete family
-    below it is compared with the incumbent by ``cost_le``, exactly where
-    the floats cannot tell.
+    The search compares keys: integers, the costs scaled by 2, or for
+    squared L2 by lcm(1, ..., W) with W the dataset's total weight, so a
+    point off the integer lattice may raise ``ValueError``.  For p in (0, 1)
+    the keys are floats: a branch is cut only above a rounding band over the
+    incumbent, and a complete family below it is compared with the incumbent
+    by ``cost_le``, exactly where the floats cannot tell.
 
     ``family_cap`` bounds the parts tried, cut or not, and raises
     ``RuntimeError`` past it; a part tried is a step of the member walk, a
@@ -171,19 +226,11 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     order = inst.order
     points = [ic.representative for ic in initial]
     sizes = [ic.size for ic in initial]
-    if order.kind == "lp" and order.p < 1:
-        # A float key is within 2**-52 of its cost, relative, and a float sum
-        # of j keys within (j + 1) * 2**-52 of theirs.  A bound sums at most
-        # comb(n, 2) pair keys or n part keys and a look-ahead, the incumbent
-        # n part keys, so together they are off by under (n**2 + 4) * 2**-52;
-        # the band is four times that.
-        scale, unit, rel = 1, 0, (n_ic * n_ic + 4) * 2.0**-50
-        to_key = lambda value: float(cost_eval(summed_cost(order, (value,))))  # noqa: E731
-    else:
-        scale = math.lcm(*range(1, sum(sizes) + 1)) if order.kind == "l2" else 2
-        unit, rel = 1, 0  # integer keys: a bound rounds up to an integer
-        to_key = lambda value: _scaled(value, scale)  # noqa: E731
-    part_cache: dict[tuple[int, ...], tuple] = {}  # part -> (key, exact value)
+    bounds = _pair_bounds(order, sizes, excess, lambda a, b: cluster_cost(
+        order, (points[a], points[b]), (sizes[a], sizes[b])))
+    to_key, unit, rel, pair, ahead = (bounds.to_key, bounds.unit, bounds.rel, bounds.pair,
+                                      bounds.ahead)
+    part_cache = bounds.pairs  # part -> (key, exact value), every pair priced already
 
     def part_cost(part: tuple[int, ...]) -> tuple:
         hit = part_cache.get(part)
@@ -191,16 +238,6 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
             value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
             hit = part_cache[part] = (to_key(value), value)
         return hit
-
-    pair = [[0] * n_ic for _ in range(n_ic)]  # pair[a][b]: the key of {a, b}
-    for a, b in itertools.combinations(range(n_ic), 2):
-        value = cluster_cost(order, (points[a], points[b]), (sizes[a], sizes[b]))
-        key = pair[a][b] = pair[b][a] = to_key(value)
-        part_cache[a, b] = (key, value)
-    c2 = Fraction(min(pair[a][b] for a, b in itertools.combinations(range(n_ic), 2)))
-    floors = (max(merge_cost_bound(order) * scale * m, (m + 1) * c2 / 2)
-              for m in range(1, excess + 1))
-    ahead = [0] + [math.ceil(b) if unit else float(b) for b in floors]
 
     best_cost: Cost | None = None
     best = math.inf  # the incumbent's key; for float keys, the top of its band
@@ -285,10 +322,10 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
 
 def _scaled(value: int | Fraction, scale: int) -> int:
     """``scale`` times a cost of integer points, which must be an integer."""
-    scaled = scale * value
-    if scaled.denominator != 1:
-        raise ValueError("the brute-force oracle takes integer vectors")
-    return scaled.numerator
+    key, rest = divmod(scale * value.numerator, value.denominator)
+    if rest:
+        raise ValueError("the clustering searches take integer vectors")
+    return key
 
 
 def coloring_success_estimate(t_colors: int, trials: int, seed: int = 0) -> tuple[float, int]:
@@ -342,23 +379,49 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     budget as the bound.  A composite cluster lists its members in that
     sorted-class order.  A complete family is re-priced through the centroid
     rules for its witness, and that total must equal the search's running
-    cost.  The policy picks only the colorings and a
-    no's confidence; one loop tries them.  Under ``auto`` a no is one
-    sided, with confidence 1 - (1 - e**-T)**N after N random colorings.  The
-    exhaustive policy tries each distinct coloring of a subset of min(T, n)
-    initial clusters once, which is exact by containment (see
-    ``_rainbow_colorings``).  ``stats["iterations"]`` counts colorings,
-    ``stats["families"]`` the complete families reached (every part priced
-    within the budget), ``stats["selection_calls"]`` the selection kernel
-    calls and ``stats["pricings"]`` the distinct one-vector parts priced;
-    the stats also sum the selection solvers' counters under their own
-    names.
+    cost.
+
+    The pair bounds of ``solve_bruteforce`` (``_pair_bounds``, one helper
+    for both searches) cut three ways, each only where no completion can
+    meet the budget, so the search reaches the same first family.  Every
+    pair is priced first, in closed form by ``pair_cost`` (not counted as a
+    pricing), and parts owing m merges cost at least ahead[m] =
+    max(alpha * m, (m + 1) * c2 / 2), c2 the cheapest pair:
+
+    - before any coloring, ahead[n - k] over the budget is an exact no, with
+      confidence 1 and no coloring, under either policy;
+    - a branch whose running cost plus ahead[merges left] is over the budget
+      is not descended;
+    - a bundle of s classes whose tuples cost at least L, the larger of its
+      class pairs' costliest cheapest pair and their sum over s - 1, is not
+      priced while running + L + ahead[merges left after it] is over the
+      budget, and is cached as infeasible when L alone is.
+
+    The cuts compare the search's keys with the budget's: exact integers
+    under Hamming, p = 1, squared L2 and max distance, floats cut only above
+    the rounding band for p in (0, 1).  As in ``solve_bruteforce``, a point
+    off the integer lattice may raise ``ValueError``; the per-merge floor
+    that sets T assumes integer points too.
+
+    The policy picks only the colorings and a no's confidence; one loop
+    tries them.  Under ``auto`` a no is one sided, with confidence
+    1 - (1 - e**-T)**N after N random colorings.  The exhaustive policy
+    tries each distinct coloring of a subset of min(T, n) initial clusters
+    once, which is exact by containment (see ``_rainbow_colorings``).
+    ``stats["iterations"]`` counts colorings, ``stats["families"]`` the
+    complete families reached (every part priced within the budget),
+    ``stats["selection_calls"]`` the selection kernel calls,
+    ``stats["pricings"]`` the distinct one-vector parts priced and
+    ``stats["cuts"]`` the branches and bundles the pair bounds cut (the
+    check before coloring counts one); the stats also sum the selection
+    solvers' counters under their own names.
     """
     cfg = cfg or SolveConfig()
     order = inst.order
     initial = regularize(inst.dataset)
     n_ic = len(initial)
-    stats: dict = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0}
+    stats: dict = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0,
+                   "cuts": 0}
 
     if n_ic == 0 or inst.k >= n_ic:
         clustering = _assemble_clustering(order, initial, ())
@@ -372,19 +435,29 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
 
     points = [ic.representative for ic in initial]
     sizes = [ic.size for ic in initial]
-    # per bundle, the part's color classes in sorted order: its cheapest part's
-    # cost and initial clusters, or None when that cost exceeds the budget
-    bundles: dict[tuple[tuple[int, ...], ...], tuple[Cost, tuple[int, ...]] | None] = {}
+    excess = n_ic - inst.k
+    bounds = _pair_bounds(order, sizes, excess, lambda a, b: pair_cost(
+        order, points[a], sizes[a], points[b], sizes[b]))
+    to_key, unit, pair, ahead = bounds.to_key, bounds.unit, bounds.pair, bounds.ahead
+    # the cuts compare keys with ``top``, the largest key within the budget
+    top = (cost_floor(inst.budget, bounds.scale) if unit
+           else float(cost_eval(inst.budget)) * (1 + bounds.rel))
+    if ahead[excess] > top:
+        stats["cuts"] += 1
+        stats["confidence"] = 1.0
+        return SolveResult(False, None, stats)
 
-    def cheapest(bundle: tuple[tuple[int, ...], ...]) -> tuple[Cost, tuple[int, ...]] | None:
-        if bundle in bundles:
-            return bundles[bundle]
+    # per bundle, the part's color classes in sorted order: its cheapest part's
+    # cost, initial clusters and key, or None when that cost exceeds the budget
+    bundles: dict[tuple[tuple[int, ...], ...], tuple[Cost, tuple[int, ...], object] | None] = {}
+
+    def cheapest(bundle: tuple[tuple[int, ...], ...]) -> tuple | None:
         if all(len(members) == 1 for members in bundle):
             part = tuple(members[0] for members in bundle)
             stats["pricings"] += 1
             value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
             cost = summed_cost(order, (value,))
-            hit = (cost, part) if cost_le(cost, inst.budget) else None
+            hit = (cost, part, to_key(value)) if cost_le(cost, inst.budget) else None
         else:
             sel = SelectionInstance(
                 tuple(tuple(points[i] for i in members) for members in bundle),
@@ -396,7 +469,9 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                 stats[name] += res.stats.get(name, 0)
             hit = None
             if res.decision:
-                hit = (res.cost, tuple(members[i] for members, i in zip(bundle, res.indices)))
+                cost = res.cost
+                hit = (cost, tuple(members[i] for members, i in zip(bundle, res.indices)),
+                       to_key(cost.exact if cost.terms is None else cost.terms))
         bundles[bundle] = hit
         return hit
 
@@ -405,9 +480,20 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         for ic_idx, color in enumerate(coloring):
             classes[color] = classes.get(color, ()) + (ic_idx,)
         parts: list[tuple[int, ...]] = []  # the chosen initial clusters per part
+        # per pair of colors, the key of the cheapest pair between their classes
+        near = {(c, d): min(pair[a][b] for a in classes[c] for b in classes[d])
+                for c, d in itertools.combinations(sorted(classes), 2)}
 
-        def rec(pool: tuple[int, ...], left: int, running: Cost) -> SolveResult | None:
-            # ``left`` merges are still owed; a part of s colors makes s - 1
+        def low(colors: tuple[int, ...]) -> object:
+            # a key at most that of any tuple of the colors' bundle: a tuple
+            # costs at least its costliest pair and its pair sum over s - 1
+            mins = [near[pair_colors] for pair_colors in itertools.combinations(colors, 2)]
+            s1 = len(colors) - 1
+            return max(max(mins), -(-sum(mins) // s1) if unit else sum(mins) / s1)
+
+        def rec(pool: tuple[int, ...], left: int, running: Cost, key) -> SolveResult | None:
+            # ``left`` merges are still owed; a part of s colors makes s - 1.
+            # ``key`` is the running cost's key, and key + ahead[left] <= top
             if left == 0:
                 stats["families"] += 1
                 clustering = _assemble_clustering(order, initial, parts)
@@ -421,26 +507,41 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             # part of all of them fits, and above it nothing does
             fits = left < len(rest)
             if fits:  # leave the first color unmerged
-                hit = rec(rest, left, running)
+                hit = rec(rest, left, running, key)
                 if hit is not None:
                     return hit
             for size in range(1 if fits else left, min(left, len(rest)) + 1):
+                base = key + ahead[left - size]  # the branch's bound without the part
                 for extra in itertools.combinations(rest, size):
-                    priced = cheapest(tuple(sorted(classes[c] for c in (first,) + extra)))
+                    bundle = tuple(sorted(classes[c] for c in (first,) + extra))
+                    if bundle in bundles:
+                        priced = bundles[bundle]
+                    else:  # cut by the bundle's pair bound before pricing it
+                        bound = low((first,) + extra)
+                        if base + bound > top:
+                            stats["cuts"] += 1
+                            if bound > top:
+                                bundles[bundle] = None
+                            continue
+                        priced = cheapest(bundle)
                     if priced is None:
                         continue
-                    cost, members = priced
+                    cost, members, part_key = priced
+                    if base + part_key > top:  # the node cut, made before descending
+                        stats["cuts"] += 1
+                        continue
                     total = running + cost
                     if not cost_le(total, inst.budget):
                         continue
                     parts.append(members)
-                    hit = rec(tuple(c for c in rest if c not in extra), left - size, total)
+                    hit = rec(tuple(c for c in rest if c not in extra), left - size, total,
+                              key + part_key)
                     parts.pop()
                     if hit is not None:
                         return hit
             return None
 
-        hit = rec(tuple(sorted(classes)), n_ic - inst.k, Cost.of(0))
+        hit = rec(tuple(sorted(classes)), excess, Cost.of(0), 0)
         del rec  # rec refers to itself: free the coloring's state now, not at a full collection
         return hit
 

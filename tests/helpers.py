@@ -253,3 +253,29 @@ def tied_selection_instance(
     groups.insert(at, [(0,) * d])
     weights.insert(at, [2 * len(groups)])
     return SelectionInstance.of(groups, budget, order, weights)
+
+
+def dense_family(n: int) -> ClusteringInstance:
+    """The unit vectors e_1..e_n under L1, k = n - 2 and budget 5/2, so T = 5.
+    Every pair costs 2, so two merges cost at least 3: the answer is no."""
+    points = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return ClusteringInstance(Dataset(n, points, (1,) * n), n - 2, Cost.of(Fraction(5, 2)),
+                              DistanceOrder.l1())
+
+
+def spread_family(n: int) -> ClusteringInstance:
+    """n initial clusters in {0..199}^6 under L1, k = n - 3 and budget 3, so
+    T = 6: three planted pairs at distances 1, 1 and 2 (the first coordinate
+    moved), the rest drawn uniformly, all from ``random.Random(1)``.  The
+    planted merges cost 4: the answer is no."""
+    rnd = random.Random(1)
+    points: list[tuple[int, ...]] = []
+    for gap in (1, 1, 2):
+        base = tuple(rnd.randint(0, 199 - gap) for _ in range(6))
+        points += [base, (base[0] + gap,) + base[1:]]
+    while len(points) < n:
+        point = tuple(rnd.randint(0, 199) for _ in range(6))
+        if point not in points:
+            points.append(point)
+    return ClusteringInstance(Dataset(6, tuple(points), (1,) * n), n - 3, Cost.of(3),
+                              DistanceOrder.l1())

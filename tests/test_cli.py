@@ -96,6 +96,25 @@ def test_malformed_budgets_are_cli_errors(text, message):
         parse_budget(text, DistanceOrder.l2())
 
 
+@pytest.mark.parametrize("text, item", [
+    ("basis:4", "'4'"),
+    ("basis:", "''"),
+    ("basis:4:1,", "''"),
+])
+def test_malformed_basis_budgets_are_cli_errors(tmp_path, capsys, text, item):
+    """A ``basis:`` item that is not one ``<base>:<coeff>`` pair raises
+    ``CliError`` naming the item, and an instance file holding it exits 2."""
+    half = DistanceOrder.lp(Fraction(1, 2))
+    with pytest.raises(CliError, match=f"basis budget item {item} "):
+        parse_budget(text, half)
+    body = {"kind": "clustering", "p": "1/2", "dimension": 1,
+            "vectors": [[0], [5]], "k": 1, "budget": text}
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(body))
+    assert run_cli(["solve", str(path), "--mode", "oracle"]) == 2
+    assert f"basis budget item {item}" in capsys.readouterr().err
+
+
 GENERATED = [
     gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3),
     gen_l0_selection_from_mcc(EX_CLIQUE_COLORED, 3),
@@ -196,7 +215,8 @@ def test_cli_solve_paths(tmp_path, capsys):
     capsys.readouterr()
 
     # T = 6 colors for 3 initial clusters: every part is one-vector, priced
-    # cost only, with no selection call
+    # cost only, with no selection call; the pair {1, 5} costs 4 > 3, so its
+    # pair bound cuts it unpriced and only {0, 1} is priced
     small = tmp_path / "small.json"
     ds = minkclust.Dataset(1, ((0,), (1,), (5,)), (1, 1, 1))
     small.write_text(json.dumps(instance_to_obj(
@@ -204,7 +224,7 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert run_cli(["solve", str(small), "--policy", "exhaustive"]) == 0
     out = capsys.readouterr().out
     assert "total cost: 1" in out
-    assert "stat pricings: 2" in out and "stat selection_calls: 0" in out
+    assert "stat pricings: 1" in out and "stat selection_calls: 0" in out
 
     assert run_cli(["solve", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

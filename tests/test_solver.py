@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from minkclust import selection, simplex, solver
+from minkclust.cost_model import cost_floor
 from minkclust import (
     ClusteringInstance,
     Cost,
@@ -36,8 +37,10 @@ from tests.helpers import (
     EX_CLIQUE_GRAPH,
     EX_LINF_GRAPH,
     EX_OCT_GRAPH,
+    dense_family,
     random_clustering_instance,
     solve_bruteforce_reference,
+    spread_family,
 )
 
 
@@ -119,6 +122,17 @@ def test_solve_bruteforce_rejects_fractional_points():
     for order in (DistanceOrder.l1(), DistanceOrder.l2()):
         with pytest.raises(ValueError, match="integer vectors"):
             solve_bruteforce(ClusteringInstance(ds, 1, Cost.of(1), order))
+
+
+def test_color_coding_rejects_fractional_points():
+    """The colour-coding search shares the oracle's integer keys, so a 1/3
+    coordinate raises rather than answer: T = ceil(2 * 1/3) = 1 color, from
+    a per-merge floor that holds only for integer points, would leave the
+    merge of the pair, which costs 1/3, unsearched and answer no."""
+    ds = Dataset(1, ((0,), (Fraction(1, 3),)), (1, 1))
+    inst = ClusteringInstance(ds, 1, Cost.of(Fraction(1, 3)), DistanceOrder.l1())
+    with pytest.raises(ValueError, match="integer vectors"):
+        solve_color_coding(inst, SolveConfig(policy="exhaustive"))
 
 
 def test_solve_bruteforce_l2_keys_beyond_the_float_range():
@@ -255,13 +269,19 @@ def test_color_coding_policies():
 
 def test_auto_runs_the_iterations_it_is_given():
     """An explicit count is the number of random colorings tried on a no;
-    without one, ``auto`` tries ceil(e**T) of them (T = 4 here)."""
-    ds = Dataset(1, tuple((10 * i,) for i in range(6)), (1,) * 6)
-    inst = ClusteringInstance(ds, 2, Cost.of(2), DistanceOrder.l1())
+    without one, ``auto`` tries ceil(e**T) of them (T = 4 here).  Two merges
+    pass the look-ahead, max(2 * alpha, 3 * c2 / 2) = 2 <= 2, so the no is
+    not decided before coloring; four merges cost at least 4 > 2, an exact
+    no with no coloring under ``auto`` too."""
+    ds = Dataset(1, ((0,), (1,), (10,), (20,), (30,), (40,)), (1,) * 6)
+    inst = ClusteringInstance(ds, 4, Cost.of(2), DistanceOrder.l1())
     res = solve_color_coding(inst, SolveConfig(iterations=3))
     assert not res.decision and res.stats["iterations"] == 3
     assert res.stats["confidence"] == 1 - (1 - math.exp(-4)) ** 3
     assert solve_color_coding(inst).stats["iterations"] == math.ceil(math.exp(4))
+    res = solve_color_coding(dataclasses.replace(inst, k=2), SolveConfig(iterations=3))
+    assert not res.decision and res.stats["iterations"] == 0
+    assert res.stats["confidence"] == 1.0
 
 
 @pytest.mark.parametrize("n,t", [(1, 1), (5, 1), (5, 3), (6, 4), (4, 4), (3, 5)])
@@ -374,19 +394,21 @@ def test_solve_bruteforce_equals_naive_reference(order, budgets, seed, max_initi
 
 
 def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
-    """With T = 3 colors below the 5 initial clusters, the exhaustive policy
-    tries one coloring per 3-subset holding the first cluster, since a
+    """With T = 4 colors below the 5 initial clusters, the exhaustive policy
+    tries one coloring per 4-subset holding the first cluster, since a
     subset's coloring ignores which member comes first, and
     ``families`` counts the complete families reached: none on a no, the
-    accepted one on a yes."""
-    ds = Dataset(1, ((0,), (1,), (10,), (11,), (20,)), (1,) * 5)
+    accepted one on a yes.  (The no owes two merges, whose look-ahead
+    max(2 * alpha, 3 * c2 / 2) = 2 is within the budget, so it is not
+    decided before coloring.)"""
+    ds = Dataset(1, ((0,), (1,), (10,), (20,), (30,)), (1,) * 5)
     for k, yes in ((3, False), (4, True)):
-        inst = ClusteringInstance(ds, k, Cost.of(Fraction(3, 2)), DistanceOrder.l1())
+        inst = ClusteringInstance(ds, k, Cost.of(2), DistanceOrder.l1())
         res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
-        assert res.stats["T"] == 3
+        assert res.stats["T"] == 4
         assert res.decision == solve_bruteforce(inst).decision == yes
         if not yes:
-            assert res.stats["iterations"] == math.comb(4, 2)
+            assert res.stats["iterations"] == math.comb(4, 3)
         assert res.stats["families"] == int(yes)
 
 
@@ -442,7 +464,9 @@ def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed, policy
 def test_one_vector_bundles_skip_selection(monkeypatch, order):
     """With T >= n colors every color class holds one initial cluster, so the
     exhaustive policy prices each part directly and never calls the selection
-    solver, and still decides as the brute-force oracle does."""
+    solver, and still decides as the brute-force oracle does.  A no may be
+    decided by the look-ahead before any coloring, with nothing priced; a yes
+    prices at least its own parts in its one coloring."""
     def no_selection(sel, **kwargs):
         raise AssertionError("a one-vector bundle reached solve_selection")
 
@@ -457,11 +481,83 @@ def test_one_vector_bundles_skip_selection(monkeypatch, order):
         budget = Cost.of(alpha * n_ic / 2 + Fraction(rnd.randrange(4), 2))
         inst = dataclasses.replace(inst, k=min(inst.k, n_ic - 1), budget=budget)
         res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
-        assert res.stats["T"] >= n_ic and res.stats["iterations"] == 1
+        assert res.stats["T"] >= n_ic and res.stats["iterations"] in (0, 1)
         assert res.decision == solve_bruteforce(inst).decision
-        assert res.stats["selection_calls"] == 0 and res.stats["pricings"] > 0
+        assert res.stats["selection_calls"] == 0
+        if res.stats["iterations"] == 0:  # decided before coloring
+            assert not res.decision and res.stats["pricings"] == 0
+        if res.decision:
+            assert res.stats["pricings"] > 0
         answers[res.decision] += 1
     assert answers[True] and answers[False]
+
+
+def _boundary_budgets(inst: ClusteringInstance, opt: Cost) -> list[Cost]:
+    """The optimum, the largest budget below it and the smallest above it on
+    the grid of the pair bounds' keys: halves, or 1 / lcm(1, ..., W) under
+    squared L2 with W the total weight; for p in (0, 1), whose optima are
+    irrational, the grid 2**-48, finer than the float keys' rounding band."""
+    if opt.exact is None:
+        grid = 2**48
+        floor = cost_floor(opt, grid)
+        below = floor - 1 if cost_eq(Cost.of(Fraction(floor, grid)), opt) else floor
+        return [opt, Cost.of(Fraction(below, grid)), Cost.of(Fraction(floor + 1, grid))]
+    weight = inst.dataset.total_count
+    step = Fraction(1, math.lcm(*range(1, weight + 1)) if inst.order.kind == "l2" else 2)
+    budgets = [opt, Cost.of(opt.exact + step)]
+    if opt.exact >= step:
+        budgets.append(Cost.of(opt.exact - step))
+    return budgets
+
+
+@pytest.mark.parametrize("order", [DistanceOrder.l0(), DistanceOrder.l1(), DistanceOrder.l2(),
+                                   DistanceOrder.linf(), DistanceOrder.lp(Fraction(1, 2)),
+                                   DistanceOrder.lp(Fraction(1, 3))], ids=str)
+def test_color_coding_cuts_keep_the_oracle_decision(order):
+    """The pair-bound cuts of the colour-coding search drop only branches
+    that cannot meet the budget: on weighted instances (weights 1-3) at the
+    optimum, just below it and just above it, the exhaustive policy decides
+    as the brute-force oracle does, and some of its branches are cut."""
+    rnd = random.Random(241)
+    cuts = 0
+    answers = Counter()
+    for _ in range(30):
+        inst = random_clustering_instance(rnd, order, Cost.of(0), max_initial=7, w_max=3)
+        for budget in _boundary_budgets(inst, solve_bruteforce(inst).min_cost):
+            bounded = dataclasses.replace(inst, budget=budget)
+            res = solve_color_coding(bounded, SolveConfig(policy="exhaustive"))
+            assert res.decision == solve_bruteforce(bounded).decision, bounded
+            if res.decision:
+                assert cost_le(res.clustering.total_cost, budget)
+            cuts += res.stats["cuts"]
+            answers[res.decision] += 1
+    assert cuts >= 1 and answers[True] and answers[False]
+
+
+def test_dense_family_is_an_exact_no_before_coloring():
+    """The unit vectors e_1..e_10 under L1 with k = 8 and budget 5/2: every
+    pair costs 2, so two merges cost at least max(2 * alpha, 3 * c2 / 2) = 3,
+    over the budget.  Both policies answer an exact no with no coloring,
+    where the exhaustive policy once tried all 126."""
+    inst = dense_family(10)
+    for cfg in (SolveConfig(policy="exhaustive"), SolveConfig()):
+        res = solve_color_coding(inst, cfg)
+        assert not res.decision and res.stats["iterations"] == 0
+        assert res.stats["confidence"] == 1.0 and res.stats["cuts"] == 1
+    assert not solve_bruteforce(inst).decision
+
+
+def test_spread_family_cuts_its_selection_calls():
+    """Ten initial clusters in {0..199}^6 under L1 with three planted pairs
+    (distances 1, 1 and 2), k = 7 and budget 3: T = 6, so the exhaustive
+    policy tries all comb(9, 5) colorings, but a bundle whose class pairs
+    are all far apart is cut by its pair bound before pricing.  It makes at
+    most 200 selection calls, where it once made 3,150."""
+    inst = spread_family(10)
+    res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
+    assert not res.decision and res.stats["iterations"] == math.comb(9, 5)
+    assert res.stats["selection_calls"] <= 200
+    assert not solve_bruteforce(inst).decision
 
 
 def test_randomized_no_is_one_sided():
