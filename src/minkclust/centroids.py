@@ -306,14 +306,16 @@ def _linf_doubled(points: Sequence[Point], weights: Sequence[int]) -> tuple[list
     n = len(points)
     if n == 1:
         return [2 * v for v in points[0]], 0
+    # the coordinate loops run as maps of operator functions, with v + v for 2 v
+    sub, add = operator.sub, operator.add
     gaps = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            gaps[u][v] = gaps[v][u] = max(abs(a - b) for a, b in zip(points[u], points[v]))
+            gaps[u][v] = gaps[v][u] = max(map(abs, map(sub, points[u], points[v])))
     radii2 = (_linf_vertex if n <= 3 else _linf_flow)(gaps, weights)
     gain = sum(w * r for w, r in zip(weights, radii2))
-    centroid2 = [max(2 * v - r for v, r in zip(col, radii2)) for col in zip(*points)]
-    attained = sum(w * max(abs(2 * v - c) for v, c in zip(x, centroid2))
+    centroid2 = [max(map(sub, map(add, col, col), radii2)) for col in zip(*points)]
+    attained = sum(w * max(map(abs, map(sub, map(add, x, x), centroid2)))
                    for x, w in zip(points, weights))
     if attained != gain:
         raise AssertionError("recovered centroid does not attain the LP optimum")

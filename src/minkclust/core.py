@@ -116,9 +116,19 @@ def distance(order: DistanceOrder, x: Sequence[Number], y: Sequence[Number]) -> 
     return Cost.basis(terms, order.p)
 
 
+def require_integer_vectors(vectors: Iterable[Sequence]) -> None:
+    """Raise ``ValueError`` unless every coordinate is an ``int``: a bool, a
+    float or a Fraction, even an integral one, is not.  The solvers' exact
+    keys and per-merge cost floors hold only on the integer lattice."""
+    kinds = {type(x) for vector in vectors for x in vector} - {int}
+    if kinds:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds))
+        raise ValueError(f"the solvers take integer vectors, not coordinates of type {names}")
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Weighted multiset of integer vectors."""
+    """Weighted multiset of integer vectors (``require_integer_vectors``)."""
 
     dimension: int
     points: tuple[Point, ...]
@@ -133,6 +143,7 @@ class Dataset:
         for m in self.multiplicities:
             if m < 1:
                 raise ValueError("multiplicities must be positive")
+        require_integer_vectors(self.points)
 
     @staticmethod
     def from_points(points: Iterable[Sequence[int]], dimension: int | None = None) -> "Dataset":

@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 
 from .centroids import (WeightedCluster, cluster_cost, mean_cost, optimal_cluster_cost,
                         summed_cost)
-from .core import DistanceOrder, Number, Point, distance
+from .core import DistanceOrder, Number, Point, distance, require_integer_vectors
 from .cost_model import Cost, approx_sign, approx_terms, cost_eq, cost_eval, cost_le
 from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
 from .hypergraph import candidate_coordinate_sets  # noqa: F401  (traced by perfbench/)
@@ -59,7 +59,8 @@ class EnumerationCapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SelectionInstance:
-    """t disjoint groups of weighted vectors plus a budget."""
+    """t disjoint groups of weighted integer vectors
+    (``require_integer_vectors``) plus a budget."""
 
     groups: tuple[tuple[Point, ...], ...]
     weights: tuple[tuple[int, ...], ...]
@@ -87,6 +88,7 @@ class SelectionInstance:
             for w in ws:
                 if w < 1:
                     raise ValueError("weights must be positive integers")
+        require_integer_vectors(seen)
 
     @staticmethod
     def of(

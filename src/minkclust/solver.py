@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, pair_cost, summed_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
-from .cost_model import Cost, cost_eq, cost_eval, cost_floor, cost_le
+from .cost_model import Cost, approx_terms, cost_eq, cost_eval, cost_floor, cost_le
 from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
 from .selection import CENTROID_CAP, SelectionInstance, solve_selection
 
@@ -82,7 +82,6 @@ def _assemble_clustering(
     parts: Sequence[Sequence[int]],
 ) -> Clustering:
     used = set()
-    clusters: list[tuple[tuple, int]] = []
     member_lists: list[tuple[tuple[tuple, int], ...]] = []
     centroids = []
     costs = []
@@ -101,10 +100,8 @@ def _assemble_clustering(
             member_lists.append(((ic.representative, ic.size),))
             centroids.append(ic.representative)
             costs.append(Cost.of(0))
-    total = Cost.of(0)
-    for c in costs:
-        total = total + c
-    return Clustering(tuple(member_lists), tuple(centroids), tuple(costs), total)
+    return Clustering(tuple(member_lists), tuple(centroids), tuple(costs),
+                      sum(costs, Cost.of(0)))
 
 
 @dataclass
@@ -117,12 +114,24 @@ class BruteForceResult:
 
 class _PairBounds(NamedTuple):
     to_key: Callable  # a ``cluster_cost`` value -> its key
+    top: Callable  # a Cost -> the largest key within it
     unit: int  # 1 for integer keys, 0 for float keys
-    rel: float  # the float keys' relative rounding band, 0 for integer keys
-    scale: int  # an integer key is scale times its cost
     pair: list[list]  # pair[a][b]: the key of the pair {a, b}
     pairs: dict[tuple[int, int], tuple]  # (a, b), a < b -> (key, exact value)
     ahead: list  # ahead[m]: at most the key of any parts making m merges
+
+
+def _float_bounds(cost: Cost) -> tuple[float, float]:
+    """Floats at most and at least a cost, but for one rounding each:
+    ``approx_terms``' value less and plus its proven bound, a rational
+    rounded, and past the float range, where no bound is, the 50-digit value."""
+    try:
+        value, bound = approx_terms(cost.terms, cost.p) if cost.terms else (float(cost.exact), 0.0)
+    except OverflowError:  # a rational past the float range
+        bound = math.inf
+    if bound == math.inf:
+        value, bound = float(cost_eval(cost)), 0.0
+    return value - bound, value + bound
 
 
 def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
@@ -141,24 +150,26 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
     Keys: costs of integer points are integers or halves under Hamming,
     p = 1 and max distance, and multiples of 1/W for a squared L2 part of
     weight W.  Scaled by 2, or for squared L2 by lcm(1, ..., W) with W the
-    total weight, they are integers, and the look-ahead is rounded up; a
-    value that does not scale to an integer raises ``ValueError``.  For p in
-    (0, 1) the keys are floats, and a comparison may cut only above a
-    relative band of ``rel`` over its other side.
+    total weight, they are integers, the look-ahead is rounded up, and
+    ``top(cost)``, the largest key within a cost, is its scaled floor.  For
+    p in (0, 1) a key is a float at most its cost, and ``top`` one at least
+    it (``_float_bounds``) above a band for the rounding of sums.
     """
     n = len(sizes)
     if order.kind == "lp" and order.p < 1:
-        # A float key is within 2**-52 of its cost, relative, and a float sum
-        # of j keys within (j + 1) * 2**-52 of theirs.  A bound sums at most
-        # comb(n, 2) pair keys, or n part keys, pair minima and a look-ahead,
-        # and its other side at most n part keys, so together they are off by
-        # under (n**2 + 4) * 2**-52; the band is four times that.
-        scale, unit, rel = 1, 0, (n * n + 4) * 2.0**-50
-        to_key = lambda value: float(cost_eval(summed_cost(order, (value,))))  # noqa: E731
+        # A key is at most its cost, and top's float at least its value, but
+        # for one rounding of 2**-53 relative each, and a float sum of j keys
+        # adds j - 1 more.  A bound sums at most comb(n, 2) pair keys, or n
+        # part keys, pair minima and a look-ahead, so the two sides are off
+        # by under (n**2 + 4) * 2**-52 together; the band is four times that.
+        unit, rel, p = 0, (n * n + 4) * 2.0**-50, order.p
+        to_key = lambda value: _float_bounds(Cost(terms=value, p=p))[0]  # noqa: E731
+        top = lambda cost: _float_bounds(cost)[1] * (1 + rel)  # noqa: E731
     else:
         scale = math.lcm(*range(1, sum(sizes) + 1)) if order.kind == "l2" else 2
-        unit, rel = 1, 0
+        unit = 1
         to_key = lambda value: _scaled(value, scale)  # noqa: E731
+        top = lambda cost: cost_floor(cost, scale)  # noqa: E731
     pair = [[0] * n for _ in range(n)]
     pairs = {}
     for a, b in itertools.combinations(range(n), 2):
@@ -174,7 +185,7 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
     else:
         ahead = [0] + [float(max(alpha * m, (m + 1) * Fraction(c2) / 2))
                        for m in range(1, excess + 1)]
-    return _PairBounds(to_key, unit, rel, scale, pair, pairs, ahead)
+    return _PairBounds(to_key, top, unit, pair, pairs, ahead)
 
 
 def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> BruteForceResult:
@@ -202,12 +213,11 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     costliest pair already reaches the incumbent, and a part whose pair sum
     does is cut before it is priced.
 
-    The search compares keys: integers, the costs scaled by 2, or for
-    squared L2 by lcm(1, ..., W) with W the dataset's total weight, so a
-    point off the integer lattice may raise ``ValueError``.  For p in (0, 1)
-    the keys are floats: a branch is cut only above a rounding band over the
-    incumbent, and a complete family below it is compared with the incumbent
-    by ``cost_le``, exactly where the floats cannot tell.
+    The search compares keys (``_pair_bounds``): integers, the costs scaled
+    by 2, or for squared L2 by lcm(1, ..., W) with W the dataset's total
+    weight.  For p in (0, 1) a key is a float at most its cost, the
+    incumbent's float is at least its cost, above a rounding band, and a
+    complete family the floats let through is compared with it by ``cost_le``.
 
     ``family_cap`` bounds the parts tried, cut or not, and raises
     ``RuntimeError`` past it; a part tried is a step of the member walk, a
@@ -228,8 +238,7 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     sizes = [ic.size for ic in initial]
     bounds = _pair_bounds(order, sizes, excess, lambda a, b: cluster_cost(
         order, (points[a], points[b]), (sizes[a], sizes[b])))
-    to_key, unit, rel, pair, ahead = (bounds.to_key, bounds.unit, bounds.rel, bounds.pair,
-                                      bounds.ahead)
+    to_key, unit, pair, ahead = bounds.to_key, bounds.unit, bounds.pair, bounds.ahead
     part_cache = bounds.pairs  # part -> (key, exact value), every pair priced already
 
     def part_cost(part: tuple[int, ...]) -> tuple:
@@ -240,25 +249,22 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
         return hit
 
     best_cost: Cost | None = None
-    best = math.inf  # the incumbent's key; for float keys, the top of its band
+    best = math.inf  # the largest key within the incumbent's cost
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = tried = 0
-    current_parts: list[tuple[int, ...]] = []
-    current_values: list = []  # the exact values of current_parts
+    current: list[tuple[tuple[int, ...], object]] = []  # the family's parts and exact values
 
     def rec(pool: tuple[int, ...], left: int, total) -> None:
         nonlocal best_cost, best, best_family, families
         if left == 0:
             # the cuts let through only a family whose key is below best: with
-            # integer keys a cheaper one, with floats one that cost_le, which
-            # filters by floats too, must tell from the incumbent
-            cost = summed_cost(order, current_values)
-            if rel and best_cost is not None and cost_le(best_cost, cost):
+            # integer keys a cheaper one, with floats one that cost_le must tell
+            cost = summed_cost(order, [value for _, value in current])
+            if not unit and best_cost is not None and cost_le(best_cost, cost):
                 return
             families += 1
-            best_cost = cost
-            best_family = tuple(tuple(sorted(p)) for p in current_parts)
-            best = total * (1 + rel) if rel else total  # integer keys stay integers
+            best_cost, best = cost, bounds.top(cost)
+            best_family = tuple(tuple(sorted(p)) for p, _ in current)
             return
         for ai in range(len(pool)):
             rest = pool[ai + 1:]
@@ -299,11 +305,9 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
         f, value = part_cost(part)
         if total + f + ahead[after] >= best:
             return
-        current_parts.append(part)
-        current_values.append(value)
+        current.append((part, value))
         rec(tuple(x for x in rest if x not in part), after, total + f)
-        current_parts.pop()
-        current_values.pop()
+        current.pop()
 
     rec(tuple(range(n_ic)), excess, 0)
     # the three closures hold one another; break those cycles so that the part
@@ -321,7 +325,7 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
 
 
 def _scaled(value: int | Fraction, scale: int) -> int:
-    """``scale`` times a cost of integer points, which must be an integer."""
+    """``scale`` times a cost of integer points (all a ``Dataset`` holds), an integer."""
     key, rest = divmod(scale * value.numerator, value.denominator)
     if rest:
         raise ValueError("the clustering searches take integer vectors")
@@ -369,17 +373,16 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     (T from the budget and the per-merge cost floor), and searches the
     families of disjoint color sets that merge the n - k excess initial
     clusters, depth first, cutting a branch at a part whose bundle is
-    infeasible or that takes the running cost over the budget.  Each part's
-    cost is the exact optimum of its Cluster Selection bundle, the part's
-    color classes in sorted order, and one cache keyed by that bundle prices
-    each distinct bundle once, whatever colors its classes carry.  A bundle
-    whose classes each hold one initial cluster has a single tuple, priced
-    cost only by ``cluster_cost`` and checked against the budget; any other
-    bundle takes one minimising ``solve_selection`` call, with the instance
-    budget as the bound.  A composite cluster lists its members in that
-    sorted-class order.  A complete family is re-priced through the centroid
-    rules for its witness, and that total must equal the search's running
-    cost.
+    infeasible or over the budget.  Each part's cost is the exact optimum
+    of its Cluster Selection bundle, the part's color classes in sorted
+    order, and one cache keyed by that bundle prices each distinct bundle
+    once, whatever colors its classes carry.  A bundle whose classes each
+    hold one initial cluster has a single tuple, priced cost only by
+    ``cluster_cost``; any other bundle takes one minimising
+    ``solve_selection`` call, with the instance budget as the bound.  A
+    composite cluster lists its members in that sorted-class order.  A
+    complete family's exact cost is summed once, checked against the budget,
+    and must equal the total of its witness, re-priced by the centroid rules.
 
     The pair bounds of ``solve_bruteforce`` (``_pair_bounds``, one helper
     for both searches) cut three ways, each only where no completion can
@@ -390,18 +393,18 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
 
     - before any coloring, ahead[n - k] over the budget is an exact no, with
       confidence 1 and no coloring, under either policy;
-    - a branch whose running cost plus ahead[merges left] is over the budget
-      is not descended;
+    - a branch whose parts plus ahead[merges left] are over the budget is
+      not descended;
     - a bundle of s classes whose tuples cost at least L, the larger of its
       class pairs' costliest cheapest pair and their sum over s - 1, is not
-      priced while running + L + ahead[merges left after it] is over the
-      budget, and is cached as infeasible when L alone is.
+      priced while the branch's parts + L + ahead[merges left after it] are
+      over the budget, and is cached as infeasible when L alone is.
 
-    The cuts compare the search's keys with the budget's: exact integers
-    under Hamming, p = 1, squared L2 and max distance, floats cut only above
-    the rounding band for p in (0, 1).  As in ``solve_bruteforce``, a point
-    off the integer lattice may raise ``ValueError``; the per-merge floor
-    that sets T assumes integer points too.
+    The search carries keys only (``_pair_bounds``) and compares them with
+    ``top``, the largest key within the budget: exact integers under
+    Hamming, p = 1, squared L2 and max distance.  For p in (0, 1) a key is a
+    float at most its cost and ``top`` one at least the budget, above a
+    rounding band, and the check of a complete family's cost decides.
 
     The policy picks only the colorings and a no's confidence; one loop
     tries them.  Under ``auto`` a no is one sided, with confidence
@@ -439,25 +442,22 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     bounds = _pair_bounds(order, sizes, excess, lambda a, b: pair_cost(
         order, points[a], sizes[a], points[b], sizes[b]))
     to_key, unit, pair, ahead = bounds.to_key, bounds.unit, bounds.pair, bounds.ahead
-    # the cuts compare keys with ``top``, the largest key within the budget
-    top = (cost_floor(inst.budget, bounds.scale) if unit
-           else float(cost_eval(inst.budget)) * (1 + bounds.rel))
+    top = bounds.top(inst.budget)
     if ahead[excess] > top:
         stats["cuts"] += 1
         stats["confidence"] = 1.0
         return SolveResult(False, None, stats)
 
     # per bundle, the part's color classes in sorted order: its cheapest part's
-    # cost, initial clusters and key, or None when that cost exceeds the budget
-    bundles: dict[tuple[tuple[int, ...], ...], tuple[Cost, tuple[int, ...], object] | None] = {}
+    # initial clusters, key and exact value, or None when that key exceeds top
+    bundles: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], object, object] | None] = {}
 
     def cheapest(bundle: tuple[tuple[int, ...], ...]) -> tuple | None:
         if all(len(members) == 1 for members in bundle):
             part = tuple(members[0] for members in bundle)
             stats["pricings"] += 1
             value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
-            cost = summed_cost(order, (value,))
-            hit = (cost, part, to_key(value)) if cost_le(cost, inst.budget) else None
+            hit = (part, key, value) if (key := to_key(value)) <= top else None
         else:
             sel = SelectionInstance(
                 tuple(tuple(points[i] for i in members) for members in bundle),
@@ -469,9 +469,9 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                 stats[name] += res.stats.get(name, 0)
             hit = None
             if res.decision:
-                cost = res.cost
-                hit = (cost, tuple(members[i] for members, i in zip(bundle, res.indices)),
-                       to_key(cost.exact if cost.terms is None else cost.terms))
+                value = res.cost.exact if res.cost.terms is None else res.cost.terms
+                hit = (tuple(members[i] for members, i in zip(bundle, res.indices)),
+                       to_key(value), value)
         bundles[bundle] = hit
         return hit
 
@@ -479,7 +479,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         classes: dict[int, tuple[int, ...]] = {}
         for ic_idx, color in enumerate(coloring):
             classes[color] = classes.get(color, ()) + (ic_idx,)
-        parts: list[tuple[int, ...]] = []  # the chosen initial clusters per part
+        parts: list[tuple] = []  # the chosen parts, as ``bundles`` holds them
         # per pair of colors, the key of the cheapest pair between their classes
         near = {(c, d): min(pair[a][b] for a in classes[c] for b in classes[d])
                 for c, d in itertools.combinations(sorted(classes), 2)}
@@ -491,13 +491,16 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             s1 = len(colors) - 1
             return max(max(mins), -(-sum(mins) // s1) if unit else sum(mins) / s1)
 
-        def rec(pool: tuple[int, ...], left: int, running: Cost, key) -> SolveResult | None:
+        def rec(pool: tuple[int, ...], left: int, key) -> SolveResult | None:
             # ``left`` merges are still owed; a part of s colors makes s - 1.
-            # ``key`` is the running cost's key, and key + ahead[left] <= top
+            # ``key`` is the parts' key sum, and key + ahead[left] <= top
             if left == 0:
+                total = summed_cost(order, [value for _, _, value in parts])
+                if not cost_le(total, inst.budget):  # float keys only filter
+                    return None
                 stats["families"] += 1
-                clustering = _assemble_clustering(order, initial, parts)
-                if not cost_eq(clustering.total_cost, running):
+                clustering = _assemble_clustering(order, initial, [p[0] for p in parts])
+                if not cost_eq(clustering.total_cost, total):
                     raise AssertionError("the witness's optimal costs do not sum to the "
                                          "search's total")
                 return SolveResult(True, clustering, stats)
@@ -507,7 +510,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             # part of all of them fits, and above it nothing does
             fits = left < len(rest)
             if fits:  # leave the first color unmerged
-                hit = rec(rest, left, running, key)
+                hit = rec(rest, left, key)
                 if hit is not None:
                     return hit
             for size in range(1 if fits else left, min(left, len(rest)) + 1):
@@ -526,22 +529,19 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
                         priced = cheapest(bundle)
                     if priced is None:
                         continue
-                    cost, members, part_key = priced
+                    part_key = priced[1]
                     if base + part_key > top:  # the node cut, made before descending
                         stats["cuts"] += 1
                         continue
-                    total = running + cost
-                    if not cost_le(total, inst.budget):
-                        continue
-                    parts.append(members)
-                    hit = rec(tuple(c for c in rest if c not in extra), left - size, total,
+                    parts.append(priced)
+                    hit = rec(tuple(c for c in rest if c not in extra), left - size,
                               key + part_key)
                     parts.pop()
                     if hit is not None:
                         return hit
             return None
 
-        hit = rec(tuple(sorted(classes)), excess, Cost.of(0), 0)
+        hit = rec(tuple(sorted(classes)), excess, 0)
         del rec  # rec refers to itself: free the coloring's state now, not at a full collection
         return hit
 

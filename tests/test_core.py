@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minkclust import (
+    ClusteringInstance,
+    Cost,
     Dataset,
     DistanceOrder,
     InitialCluster,
@@ -13,6 +15,7 @@ from minkclust import (
     merge_cost_bound,
     optimal_cluster_cost,
     regularize,
+    SelectionInstance,
 )
 from minkclust.cost_model import cost_eval
 
@@ -53,6 +56,23 @@ def test_distance_symmetry_identity(x, y, idx):
     assert dxy == dyx
     zero = distance(order, tuple(x), tuple(x))
     assert zero.exact == 0
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+def test_points_off_the_integer_lattice_are_rejected(order):
+    """Both entry types take integer vectors only, since the searches' exact
+    keys and per-merge cost floors hold only on the lattice: a Fraction or a
+    float, integral or not, and a bool raise at construction.  Under L1 the
+    points (0) and (1/2) once gave the colour-coding search an exact no at
+    the optimum 1/2, a budget the brute-force oracle met."""
+    for bad in (Fraction(1, 2), Fraction(3), 0.5, 1.0, True):
+        with pytest.raises(ValueError, match="integer vectors"):
+            ClusteringInstance(Dataset(2, ((0, 0), (bad, 1)), (1, 1)), 1, Cost.of(1), order)
+        with pytest.raises(ValueError, match="integer vectors"):
+            SelectionInstance.of([[(0, 0)], [(1, bad)]], Cost.of(1), order)
+    # any int is a lattice coordinate, negative or past the float range
+    ClusteringInstance(Dataset(2, ((0, -1), (2**1100, 1)), (1, 1)), 1, Cost.of(1), order)
+    SelectionInstance.of([[(0, -1)], [(2**1100, 1)]], Cost.of(1), order)
 
 
 def test_regularize_grouping():

@@ -115,23 +115,23 @@ def test_solve_bruteforce_respects_k():
 
 def test_solve_bruteforce_rejects_fractional_points():
     """The search compares integer keys under every order but p in (0, 1):
-    a point with a 1/3 coordinate prices its pair at 1/3 under L1 and at
-    1/18 under squared L2, neither an integer once scaled, so it raises
-    rather than compare floats."""
-    ds = Dataset(1, ((0,), (Fraction(1, 3),)), (1, 1))
+    a point with a 1/3 coordinate would price its pair at 1/3 under L1 and
+    at 1/18 under squared L2, neither an integer once scaled, so the dataset
+    rejects it before any search."""
     for order in (DistanceOrder.l1(), DistanceOrder.l2()):
         with pytest.raises(ValueError, match="integer vectors"):
+            ds = Dataset(1, ((0,), (Fraction(1, 3),)), (1, 1))
             solve_bruteforce(ClusteringInstance(ds, 1, Cost.of(1), order))
 
 
 def test_color_coding_rejects_fractional_points():
     """The colour-coding search shares the oracle's integer keys, so a 1/3
-    coordinate raises rather than answer: T = ceil(2 * 1/3) = 1 color, from
-    a per-merge floor that holds only for integer points, would leave the
-    merge of the pair, which costs 1/3, unsearched and answer no."""
-    ds = Dataset(1, ((0,), (Fraction(1, 3),)), (1, 1))
-    inst = ClusteringInstance(ds, 1, Cost.of(Fraction(1, 3)), DistanceOrder.l1())
+    coordinate is rejected rather than answered: T = ceil(2 * 1/3) = 1
+    color, from a per-merge floor that holds only for integer points, would
+    leave the merge of the pair, which costs 1/3, unsearched and answer no."""
     with pytest.raises(ValueError, match="integer vectors"):
+        ds = Dataset(1, ((0,), (Fraction(1, 3),)), (1, 1))
+        inst = ClusteringInstance(ds, 1, Cost.of(Fraction(1, 3)), DistanceOrder.l1())
         solve_color_coding(inst, SolveConfig(policy="exhaustive"))
 
 
@@ -532,6 +532,76 @@ def test_color_coding_cuts_keep_the_oracle_decision(order):
             cuts += res.stats["cuts"]
             answers[res.decision] += 1
     assert cuts >= 1 and answers[True] and answers[False]
+
+
+FRACTIONAL_ORDERS = [DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.lp(Fraction(1, 3))]
+
+
+def _fractional_boundary_cases(seed: int, trials: int):
+    """Weighted p < 1 instances (weights 1-3, at most 6 initial clusters)
+    with their optimum from the uncut partition oracle, each at the
+    boundary budgets."""
+    rnd = random.Random(seed)
+    for _ in range(trials):
+        for order in FRACTIONAL_ORDERS:
+            inst = random_clustering_instance(rnd, order, Cost.of(0), w_max=3)
+            opt = solve_bruteforce_reference(inst)[1]
+            for budget in _boundary_budgets(inst, opt):
+                yield dataclasses.replace(inst, budget=budget), cost_le(opt, budget)
+
+
+def test_float_keys_hold_under_hostile_error_bounds(monkeypatch):
+    """For p in (0, 1) a key is ``approx_terms``' float less its proven
+    bound, and the budget's and the incumbent's floats are plus it, so any
+    valid (float, bound) pair keeps the searches exact.  Here every bound is
+    2**-20 of its float, far wider than the rounding band; a cluster value
+    is moved up 0.9 of its bound and the budget's down 0.9.  A key taken as
+    the float alone would then cut the optimal family at a budget equal to
+    its cost."""
+    true_terms = solver.approx_terms
+    budget = None
+
+    def hostile(terms, p):
+        value, _ = true_terms(terms, p)
+        return value * (1 + (-0.9 if terms is budget.terms else 0.9) * 2.0**-20), value * 2.0**-20
+
+    monkeypatch.setattr(solver, "approx_terms", hostile)
+    decisions = Counter()
+    for inst, decision in _fractional_boundary_cases(251, 12):
+        budget = inst.budget
+        assert solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision == decision
+        assert solve_bruteforce(inst).decision == decision
+        decisions[decision, budget.terms is not None] += 1
+    assert decisions[True, True] >= 5 and decisions[False, False] >= 5
+
+
+def test_clustering_searches_do_not_evaluate_to_50_digits(monkeypatch):
+    """Both searches take every p < 1 key, the budget's float and the
+    incumbent's from ``approx_terms``, so on values in the float range
+    neither calls ``cost_eval`` (the selection kernels keep their own)."""
+    def refuse(*args):
+        raise AssertionError("cost_eval called")
+
+    monkeypatch.setattr(solver, "cost_eval", refuse)
+    for inst, decision in _fractional_boundary_cases(252, 6):
+        assert solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision == decision
+        assert solve_bruteforce(inst).decision == decision
+
+
+def test_gaps_beyond_the_float_range():
+    """A gap of 2**1100 has no float power, so ``approx_terms`` gives it no
+    bound, and that key alone takes the 50-digit value.  The optimum merges
+    (0), (1) and the two far points, at 1 + 3**(1/2); the far-reaching
+    families are cut by their keys, never compared exactly, which would
+    factor 2**1100 by trial division."""
+    half = DistanceOrder.lp(Fraction(1, 2))
+    ds = Dataset(1, ((0,), (1,), (2**1100,), (2**1100 + 3,)), (1, 1, 1, 1))
+    opt = Cost.basis({1: 1, 3: 1}, half.p)
+    for budget, decision in ((opt, True), (Cost.of(2), False), (Cost.of(3), True)):
+        inst = ClusteringInstance(ds, 2, budget, half)
+        assert solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision == decision
+        res = solve_bruteforce(inst)
+        assert res.decision == decision and cost_eq(res.min_cost, opt)
 
 
 def test_dense_family_is_an_exact_no_before_coloring():
