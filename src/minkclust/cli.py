@@ -245,7 +245,6 @@ def cmd_solve(args) -> int:
         decision, clustering = res.decision, res.clustering
         stats = res.stats
         out.append(f"decision: {'yes' if decision else 'no'}")
-        out.append(f"iterations: {stats.get('iterations')}")
         out.append(f"confidence: {stats.get('confidence'):.6f}")
     if decision and clustering is not None:
         out.append(f"total cost: {_fmt_cost(clustering.total_cost)}")
@@ -411,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a clustering instance")
     p_solve.add_argument("instance")
     p_solve.add_argument("--policy", default="auto",
-                         help="auto (random colorings), iters=<n> (auto with "
-                              "n colorings) or exhaustive (exact)")
+                         help="auto (random colorings; a no has the printed confidence), "
+                              "iters=<n> (auto with n colorings) or exhaustive (the "
+                              "oracle's search, stopped at the first fit: exact)")
     p_solve.add_argument("--mode", default="solver", choices=["solver", "oracle"])
     p_solve.add_argument("--seed", type=int, default=0)
     cap_centroids(p_solve)

@@ -1,17 +1,13 @@
 """k-Clustering solvers.
 
-The main solver reduces clustering to Cluster Selection via color coding over
-initial clusters: color the initial clusters, search the families of disjoint
-color subsets (each future composite cluster) that merge exactly the excess
-over k, and ask the minimising selection solver once per distinct bundle (the
-part's sorted color classes) for the cheapest cost of that part; a bundle of
-one vector per group is priced directly, cost only.  The exhaustive policy is
-exact by containment: a feasible solution merges at most T initial clusters,
-so some subset of min(T, n) initial clusters contains them all; coloring that
-subset with distinct colors and everything else like its first member gives
-each merged part a bundle whose minimum costs no more than the part itself.  A
-brute-force partition oracle over initial clusters provides ground truth at
-desk scale.
+One exact partition search over initial clusters, the member walk cut by pair
+bounds, is the brute-force oracle when it minimises and the exhaustive policy
+when it stops at the first family within the budget.  The ``auto`` policy,
+the paper's randomised algorithm, colors the initial clusters, searches the
+families of disjoint color subsets (each future composite cluster) that merge
+exactly the excess over k, and asks the minimising selection solver once per
+distinct bundle (the part's sorted color classes) for the cheapest cost of
+that part; a bundle of one vector per group is priced directly, cost only.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, pair_cost, summed_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
@@ -30,7 +26,7 @@ from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
 from .selection import CENTROID_CAP, SelectionInstance, solve_selection
 
 MAX_ITERATIONS = 100_000  # the default random coloring count stops here
-COLORING_CAP = 1_000_000  # no policy tries more colorings
+COLORING_CAP = 1_000_000  # the auto policy takes at most this many colorings
 
 
 @dataclass(frozen=True)
@@ -50,10 +46,10 @@ class SolveConfig:
     """Knobs for the color-coding solver.
 
     ``policy`` is ``auto`` (``iterations`` seeded random colorings, by
-    default min(ceil(e**T), ``MAX_ITERATIONS``)) or ``exhaustive`` (each of
-    the comb(n - 1, min(T, n) - 1) distinct rainbow colorings once, with no
-    count to set; the decision is exact).  ``centroid_cap`` bounds the
-    search nodes of every selection call.
+    default min(ceil(e**T), ``MAX_ITERATIONS``); a no is one sided) or
+    ``exhaustive`` (the member walk in decision mode, with no count to set;
+    the decision is exact).  ``centroid_cap`` bounds the search nodes of
+    every selection call, which only ``auto`` makes.
     """
 
     seed: int = 0
@@ -188,19 +184,23 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
     return _PairBounds(to_key, top, unit, pair, pairs, ahead)
 
 
-def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> BruteForceResult:
-    """Exact minimum over all regular clusterings into at most k nonempty
-    clusters.
+def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess: int,
+                 within: Cost | None = None, family_cap: float = math.inf
+                 ) -> tuple[Clustering | None, Cost | None, dict]:
+    """The exact partition search over initial clusters owing ``excess``
+    merges: the clustering of least cost (``within`` None) or the first one
+    within the budget ``within`` (None if there is none), its exact cost and
+    the search's stats.
 
-    Cluster costs only grow under merging, so the optimum merges exactly
-    ``len(initial) - k`` excess units; only merge families of that excess are
-    enumerated, each anchor's parts by size and, within a size, in
-    lexicographic order.  A branch is cut once its lower bound, its parts'
-    costs plus a look-ahead for the merges left, reaches the incumbent's cost;
-    ties keep the incumbent, the first minimum found.  Each distinct part is
+    Cluster costs only grow under merging, so only merge families of exactly
+    ``excess`` are enumerated, each anchor's parts by size and, within a
+    size, in lexicographic order.  A branch is cut once its lower bound, its
+    parts' costs plus a look-ahead for the merges left, reaches the
+    incumbent: the best family's cost so far, whose ties it keeps, or from
+    the start the budget, which it must exceed.  Each distinct part is
     priced once, cost only (``cluster_cost``).  The winning family is priced
     again part by part through ``optimal_cluster_cost`` for its witness, and
-    that total must equal the search's best cost.
+    that total must equal the search's cost.
 
     The bounds come from pairs, under every order (``_pair_bounds``, shared
     with the colour-coding search): a part of s members costs at least its
@@ -213,27 +213,20 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     costliest pair already reaches the incumbent, and a part whose pair sum
     does is cut before it is priced.
 
-    The search compares keys (``_pair_bounds``): integers, the costs scaled
-    by 2, or for squared L2 by lcm(1, ..., W) with W the dataset's total
-    weight.  For p in (0, 1) a key is a float at most its cost, the
-    incumbent's float is at least its cost, above a rounding band, and a
-    complete family the floats let through is compared with it by ``cost_le``.
+    The search compares keys (``_pair_bounds``), exact integers but for p
+    in (0, 1), where a complete family the float keys let through is
+    compared with the incumbent or the budget by ``cost_le``.
 
     ``family_cap`` bounds the parts tried, cut or not, and raises
     ``RuntimeError`` past it; a part tried is a step of the member walk, a
-    prefix or a whole part.  ``stats["families"]`` counts the improving
-    families reached, ``stats["parts"]`` the parts tried and
+    prefix or a whole part.  ``stats["families"]`` counts the families that
+    became the incumbent, ``stats["parts"]`` the parts tried and
     ``stats["pricings"]`` the distinct parts priced.
     """
-    initial = regularize(inst.dataset)
-    n_ic = len(initial)
-    excess = n_ic - inst.k
     if excess <= 0:
-        clustering = _assemble_clustering(inst.order, initial, ())
-        return BruteForceResult(True, clustering, Cost.of(0),
-                                {"families": 1, "parts": 0, "pricings": 0})
+        return (_assemble_clustering(order, initial, ()), Cost.of(0),
+                {"families": 1, "parts": 0, "pricings": 0})
 
-    order = inst.order
     points = [ic.representative for ic in initial]
     sizes = [ic.size for ic in initial]
     bounds = _pair_bounds(order, sizes, excess, lambda a, b: cluster_cost(
@@ -249,30 +242,41 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
         return hit
 
     best_cost: Cost | None = None
-    best = math.inf  # the largest key within the incumbent's cost
+    best = math.inf  # a branch whose key reaches best is cut
+    if within is not None:  # cut only past the largest key within the budget
+        top = bounds.top(within)
+        best = top + 1 if unit else math.nextafter(top, math.inf)
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = tried = 0
     current: list[tuple[tuple[int, ...], object]] = []  # the family's parts and exact values
 
-    def rec(pool: tuple[int, ...], left: int, total) -> None:
+    def rec(pool: tuple[int, ...], left: int, total) -> bool:
+        # True stops the search: a decision has found its family
         nonlocal best_cost, best, best_family, families
         if left == 0:
-            # the cuts let through only a family whose key is below best: with
-            # integer keys a cheaper one, with floats one that cost_le must tell
+            # the cuts let through only a family whose key is below best: with integer
+            # keys a cheaper one or one within the budget, with floats one cost_le tells
             cost = summed_cost(order, [value for _, value in current])
-            if not unit and best_cost is not None and cost_le(best_cost, cost):
-                return
+            if within is not None:
+                if not cost_le(cost, within):
+                    return False
+            elif not unit and best_cost is not None and cost_le(best_cost, cost):
+                return False
             families += 1
             best_cost, best = cost, bounds.top(cost)
             best_family = tuple(tuple(sorted(p)) for p, _ in current)
-            return
-        for ai in range(len(pool)):
+            return within is not None
+        # m clusters hold at most m - 1 merges: an anchor needs ``left`` clusters
+        # after it, and with exactly that many only the part of all of them fits
+        for ai in range(len(pool) - left):
             rest = pool[ai + 1:]
-            for size in range(1, min(left, len(rest)) + 1):
-                walk((pool[ai],), rest, 0, size, left - size, total, 0, 0)
+            for size in range(1 if len(rest) > left else left, left + 1):
+                if walk((pool[ai],), rest, 0, size, left - size, total, 0, 0):
+                    return True
+        return False
 
     def walk(part: tuple[int, ...], rest: tuple[int, ...], start: int, size: int,
-             after: int, total, top, pair_sum) -> None:
+             after: int, total, top, pair_sum) -> bool:
         # grow part (an anchor and its first extras) by rest[start:] towards
         # size extras; top and pair_sum are its costliest pair and pair sum.
         # best starts as a float inf, which an integer key beyond the float
@@ -295,33 +299,45 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
                 continue
             grown = part + (x,)
             if len(grown) <= size:
-                walk(grown, rest, i + 1, size, after, total, t, s)
+                if walk(grown, rest, i + 1, size, after, total, t, s):
+                    return True
             elif s + (base + unit) * size <= best * size:  # the part's key is at least s / size
-                take(grown, rest, after, total)
+                if take(grown, rest, after, total):
+                    return True
+        return False
 
-    def take(part: tuple[int, ...], rest: tuple[int, ...], after: int, total) -> None:
+    def take(part: tuple[int, ...], rest: tuple[int, ...], after: int, total) -> bool:
         # price part and search on without it, unless the branch's bound
         # reaches best
         f, value = part_cost(part)
         if total + f + ahead[after] >= best:
-            return
+            return False
         current.append((part, value))
-        rec(tuple(x for x in rest if x not in part), after, total + f)
+        found = rec(tuple(x for x in rest if x not in part), after, total + f)
         current.pop()
+        return found
 
-    rec(tuple(range(n_ic)), excess, 0)
+    rec(tuple(range(len(initial))), excess, 0)
     # the three closures hold one another; break those cycles so that the part
     # cache is freed on return rather than at the next full garbage collection
     del rec, walk, take
     stats = {"families": families, "parts": tried, "pricings": len(part_cache)}
     if best_family is None:
-        # no merge family exists (k too small for the dataset)
-        return BruteForceResult(False, None, Cost.of(0), stats)
+        return None, None, stats
     clustering = _assemble_clustering(order, initial, best_family)
     if not cost_eq(clustering.total_cost, best_cost):
         raise AssertionError("the witness's optimal costs do not sum to the search's best")
-    decision = cost_le(best_cost, inst.budget)
-    return BruteForceResult(decision, clustering, best_cost, stats)
+    return clustering, best_cost, stats
+
+
+def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> BruteForceResult:
+    """Exact minimum over all regular clusterings into at most k nonempty
+    clusters: ``_member_walk`` minimising, ``family_cap`` bounding the parts
+    it tries (``RuntimeError`` past it)."""
+    initial = regularize(inst.dataset)
+    clustering, min_cost, stats = _member_walk(inst.order, initial, len(initial) - inst.k,
+                                               family_cap=family_cap)
+    return BruteForceResult(cost_le(min_cost, inst.budget), clustering, min_cost, stats)
 
 
 def _scaled(value: int | Fraction, scale: int) -> int:
@@ -346,30 +362,17 @@ def coloring_success_estimate(t_colors: int, trials: int, seed: int = 0) -> tupl
     return hits / trials, trials
 
 
-def _rainbow_colorings(n: int, n_colors: int) -> Iterator[tuple[int, ...]]:
-    # Containment: the initial clusters a feasible solution merges number at
-    # most the color count, so some subset of min(n_colors, n) initial
-    # clusters holds them all.  Its coloring gives them distinct colors and
-    # lumps everything outside it with its first member under color 0, so
-    # each merged part's bundle holds the part's own tuple, and the bundle's
-    # minimum costs no more than the part.  A subset's coloring depends only
-    # on its members after the first, so trading the first for initial
-    # cluster 0 keeps it: the subsets holding 0 give every coloring, once.
-    for rest in itertools.combinations(range(1, n), min(n_colors, n) - 1):
-        coloring = [0] * n
-        for color, ic in enumerate(rest, 1):
-            coloring[ic] = color
-        yield tuple(coloring)
-
-
 # counters of the selection solvers that the clustering stats sum
 SELECTION_COUNTERS = ("centroids_tried", "nodes")
 
 
 def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None) -> SolveResult:
-    """Color-coding clustering solver.
+    """Clustering solver, exact or by color coding.
 
-    Regularizes the dataset, colors the initial clusters with T colors
+    The ``exhaustive`` policy is the member walk of ``solve_bruteforce``
+    stopped at the first family within the budget, an exact decision; its
+    stats are the walk's, with ``confidence`` 1.  The ``auto`` policy, the
+    paper's randomised algorithm, colors the initial clusters with T colors
     (T from the budget and the per-merge cost floor), and searches the
     families of disjoint color sets that merge the n - k excess initial
     clusters, depth first, cutting a branch at a part whose bundle is
@@ -392,7 +395,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     max(alpha * m, (m + 1) * c2 / 2), c2 the cheapest pair:
 
     - before any coloring, ahead[n - k] over the budget is an exact no, with
-      confidence 1 and no coloring, under either policy;
+      confidence 1 and no coloring;
     - a branch whose parts plus ahead[merges left] are over the budget is
       not descended;
     - a bundle of s classes whose tuples cost at least L, the larger of its
@@ -406,15 +409,11 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     float at most its cost and ``top`` one at least the budget, above a
     rounding band, and the check of a complete family's cost decides.
 
-    The policy picks only the colorings and a no's confidence; one loop
-    tries them.  Under ``auto`` a no is one sided, with confidence
-    1 - (1 - e**-T)**N after N random colorings.  The exhaustive policy
-    tries each distinct coloring of a subset of min(T, n) initial clusters
-    once, which is exact by containment (see ``_rainbow_colorings``).
-    ``stats["iterations"]`` counts colorings, ``stats["families"]`` the
-    complete families reached (every part priced within the budget),
-    ``stats["selection_calls"]`` the selection kernel calls,
-    ``stats["pricings"]`` the distinct one-vector parts priced and
+    A no is one sided, with confidence 1 - (1 - e**-T)**N after N random
+    colorings.  ``stats["iterations"]`` counts colorings,
+    ``stats["families"]`` the complete families reached (every part priced
+    within the budget), ``stats["selection_calls"]`` the selection kernel
+    calls, ``stats["pricings"]`` the distinct one-vector parts priced and
     ``stats["cuts"]`` the branches and bundles the pair bounds cut (the
     check before coloring counts one); the stats also sum the selection
     solvers' counters under their own names.
@@ -423,8 +422,11 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     order = inst.order
     initial = regularize(inst.dataset)
     n_ic = len(initial)
-    stats: dict = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0,
-                   "cuts": 0}
+    if cfg.policy == "exhaustive":
+        clustering, _, stats = _member_walk(order, initial, n_ic - inst.k, within=inst.budget)
+        stats["confidence"] = 1.0
+        return SolveResult(clustering is not None, clustering, stats)
+    stats = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0, "cuts": 0}
 
     if n_ic == 0 or inst.k >= n_ic:
         clustering = _assemble_clustering(order, initial, ())
@@ -545,22 +547,15 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         del rec  # rec refers to itself: free the coloring's state now, not at a full collection
         return hit
 
-    if cfg.policy == "exhaustive":
-        colorings, confidence = _rainbow_colorings(n_ic, t_colors), 1.0
-    else:
-        n_iters = cfg.iterations or (
-            MAX_ITERATIONS if t_colors >= math.log(MAX_ITERATIONS)
-            else math.ceil(math.exp(t_colors)))
-        rnds = (random.Random(f"{cfg.seed}:{it}") for it in range(n_iters))
-        colorings = ([rnd.randrange(t_colors) for _ in range(n_ic)] for rnd in rnds)
-        confidence = 1.0 - (1.0 - math.exp(-t_colors)) ** n_iters
-    for coloring in colorings:
+    n_iters = cfg.iterations or (
+        MAX_ITERATIONS if t_colors >= math.log(MAX_ITERATIONS)
+        else math.ceil(math.exp(t_colors)))
+    for it in range(n_iters):
+        rnd = random.Random(f"{cfg.seed}:{it}")
         stats["iterations"] += 1
-        if stats["iterations"] > COLORING_CAP:
-            raise RuntimeError("coloring cap exceeded")
-        hit = try_coloring(coloring)
+        hit = try_coloring([rnd.randrange(t_colors) for _ in range(n_ic)])
         if hit is not None:
             hit.stats["confidence"] = 1.0
             return hit
-    stats["confidence"] = confidence
+    stats["confidence"] = 1.0 - (1.0 - math.exp(-t_colors)) ** n_iters
     return SolveResult(False, None, stats)

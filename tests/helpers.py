@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from minkclust import (
+    Clustering,
     ClusteringInstance,
     Cost,
     Dataset,
@@ -15,6 +16,7 @@ from minkclust import (
     SelectionInstance,
     SelectionResult,
     WeightedCluster,
+    cost_eq,
     cost_le,
     optimal_cluster_cost,
     regularize,
@@ -151,6 +153,21 @@ def solve_bruteforce_reference(inst: ClusteringInstance) -> tuple[bool, Cost]:
         if best is None or not cost_le(best, total):
             best = total
     return cost_le(best, inst.budget), best
+
+
+def assert_valid_witness(inst: ClusteringInstance, clustering: Clustering) -> None:
+    """A yes's witness is a regular partition of the initial clusters into
+    min(k, n) clusters whose costs, re-priced by ``optimal_cluster_cost``,
+    sum exactly to its total, within the budget."""
+    initial = regularize(inst.dataset)
+    members = sorted(m for cluster in clustering.clusters for m in cluster)
+    assert members == sorted((ic.representative, ic.size) for ic in initial), inst
+    assert len(clustering.clusters) == min(inst.k, len(initial)), inst
+    total = Cost.of(0)
+    for cluster in clustering.clusters:
+        total = total + optimal_cluster_cost(inst.order, WeightedCluster(
+            tuple(pt for pt, _ in cluster), tuple(w for _, w in cluster)))[1]
+    assert cost_eq(total, clustering.total_cost) and cost_le(total, inst.budget), inst
 
 
 def random_clustering_instance(

@@ -193,7 +193,7 @@ def test_cli_selection_lists_must_have_one_length(tmp_path, capsys, field, value
 
 
 def test_cli_solve_paths(tmp_path, capsys):
-    """The oracle's counters on the example Hamming clique instance read 300
+    """The oracle's counters on the example Hamming clique instance read 297
     parts tried (steps of the member walk) and 86 pricings (66 pairs and the
     20 triples the pair bounds let through); before the pair table they read
     556 and 286."""
@@ -205,7 +205,7 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert run_cli(["solve", str(inst), "--mode", "oracle"]) == 0
     out = capsys.readouterr().out
     assert "minimal cost: 3" in out
-    assert "stat parts: 300" in out and "stat pricings: 86" in out
+    assert "stat parts: 297" in out and "stat pricings: 86" in out
 
     body = json.loads(inst.read_text())
     body["budget"] = "2"
@@ -214,17 +214,19 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert run_cli(["solve", str(low), "--policy", "exhaustive"]) == 1
     capsys.readouterr()
 
-    # T = 6 colors for 3 initial clusters: every part is one-vector, priced
-    # cost only, with no selection call; the pair {1, 5} costs 4 > 3, so its
-    # pair bound cuts it unpriced and only {0, 1} is priced
+    # the exhaustive walk prices the three pairs, tries the part {0, 1} and
+    # stops there, within the budget; it prints no coloring count
     small = tmp_path / "small.json"
     ds = minkclust.Dataset(1, ((0,), (1,), (5,)), (1, 1, 1))
     small.write_text(json.dumps(instance_to_obj(
         minkclust.ClusteringInstance(ds, 2, Cost.of(3), DistanceOrder.l1()))))
     assert run_cli(["solve", str(small), "--policy", "exhaustive"]) == 0
     out = capsys.readouterr().out
-    assert "total cost: 1" in out
-    assert "stat pricings: 1" in out and "stat selection_calls: 0" in out
+    assert "total cost: 1" in out and "iterations" not in out
+    assert "stat families: 1" in out and "stat parts: 1" in out and "stat pricings: 3" in out
+    assert run_cli(["solve", str(small)]) == 0
+    out = capsys.readouterr().out
+    assert "total cost: 1" in out and "stat iterations: 1" in out
 
     assert run_cli(["solve", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

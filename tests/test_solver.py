@@ -23,6 +23,7 @@ from minkclust import (
     gen_l0_clustering_from_clique,
     gen_linf2_from_hioct,
     gen_linf_clustering_from_clique,
+    graph_has_clique,
     HioctInstance,
     merge_cost_bound,
     optimal_cluster_cost,
@@ -37,6 +38,8 @@ from tests.helpers import (
     EX_CLIQUE_GRAPH,
     EX_LINF_GRAPH,
     EX_OCT_GRAPH,
+    assert_valid_witness,
+    atlas_graphs,
     dense_family,
     random_clustering_instance,
     solve_bruteforce_reference,
@@ -77,8 +80,9 @@ def test_solve_bruteforce_linfoct_suppressed():
 
 def test_linf_costs_never_call_the_simplex(monkeypatch):
     """Every max-distance cost comes from the flow-based centroid: with the
-    rational simplex disabled, the solvers and the oracles still give the
-    figure's optimum 5 and the half-integral optima of two small instances."""
+    rational simplex disabled, the oracles still give the figure's optimum 5
+    and the half-integral optima of two small instances, and both policies
+    answer yes with a witness within the budget (the figure's is 6)."""
     def disabled(*args, **kwargs):
         raise AssertionError("simplex.minimize called on a solve path")
 
@@ -88,9 +92,11 @@ def test_linf_costs_never_call_the_simplex(monkeypatch):
     ds = Dataset(2, ((0, 0), (3, 0), (0, 3), (7, 7), (9, 8)), (1, 1, 1, 2, 1))
     small = ClusteringInstance(ds, 2, Cost.of(Fraction(13, 2)), DistanceOrder.linf())
     for inst, optimum in ((figure, 5), (small, Fraction(13, 2))):
-        res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
-        assert res.decision and res.clustering.total_cost.exact == optimum
         assert solve_bruteforce(inst).min_cost.exact == optimum
+        for cfg in (SolveConfig(policy="exhaustive"), SolveConfig(seed=1)):
+            res = solve_color_coding(inst, cfg)
+            assert res.decision
+            assert_valid_witness(inst, res.clustering)
 
     sel = SelectionInstance.of([[(0, 0), (6, 6)], [(3, 0), (9, 9)], [(0, 3), (1, 8)]],
                                Cost.of(10), DistanceOrder.linf(),
@@ -169,13 +175,15 @@ def test_solve_bruteforce_counts_parts_and_pricings():
     Without the pair table every pair and triple was priced (66 + 220
     pricings, 556 parts tried).  Now all 66 pairs are priced first and only
     20 triples pass the pair bounds, and a part tried is a step of the member
-    walk, so ``family_cap`` still bounds the work.  The early return of a k
-    at or above the initial cluster count reports both counters at zero."""
+    walk, so ``family_cap`` still bounds the work.  An anchor with too few
+    clusters after it for the merges owed tries no part (300 parts before
+    that rule, 297 with it).  The early return of a k at or above the
+    initial cluster count reports both counters at zero."""
     inst = gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3)
     assert len(regularize(inst.dataset)) == 12 and inst.k == 10
     res = solve_bruteforce(inst)
     assert res.min_cost.exact == 3
-    assert res.stats == {"families": 2, "parts": 300, "pricings": 86}
+    assert res.stats == {"families": 2, "parts": 297, "pricings": 86}
     ds = Dataset(1, ((0,), (10,)), (1, 1))
     res = solve_bruteforce(ClusteringInstance(ds, 2, Cost.of(0), DistanceOrder.l1()))
     assert res.stats == {"families": 1, "parts": 0, "pricings": 0}
@@ -198,22 +206,25 @@ def test_solve_bruteforce_keeps_the_first_minimum_on_exact_ties():
 
 
 def test_bruteforce_oracles_reprice_their_winner(monkeypatch):
-    """Both brute-force oracles and the colour-coding search's one-vector
-    parts use cost-only prices, and the winner is re-priced through the
-    centroid rules; a cost-only price that disagrees with them raises instead
-    of returning a wrong answer."""
+    """Both brute-force oracles, the exhaustive policy that shares the
+    clustering oracle's walk and the colour-coding search's one-vector parts
+    use cost-only prices, and the winner is re-priced through the centroid
+    rules; a cost-only price that disagrees with them raises instead of
+    returning a wrong answer."""
     def off_by_one(order, points, weights):
         return cluster_cost(order, points, weights) + 1
 
     monkeypatch.setattr(solver, "cluster_cost", off_by_one)
     with pytest.raises(AssertionError, match="search's best"):
         solve_bruteforce(gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3))
-    # a yes with slack: the colour-coding search's one-vector parts, priced
-    # one over, still fit the budget, and the witness's re-pricing catches it
+    # a yes with slack: the parts, priced one over, still fit the budget, and
+    # the witness's re-pricing catches it
     ds = Dataset(1, ((0,), (1,), (5,)), (1, 1, 1))
+    slack = ClusteringInstance(ds, 2, Cost.of(3), DistanceOrder.l1())
+    with pytest.raises(AssertionError, match="search's best"):
+        solve_color_coding(slack, SolveConfig(policy="exhaustive"))
     with pytest.raises(AssertionError, match="search's total"):
-        solve_color_coding(ClusteringInstance(ds, 2, Cost.of(3), DistanceOrder.l1()),
-                           SolveConfig(policy="exhaustive"))
+        solve_color_coding(slack, SolveConfig(seed=1, iterations=30))
     monkeypatch.setattr(selection, "cluster_cost", off_by_one)
     groups = [[(0, 1), (3, 3)], [(1, 1), (4, 0)]]
     for order in (DistanceOrder.l0(), DistanceOrder.l1(), DistanceOrder.linf()):
@@ -284,21 +295,6 @@ def test_auto_runs_the_iterations_it_is_given():
     assert res.stats["confidence"] == 1.0
 
 
-@pytest.mark.parametrize("n,t", [(1, 1), (5, 1), (5, 3), (6, 4), (4, 4), (3, 5)])
-def test_rainbow_colorings_are_distinct_and_hold_cluster_0(n, t):
-    """One coloring per subset of min(T, n) initial clusters that holds
-    cluster 0: comb(n - 1, min(T, n) - 1) of them, pairwise distinct, each
-    giving its subset the colors 0..min(T, n) - 1."""
-    colorings = list(solver._rainbow_colorings(n, t))
-    size = min(t, n)
-    assert len(colorings) == len(set(colorings)) == math.comb(n - 1, size - 1)
-    for coloring in colorings:
-        assert len(coloring) == n and coloring[0] == 0
-        assert sorted(set(coloring)) == list(range(size))
-    if t == 1:
-        assert colorings == [(0,) * n]
-
-
 ORDER_BUDGETS = [
     (DistanceOrder.l1(), [0, 1, 2, 3], 201),
     (DistanceOrder.lp(Fraction(1, 2)), [0, 1, 2, 3], 202),
@@ -313,12 +309,8 @@ ORDER_BUDGETS = [
 ]
 
 
-# (order, budgets, seed, max_initial, trials).  The max_initial=6 rows hold at
-# least 10 yes-instances each whose color count T is below the initial cluster
-# count, where the exhaustive policy rests on containment: it colors only the
-# subsets of T initial clusters.  (Squared Euclidean and max-distance merges of
-# integer points cost well above the per-merge floor, so at six initial
-# clusters those orders have next to no such yes-instances.)
+# (order, budgets, seed, max_initial, trials): the five orders on up to 5
+# initial clusters, then three of them on up to 6
 SAMPLE_ROWS = [(order, budgets, seed, 5, 30) for order, budgets, seed in ORDER_BUDGETS] + [
     (DistanceOrder.l1(), [1, Fraction(3, 2), 2], 221, 6, 120),
     (DistanceOrder.lp(Fraction(1, 2)), [1, Fraction(3, 2), 2], 224, 6, 120),
@@ -329,29 +321,25 @@ SAMPLE_ROWS = [(order, budgets, seed, 5, 30) for order, budgets, seed in ORDER_B
 @pytest.mark.parametrize("order,budgets,seed,max_initial,trials",
                          [pytest.param(*row, id="-".join(map(str, row[:3]))) for row in SAMPLE_ROWS])
 def test_color_coding_equals_bruteforce_sample(order, budgets, seed, max_initial, trials):
+    """Both policies against the uncut partition oracle, which shares no
+    search with them: the exhaustive decision equals the oracle's, a seeded
+    ``auto`` yes (20 colorings) is never a wrong yes, and every yes carries a
+    witness that re-prices exactly within the budget."""
     rnd = random.Random(seed)
-    narrow_yes = 0
+    answers = Counter()
     for _ in range(trials):
         budget = Cost.of(budgets[rnd.randrange(len(budgets))])
         inst = random_clustering_instance(rnd, order, budget, max_initial=max_initial)
+        decision, _ = solve_bruteforce_reference(inst)
         exact = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
-        brute = solve_bruteforce(inst)
-        assert exact.decision == brute.decision, inst
-        if exact.decision:
-            initial = regularize(inst.dataset)
-            narrow_yes += exact.stats.get("T", len(initial)) < len(initial)
-            clustering = exact.clustering
-            # regular output: every initial cluster stays intact
-            sizes: dict = {}
-            for cluster in clustering.clusters:
-                for pt, mult in cluster:
-                    assert pt not in sizes
-                    sizes[pt] = mult
-            expected = {ic.representative: ic.size for ic in initial}
-            assert sizes == expected
-            assert cost_le(clustering.total_cost, inst.budget)
-    if max_initial == 6:
-        assert narrow_yes >= 10
+        fast = solve_color_coding(inst, SolveConfig(seed=seed, iterations=20))
+        assert exact.decision == decision and fast.decision <= decision, inst
+        assert exact.stats["families"] == int(decision)
+        for res in (exact, fast):
+            if res.decision:
+                assert_valid_witness(inst, res.clustering)
+        answers[decision, fast.decision] += 1
+    assert answers[True, True] and answers[False, False]
 
 
 # (order, budgets, seed, max_initial, w_max): the five orders with
@@ -393,36 +381,15 @@ def test_solve_bruteforce_equals_naive_reference(order, budgets, seed, max_initi
     assert cut_unpriced >= 1
 
 
-def test_exhaustive_colors_each_subset_of_t_initial_clusters_once():
-    """With T = 4 colors below the 5 initial clusters, the exhaustive policy
-    tries one coloring per 4-subset holding the first cluster, since a
-    subset's coloring ignores which member comes first, and
-    ``families`` counts the complete families reached: none on a no, the
-    accepted one on a yes.  (The no owes two merges, whose look-ahead
-    max(2 * alpha, 3 * c2 / 2) = 2 is within the budget, so it is not
-    decided before coloring.)"""
-    ds = Dataset(1, ((0,), (1,), (10,), (20,), (30,)), (1,) * 5)
-    for k, yes in ((3, False), (4, True)):
-        inst = ClusteringInstance(ds, k, Cost.of(2), DistanceOrder.l1())
-        res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
-        assert res.stats["T"] == 4
-        assert res.decision == solve_bruteforce(inst).decision == yes
-        if not yes:
-            assert res.stats["iterations"] == math.comb(4, 3)
-        assert res.stats["families"] == int(yes)
-
-
-@pytest.mark.parametrize("policy", ["exhaustive", "auto"])
 @pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
-def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed, policy):
+def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed):
     """The colour-coding solver handles each distinct bundle once, whatever
     colours its classes carry: a bundle with a group of several vectors takes
     one selection call, whose counters the stats sum, and a part of one-vector
-    groups is priced once, cost only.  Under ``auto`` one set of classes meets
-    several colour orders, so no two calls may get the same multiset of
-    (group, weights) pairs."""
-    cfg = (SolveConfig(policy="exhaustive") if policy == "exhaustive"
-           else SolveConfig(iterations=30, seed=seed))
+    groups is priced once, cost only.  One set of classes meets several
+    colour orders, so no two calls may get the same multiset of (group,
+    weights) pairs."""
+    cfg = SolveConfig(iterations=30, seed=seed)
     calls, priced = [], []
     inner = Counter()
     real_selection, real_cost = solver.solve_selection, solver.cluster_cost
@@ -462,34 +429,38 @@ def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed, policy
                                    DistanceOrder.l2(), DistanceOrder.linf(),
                                    DistanceOrder.l0()], ids=str)
 def test_one_vector_bundles_skip_selection(monkeypatch, order):
-    """With T >= n colors every color class holds one initial cluster, so the
-    exhaustive policy prices each part directly and never calls the selection
-    solver, and still decides as the brute-force oracle does.  A no may be
-    decided by the look-ahead before any coloring, with nothing priced; a yes
-    prices at least its own parts in its one coloring."""
-    def no_selection(sel, **kwargs):
-        raise AssertionError("a one-vector bundle reached solve_selection")
+    """With T >= n colors a coloring may give every initial cluster a class
+    of its own.  A bundle whose classes each hold one initial cluster is
+    priced directly, cost only, and never reaches the selection solver; over
+    200 seeded colorings the decision is still the brute-force oracle's.  A
+    no may be decided by the look-ahead before any coloring, with nothing
+    priced."""
+    real_selection = solver.solve_selection
 
-    monkeypatch.setattr(solver, "solve_selection", no_selection)
+    def guarded(sel, **kwargs):
+        if all(len(group) == 1 for group in sel.groups):
+            raise AssertionError("a one-vector bundle reached solve_selection")
+        return real_selection(sel, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_selection", guarded)
     rnd = random.Random(231)
     alpha = merge_cost_bound(order)
     answers = Counter()
+    pricings = 0
     for _ in range(20):
         inst = random_clustering_instance(rnd, order, Cost.of(0), max_initial=5)
         n_ic = len(regularize(inst.dataset))
         # T = ceil(2 budget / alpha) >= n_ic
         budget = Cost.of(alpha * n_ic / 2 + Fraction(rnd.randrange(4), 2))
         inst = dataclasses.replace(inst, k=min(inst.k, n_ic - 1), budget=budget)
-        res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
-        assert res.stats["T"] >= n_ic and res.stats["iterations"] in (0, 1)
+        res = solve_color_coding(inst, SolveConfig(seed=1, iterations=200))
+        assert res.stats["T"] >= n_ic
         assert res.decision == solve_bruteforce(inst).decision
-        assert res.stats["selection_calls"] == 0
         if res.stats["iterations"] == 0:  # decided before coloring
             assert not res.decision and res.stats["pricings"] == 0
-        if res.decision:
-            assert res.stats["pricings"] > 0
+        pricings += res.stats["pricings"]
         answers[res.decision] += 1
-    assert answers[True] and answers[False]
+    assert answers[True] and answers[False] and pricings > 0
 
 
 def _boundary_budgets(inst: ClusteringInstance, opt: Cost) -> list[Cost]:
@@ -516,8 +487,8 @@ def _boundary_budgets(inst: ClusteringInstance, opt: Cost) -> list[Cost]:
 def test_color_coding_cuts_keep_the_oracle_decision(order):
     """The pair-bound cuts of the colour-coding search drop only branches
     that cannot meet the budget: on weighted instances (weights 1-3) at the
-    optimum, just below it and just above it, the exhaustive policy decides
-    as the brute-force oracle does, and some of its branches are cut."""
+    optimum, just below it and just above it, 100 seeded colorings decide as
+    the brute-force oracle does, and some of their branches are cut."""
     rnd = random.Random(241)
     cuts = 0
     answers = Counter()
@@ -525,7 +496,7 @@ def test_color_coding_cuts_keep_the_oracle_decision(order):
         inst = random_clustering_instance(rnd, order, Cost.of(0), max_initial=7, w_max=3)
         for budget in _boundary_budgets(inst, solve_bruteforce(inst).min_cost):
             bounded = dataclasses.replace(inst, budget=budget)
-            res = solve_color_coding(bounded, SolveConfig(policy="exhaustive"))
+            res = solve_color_coding(bounded, SolveConfig(seed=1, iterations=100))
             assert res.decision == solve_bruteforce(bounded).decision, bounded
             if res.decision:
                 assert cost_le(res.clustering.total_cost, budget)
@@ -535,6 +506,14 @@ def test_color_coding_cuts_keep_the_oracle_decision(order):
 
 
 FRACTIONAL_ORDERS = [DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.lp(Fraction(1, 3))]
+
+
+def _decisions(inst: ClusteringInstance) -> list[bool]:
+    """The decisions of the colour-coding search (40 seeded colorings), the
+    exhaustive policy and the brute-force oracle."""
+    return [solve_color_coding(inst, SolveConfig(seed=1, iterations=40)).decision,
+            solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision,
+            solve_bruteforce(inst).decision]
 
 
 def _fractional_boundary_cases(seed: int, trials: int):
@@ -569,23 +548,21 @@ def test_float_keys_hold_under_hostile_error_bounds(monkeypatch):
     decisions = Counter()
     for inst, decision in _fractional_boundary_cases(251, 12):
         budget = inst.budget
-        assert solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision == decision
-        assert solve_bruteforce(inst).decision == decision
+        assert _decisions(inst) == [decision] * 3
         decisions[decision, budget.terms is not None] += 1
     assert decisions[True, True] >= 5 and decisions[False, False] >= 5
 
 
 def test_clustering_searches_do_not_evaluate_to_50_digits(monkeypatch):
-    """Both searches take every p < 1 key, the budget's float and the
-    incumbent's from ``approx_terms``, so on values in the float range
-    neither calls ``cost_eval`` (the selection kernels keep their own)."""
+    """The clustering searches take every p < 1 key, the budget's float and
+    the incumbent's from ``approx_terms``, so on values in the float range
+    none calls ``cost_eval`` (the selection kernels keep their own)."""
     def refuse(*args):
         raise AssertionError("cost_eval called")
 
     monkeypatch.setattr(solver, "cost_eval", refuse)
     for inst, decision in _fractional_boundary_cases(252, 6):
-        assert solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision == decision
-        assert solve_bruteforce(inst).decision == decision
+        assert _decisions(inst) == [decision] * 3
 
 
 def test_gaps_beyond_the_float_range():
@@ -599,35 +576,71 @@ def test_gaps_beyond_the_float_range():
     opt = Cost.basis({1: 1, 3: 1}, half.p)
     for budget, decision in ((opt, True), (Cost.of(2), False), (Cost.of(3), True)):
         inst = ClusteringInstance(ds, 2, budget, half)
-        assert solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision == decision
-        res = solve_bruteforce(inst)
-        assert res.decision == decision and cost_eq(res.min_cost, opt)
+        assert _decisions(inst) == [decision] * 3
+        assert cost_eq(solve_bruteforce(inst).min_cost, opt)
 
 
 def test_dense_family_is_an_exact_no_before_coloring():
     """The unit vectors e_1..e_10 under L1 with k = 8 and budget 5/2: every
     pair costs 2, so two merges cost at least max(2 * alpha, 3 * c2 / 2) = 3,
-    over the budget.  Both policies answer an exact no with no coloring,
-    where the exhaustive policy once tried all 126."""
+    over the budget.  The colour-coding search answers an exact no with no
+    coloring, and the exhaustive walk an exact no with every branch cut
+    before a part is priced beyond the pairs."""
     inst = dense_family(10)
-    for cfg in (SolveConfig(policy="exhaustive"), SolveConfig()):
-        res = solve_color_coding(inst, cfg)
-        assert not res.decision and res.stats["iterations"] == 0
-        assert res.stats["confidence"] == 1.0 and res.stats["cuts"] == 1
+    res = solve_color_coding(inst)
+    assert not res.decision and res.stats["iterations"] == 0
+    assert res.stats["confidence"] == 1.0 and res.stats["cuts"] == 1
+    res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
+    assert not res.decision and res.stats["confidence"] == 1.0
+    assert res.stats["families"] == 0 and res.stats["pricings"] == math.comb(10, 2)
     assert not solve_bruteforce(inst).decision
 
 
 def test_spread_family_cuts_its_selection_calls():
     """Ten initial clusters in {0..199}^6 under L1 with three planted pairs
-    (distances 1, 1 and 2), k = 7 and budget 3: T = 6, so the exhaustive
-    policy tries all comb(9, 5) colorings, but a bundle whose class pairs
-    are all far apart is cut by its pair bound before pricing.  It makes at
-    most 200 selection calls, where it once made 3,150."""
+    (distances 1, 1 and 2), k = 7 and budget 3, so T = 6.  Over 126 seeded
+    colorings a bundle whose class pairs are all far apart is cut by its pair
+    bound before pricing: at most 100 selection calls are made (76 at seed
+    0), where the exhaustive colorings of this instance once made 3,150."""
     inst = spread_family(10)
-    res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
-    assert not res.decision and res.stats["iterations"] == math.comb(9, 5)
-    assert res.stats["selection_calls"] <= 200
+    res = solve_color_coding(inst, SolveConfig(iterations=126))
+    assert not res.decision and res.stats["iterations"] == 126
+    assert res.stats["selection_calls"] <= 100 and res.stats["cuts"] > 0
     assert not solve_bruteforce(inst).decision
+
+
+def test_exhaustive_walk_decides_spread_family_24_in_bounded_parts():
+    """``spread_family(24)``: 24 initial clusters, 3 merges owed, all priced
+    over the budget.  The exhaustive policy's walk answers the exact no
+    within 1,500 parts tried (1,292 here), where colouring each of the
+    comb(23, 5) = 33,649 subsets that held cluster 0 took 18 s."""
+    res = solve_color_coding(spread_family(24), SolveConfig(policy="exhaustive"))
+    assert not res.decision and res.stats["confidence"] == 1.0
+    assert res.stats["families"] == 0 and res.stats["parts"] <= 1_500
+
+
+@pytest.mark.parametrize("gen,max_parts", [(gen_l0_clustering_from_clique, 100_000),
+                                           (gen_linf_clustering_from_clique, 5_000)],
+                         ids=["l0", "linf"])
+def test_exhaustive_walk_decides_the_clique_targets(gen, max_parts):
+    """The paper's W[1]-hardness targets for k = 3 over every graph of 3 to 6
+    vertices with an edge (201 graphs): the exhaustive decision is the
+    graph's, a yes stops at its first family with a witness of exactly k
+    clusters within the budget, and the walks try at most ``max_parts``
+    parts in all (78,028 under Hamming, 3,110 under max distance), where
+    the exhaustive colorings of the Hamming targets took 462 s."""
+    graphs = [g for g in atlas_graphs(6) if g.n >= 3]
+    assert len(graphs) == 201
+    parts = 0
+    for g in graphs:
+        inst = gen(g, 3)
+        res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
+        assert res.decision == graph_has_clique(g, 3), g
+        assert res.stats["families"] == int(res.decision)
+        if res.decision:
+            assert_valid_witness(inst, res.clustering)
+        parts += res.stats["parts"]
+    assert parts <= max_parts
 
 
 def test_randomized_no_is_one_sided():
