@@ -381,15 +381,18 @@ def test_solve_bruteforce_equals_naive_reference(order, budgets, seed, max_initi
     assert cut_unpriced >= 1
 
 
+@pytest.mark.parametrize("policy", ["exhaustive", "auto"])
 @pytest.mark.parametrize("order,budgets,seed", ORDER_BUDGETS, ids=lambda o: str(o))
-def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed):
+def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed, policy):
     """The colour-coding solver handles each distinct bundle once, whatever
     colours its classes carry: a bundle with a group of several vectors takes
     one selection call, whose counters the stats sum, and a part of one-vector
-    groups is priced once, cost only.  One set of classes meets several
-    colour orders, so no two calls may get the same multiset of (group,
-    weights) pairs."""
-    cfg = SolveConfig(iterations=30, seed=seed)
+    groups is priced once, cost only.  Under ``auto`` one set of classes meets
+    several colour orders, so no two calls may get the same multiset of
+    (group, weights) pairs.  The ``exhaustive`` walk makes no selection call
+    and prices each distinct part once."""
+    cfg = (SolveConfig(policy="exhaustive") if policy == "exhaustive"
+           else SolveConfig(iterations=30, seed=seed))
     calls, priced = [], []
     inner = Counter()
     real_selection, real_cost = solver.solve_selection, solver.cluster_cost
@@ -415,7 +418,8 @@ def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed):
         priced.clear()
         inner.clear()
         stats = solve_color_coding(inst, cfg).stats
-        assert stats["selection_calls"] == len(calls) == len(set(calls)), inst
+        assert stats.get("selection_calls", 0) == len(calls) == len(set(calls)), inst
+        assert policy == "auto" or not calls
         assert all(any(len(g) > 1 for g, _ in pairs) for pairs in calls)
         assert stats["pricings"] == len(priced) == len(set(priced))
         for name in solver.SELECTION_COUNTERS:
@@ -503,6 +507,31 @@ def test_color_coding_cuts_keep_the_oracle_decision(order):
             cuts += res.stats["cuts"]
             answers[res.decision] += 1
     assert cuts >= 1 and answers[True] and answers[False]
+
+
+@pytest.mark.parametrize("order", [DistanceOrder.l0(), DistanceOrder.l1(), DistanceOrder.l2(),
+                                   DistanceOrder.linf(), DistanceOrder.lp(Fraction(1, 2))],
+                         ids=str)
+def test_exhaustive_walk_decides_at_the_optimum(order):
+    """The exhaustive walk's incumbent starts at the budget's top key, so a
+    family costing exactly the budget is kept: on weighted instances (weights
+    1-3) at the optimum of the uncut partition oracle the answer is yes,
+    just below it no and just above it yes.  A yes stops at its first family
+    with a witness within the budget; a no reaches none."""
+    rnd = random.Random(243)
+    answers = Counter()
+    for _ in range(20):
+        inst = random_clustering_instance(rnd, order, Cost.of(0), max_initial=7, w_max=3)
+        _, opt = solve_bruteforce_reference(inst)
+        for budget in _boundary_budgets(inst, opt):
+            bounded = dataclasses.replace(inst, budget=budget)
+            res = solve_color_coding(bounded, SolveConfig(policy="exhaustive"))
+            assert res.decision == cost_le(opt, budget), bounded
+            assert res.stats["families"] == int(res.decision)
+            if res.decision:
+                assert_valid_witness(bounded, res.clustering)
+            answers[res.decision] += 1
+    assert answers[True] and answers[False]
 
 
 FRACTIONAL_ORDERS = [DistanceOrder.lp(Fraction(1, 2)), DistanceOrder.lp(Fraction(1, 3))]
