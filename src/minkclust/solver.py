@@ -1,13 +1,13 @@
 """k-Clustering solvers.
 
-One exact partition search over initial clusters, the member walk cut by pair
-bounds, is the brute-force oracle when it minimises and the exhaustive policy
-when it stops at the first family within the budget.  The ``auto`` policy,
-the paper's randomised algorithm, colors the initial clusters, searches the
-families of disjoint color subsets (each future composite cluster) that merge
-exactly the excess over k, and asks the minimising selection solver once per
-distinct bundle (the part's sorted color classes) for the cheapest cost of
-that part; a bundle of one vector per group is priced directly, cost only.
+One exact partition search, the member walk cut by pair bounds, serves all
+three paths.  Over the initial clusters it is the brute-force oracle when it
+minimises and the exhaustive policy when it stops at the first family within
+the budget.  The ``auto`` policy, the paper's randomised algorithm, colors
+the initial clusters and runs the walk over each coloring's color classes:
+a part is a set of classes (a future composite cluster), priced once per
+distinct bundle (the part's sorted classes) by one minimising selection
+call, or directly, cost only, when every class holds one vector.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ class ClusteringInstance:
 class SolveConfig:
     """Knobs for the color-coding solver.
 
-    ``policy`` is ``auto`` (``iterations`` seeded random colorings, by
-    default min(ceil(e**T), ``MAX_ITERATIONS``); a no is one sided) or
-    ``exhaustive`` (the member walk in decision mode, with no count to set;
-    the decision is exact).  ``centroid_cap`` bounds the search nodes of
-    every selection call, which only ``auto`` makes.
+    ``policy`` is ``auto`` (the member walk over the color classes of
+    ``iterations`` seeded random colorings, by default min(ceil(e**T),
+    ``MAX_ITERATIONS``); a no is one sided) or ``exhaustive`` (the member
+    walk over the initial clusters, with no count to set; the decision is
+    exact).  ``centroid_cap`` bounds the search nodes of every selection
+    call, which only ``auto`` makes.
     """
 
     seed: int = 0
@@ -113,7 +114,7 @@ class _PairBounds(NamedTuple):
     top: Callable  # a Cost -> the largest key within it
     unit: int  # 1 for integer keys, 0 for float keys
     pair: list[list]  # pair[a][b]: the key of the pair {a, b}
-    pairs: dict[tuple[int, int], tuple]  # (a, b), a < b -> (key, exact value)
+    pairs: dict[tuple[int, int], tuple]  # (a, b), a < b -> ((a, b), key, exact value)
     ahead: list  # ahead[m]: at most the key of any parts making m merges
 
 
@@ -132,7 +133,7 @@ def _float_bounds(cost: Cost) -> tuple[float, float]:
 
 def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
                  price: Callable[[int, int], object]) -> _PairBounds:
-    """The pair bounds of both clustering searches, over initial clusters of
+    """The pair bounds of the member walk, over initial clusters of
     weights ``sizes`` owing ``excess`` merges; ``price(a, b)`` is the exact
     value of the pair {a, b} as ``cluster_cost`` returns it.
 
@@ -171,8 +172,8 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
     for a, b in itertools.combinations(range(n), 2):
         value = price(a, b)
         key = pair[a][b] = pair[b][a] = to_key(value)
-        pairs[a, b] = (key, value)
-    c2 = min(key for key, _ in pairs.values())
+        pairs[a, b] = ((a, b), key, value)
+    c2 = min(key for _, key, _ in pairs.values())
     alpha = merge_cost_bound(order)
     if unit:  # rounded up, in integers
         num, den = alpha.numerator * scale, alpha.denominator
@@ -184,63 +185,42 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
     return _PairBounds(to_key, top, unit, pair, pairs, ahead)
 
 
-def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess: int,
-                 within: Cost | None = None, family_cap: float = math.inf
+def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds: _PairBounds,
+                 pair: Sequence[Sequence], price: Callable[[tuple[int, ...]], tuple | None],
+                 excess: int, within: Cost | None = None, family_cap: float = math.inf
                  ) -> tuple[Clustering | None, Cost | None, dict]:
-    """The exact partition search over initial clusters owing ``excess``
+    """The exact partition search over ``len(pair)`` items owing ``excess``
     merges: the clustering of least cost (``within`` None) or the first one
     within the budget ``within`` (None if there is none), its exact cost and
-    the search's stats.
+    the search's stats.  ``pair[a][b]`` is a key at most that of any part
+    holding items a and b, and ``price(part)``, a part being a tuple of
+    items, gives the part's initial clusters, key and exact value as
+    ``cluster_cost`` returns it, or None for a part that cannot be taken.
+    The look-ahead ``bounds.ahead`` is over the initial clusters.
 
     Cluster costs only grow under merging, so only merge families of exactly
     ``excess`` are enumerated, each anchor's parts by size and, within a
     size, in lexicographic order.  A branch is cut once its lower bound, its
-    parts' costs plus a look-ahead for the merges left, reaches the
-    incumbent: the best family's cost so far, whose ties it keeps, or from
-    the start the budget, which it must exceed.  Each distinct part is
-    priced once, cost only (``cluster_cost``).  The winning family is priced
-    again part by part through ``optimal_cluster_cost`` for its witness, and
-    that total must equal the search's cost.
+    parts' keys plus a look-ahead for the merges left, reaches the
+    incumbent: the best family's key so far, whose ties it keeps, or from
+    the start the budget's top key, which it must exceed.  The winning
+    family is priced again part by part through ``optimal_cluster_cost`` for
+    its witness, and that total must equal the search's cost.
 
-    The bounds come from pairs, under every order (``_pair_bounds``, shared
-    with the colour-coding search): a part of s members costs at least its
-    costliest pair and its pair sum over s - 1, and parts making m > 0
-    merges at least max(alpha * m, (m + 1) * c2 / 2), with c2 the cheapest
-    pair and alpha the per-merge floor.  The search prices every pair first,
-    in closed form (``centroids.pair_cost``) straight through
-    ``cluster_cost``, into the part cache, so pairs count among the
-    pricings.  A part is grown member by member, dropping a prefix whose
-    costliest pair already reaches the incumbent, and a part whose pair sum
-    does is cut before it is priced.
-
-    The search compares keys (``_pair_bounds``), exact integers but for p
-    in (0, 1), where a complete family the float keys let through is
+    A part of s members costs at least its costliest pair and its pair sum
+    over s - 1, and parts making m > 0 merges at least ``bounds.ahead[m]``
+    (``_pair_bounds``).  A part is grown member by member, dropping a prefix
+    whose costliest pair already reaches the incumbent, and a part whose
+    pair sum does is cut before it is priced.  Keys are exact integers but
+    for p in (0, 1), where a complete family the float keys let through is
     compared with the incumbent or the budget by ``cost_le``.
 
     ``family_cap`` bounds the parts tried, cut or not, and raises
     ``RuntimeError`` past it; a part tried is a step of the member walk, a
     prefix or a whole part.  ``stats["families"]`` counts the families that
-    became the incumbent, ``stats["parts"]`` the parts tried and
-    ``stats["pricings"]`` the distinct parts priced.
+    became the incumbent and ``stats["parts"]`` the parts tried.
     """
-    if excess <= 0:
-        return (_assemble_clustering(order, initial, ()), Cost.of(0),
-                {"families": 1, "parts": 0, "pricings": 0})
-
-    points = [ic.representative for ic in initial]
-    sizes = [ic.size for ic in initial]
-    bounds = _pair_bounds(order, sizes, excess, lambda a, b: cluster_cost(
-        order, (points[a], points[b]), (sizes[a], sizes[b])))
-    to_key, unit, pair, ahead = bounds.to_key, bounds.unit, bounds.pair, bounds.ahead
-    part_cache = bounds.pairs  # part -> (key, exact value), every pair priced already
-
-    def part_cost(part: tuple[int, ...]) -> tuple:
-        hit = part_cache.get(part)
-        if hit is None:
-            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
-            hit = part_cache[part] = (to_key(value), value)
-        return hit
-
+    unit, ahead = bounds.unit, bounds.ahead
     best_cost: Cost | None = None
     best = math.inf  # a branch whose key reaches best is cut
     if within is not None:  # cut only past the largest key within the budget
@@ -248,7 +228,7 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess
         best = top + 1 if unit else math.nextafter(top, math.inf)
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = tried = 0
-    current: list[tuple[tuple[int, ...], object]] = []  # the family's parts and exact values
+    current: list[tuple] = []  # the family's parts, as ``price`` gives them
 
     def rec(pool: tuple[int, ...], left: int, total) -> bool:
         # True stops the search: a decision has found its family
@@ -256,7 +236,7 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess
         if left == 0:
             # the cuts let through only a family whose key is below best: with integer
             # keys a cheaper one or one within the budget, with floats one cost_le tells
-            cost = summed_cost(order, [value for _, value in current])
+            cost = summed_cost(order, [value for _, _, value in current])
             if within is not None:
                 if not cost_le(cost, within):
                     return False
@@ -264,9 +244,9 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess
                 return False
             families += 1
             best_cost, best = cost, bounds.top(cost)
-            best_family = tuple(tuple(sorted(p)) for p, _ in current)
+            best_family = tuple(members for members, _, _ in current)
             return within is not None
-        # m clusters hold at most m - 1 merges: an anchor needs ``left`` clusters
+        # m items hold at most m - 1 merges: an anchor needs ``left`` items
         # after it, and with exactly that many only the part of all of them fits
         for ai in range(len(pool) - left):
             rest = pool[ai + 1:]
@@ -309,19 +289,19 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess
     def take(part: tuple[int, ...], rest: tuple[int, ...], after: int, total) -> bool:
         # price part and search on without it, unless the branch's bound
         # reaches best
-        f, value = part_cost(part)
-        if total + f + ahead[after] >= best:
+        priced = price(part)
+        if priced is None or total + priced[1] + ahead[after] >= best:
             return False
-        current.append((part, value))
-        found = rec(tuple(x for x in rest if x not in part), after, total + f)
+        current.append(priced)
+        found = rec(tuple(x for x in rest if x not in part), after, total + priced[1])
         current.pop()
         return found
 
-    rec(tuple(range(len(initial))), excess, 0)
-    # the three closures hold one another; break those cycles so that the part
-    # cache is freed on return rather than at the next full garbage collection
+    rec(tuple(range(len(pair))), excess, 0)
+    # the three closures hold one another; break those cycles so that the
+    # caller's caches are freed on return rather than at the next full collection
     del rec, walk, take
-    stats = {"families": families, "parts": tried, "pricings": len(part_cache)}
+    stats = {"families": families, "parts": tried}
     if best_family is None:
         return None, None, stats
     clustering = _assemble_clustering(order, initial, best_family)
@@ -330,13 +310,43 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess
     return clustering, best_cost, stats
 
 
+def _initial_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess: int,
+                  within: Cost | None = None, family_cap: float = math.inf
+                  ) -> tuple[Clustering | None, Cost | None, dict]:
+    """``_member_walk`` over the initial clusters themselves, for the oracle
+    and the exhaustive policy.  Every pair is priced first, in closed form
+    (``centroids.pair_cost``) straight through ``cluster_cost``, into the
+    part cache, and each distinct part is priced once, cost only, so
+    ``stats["pricings"]``, the distinct parts priced, counts the pairs."""
+    if excess <= 0:
+        return (_assemble_clustering(order, initial, ()), Cost.of(0),
+                {"families": 1, "parts": 0, "pricings": 0})
+    points = [ic.representative for ic in initial]
+    sizes = [ic.size for ic in initial]
+    bounds = _pair_bounds(order, sizes, excess, lambda a, b: cluster_cost(
+        order, (points[a], points[b]), (sizes[a], sizes[b])))
+    part_cache = bounds.pairs  # part -> (part, key, exact value), every pair priced already
+
+    def price(part: tuple[int, ...]) -> tuple:
+        hit = part_cache.get(part)
+        if hit is None:
+            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
+            hit = part_cache[part] = (part, bounds.to_key(value), value)
+        return hit
+
+    clustering, cost, stats = _member_walk(order, initial, bounds, bounds.pair, price, excess,
+                                           within, family_cap)
+    stats["pricings"] = len(part_cache)
+    return clustering, cost, stats
+
+
 def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> BruteForceResult:
     """Exact minimum over all regular clusterings into at most k nonempty
     clusters: ``_member_walk`` minimising, ``family_cap`` bounding the parts
     it tries (``RuntimeError`` past it)."""
     initial = regularize(inst.dataset)
-    clustering, min_cost, stats = _member_walk(inst.order, initial, len(initial) - inst.k,
-                                               family_cap=family_cap)
+    clustering, min_cost, stats = _initial_walk(inst.order, initial, len(initial) - inst.k,
+                                                family_cap=family_cap)
     return BruteForceResult(cost_le(min_cost, inst.budget), clustering, min_cost, stats)
 
 
@@ -373,60 +383,44 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     stopped at the first family within the budget, an exact decision; its
     stats are the walk's, with ``confidence`` 1.  The ``auto`` policy, the
     paper's randomised algorithm, colors the initial clusters with T colors
-    (T from the budget and the per-merge cost floor), and searches the
-    families of disjoint color sets that merge the n - k excess initial
-    clusters, depth first, cutting a branch at a part whose bundle is
-    infeasible or over the budget.  Each part's cost is the exact optimum
-    of its Cluster Selection bundle, the part's color classes in sorted
-    order, and one cache keyed by that bundle prices each distinct bundle
-    once, whatever colors its classes carry.  A bundle whose classes each
-    hold one initial cluster has a single tuple, priced cost only by
-    ``cluster_cost``; any other bundle takes one minimising
+    (T from the budget and the per-merge cost floor) and runs the member
+    walk over each coloring's classes, stopped at the first family within
+    the budget: the parts are disjoint sets of classes that merge the
+    n - k excess initial clusters.  Each part's cost is the exact optimum
+    of its Cluster Selection bundle, the part's classes in sorted order,
+    and one cache keyed by that bundle prices each distinct bundle once,
+    across colorings and whatever colors its classes carry.  A bundle whose
+    classes each hold one initial cluster has a single tuple, priced cost
+    only by ``cluster_cost``; any other bundle takes one minimising
     ``solve_selection`` call, with the instance budget as the bound.  A
-    composite cluster lists its members in that sorted-class order.  A
-    complete family's exact cost is summed once, checked against the budget,
-    and must equal the total of its witness, re-priced by the centroid rules.
+    composite cluster lists its members in that sorted-class order.
 
-    The pair bounds of ``solve_bruteforce`` (``_pair_bounds``, one helper
-    for both searches) cut three ways, each only where no completion can
-    meet the budget, so the search reaches the same first family.  Every
-    pair is priced first, in closed form by ``pair_cost`` (not counted as a
-    pricing), and parts owing m merges cost at least ahead[m] =
-    max(alpha * m, (m + 1) * c2 / 2), c2 the cheapest pair:
-
-    - before any coloring, ahead[n - k] over the budget is an exact no, with
-      confidence 1 and no coloring;
-    - a branch whose parts plus ahead[merges left] are over the budget is
-      not descended;
-    - a bundle of s classes whose tuples cost at least L, the larger of its
-      class pairs' costliest cheapest pair and their sum over s - 1, is not
-      priced while the branch's parts + L + ahead[merges left after it] are
-      over the budget, and is cached as infeasible when L alone is.
-
-    The search carries keys only (``_pair_bounds``) and compares them with
-    ``top``, the largest key within the budget: exact integers under
-    Hamming, p = 1, squared L2 and max distance.  For p in (0, 1) a key is a
-    float at most its cost and ``top`` one at least the budget, above a
-    rounding band, and the check of a complete family's cost decides.
+    The walk's pair key for two classes is their cheapest pair of initial
+    clusters, and its look-ahead ``ahead[m] = max(alpha * m, (m + 1) * c2
+    / 2)`` is the oracle's (``_pair_bounds``, with every pair priced in
+    closed form by ``pair_cost``, not counted as a pricing), so a bundle is
+    cut by its pair bound before it is priced.  Before any coloring,
+    ``ahead[n - k]`` over the budget is an exact no, with confidence 1 and
+    no coloring.  As for the oracle, the walk compares keys, checks a
+    complete family's exact cost with ``cost_le`` and re-prices its witness.
 
     A no is one sided, with confidence 1 - (1 - e**-T)**N after N random
     colorings.  ``stats["iterations"]`` counts colorings,
-    ``stats["families"]`` the complete families reached (every part priced
-    within the budget), ``stats["selection_calls"]`` the selection kernel
-    calls, ``stats["pricings"]`` the distinct one-vector parts priced and
-    ``stats["cuts"]`` the branches and bundles the pair bounds cut (the
-    check before coloring counts one); the stats also sum the selection
-    solvers' counters under their own names.
+    ``stats["families"]`` the complete families found within the budget,
+    ``stats["parts"]`` the walk's parts tried over all colorings,
+    ``stats["selection_calls"]`` the selection kernel calls and
+    ``stats["pricings"]`` the distinct one-vector parts priced; the stats
+    also sum the selection solvers' counters under their own names.
     """
     cfg = cfg or SolveConfig()
     order = inst.order
     initial = regularize(inst.dataset)
     n_ic = len(initial)
     if cfg.policy == "exhaustive":
-        clustering, _, stats = _member_walk(order, initial, n_ic - inst.k, within=inst.budget)
+        clustering, _, stats = _initial_walk(order, initial, n_ic - inst.k, within=inst.budget)
         stats["confidence"] = 1.0
         return SolveResult(clustering is not None, clustering, stats)
-    stats = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0, "cuts": 0}
+    stats = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0, "parts": 0}
 
     if n_ic == 0 or inst.k >= n_ic:
         clustering = _assemble_clustering(order, initial, ())
@@ -443,10 +437,9 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     excess = n_ic - inst.k
     bounds = _pair_bounds(order, sizes, excess, lambda a, b: pair_cost(
         order, points[a], sizes[a], points[b], sizes[b]))
-    to_key, unit, pair, ahead = bounds.to_key, bounds.unit, bounds.pair, bounds.ahead
+    to_key, pair = bounds.to_key, bounds.pair
     top = bounds.top(inst.budget)
-    if ahead[excess] > top:
-        stats["cuts"] += 1
+    if bounds.ahead[excess] > top:
         stats["confidence"] = 1.0
         return SolveResult(False, None, stats)
 
@@ -455,6 +448,8 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
     bundles: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], object, object] | None] = {}
 
     def cheapest(bundle: tuple[tuple[int, ...], ...]) -> tuple | None:
+        if bundle in bundles:
+            return bundles[bundle]
         if all(len(members) == 1 for members in bundle):
             part = tuple(members[0] for members in bundle)
             stats["pricings"] += 1
@@ -477,85 +472,29 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         bundles[bundle] = hit
         return hit
 
-    def try_coloring(coloring: Sequence[int]) -> SolveResult | None:
-        classes: dict[int, tuple[int, ...]] = {}
-        for ic_idx, color in enumerate(coloring):
-            classes[color] = classes.get(color, ()) + (ic_idx,)
-        parts: list[tuple] = []  # the chosen parts, as ``bundles`` holds them
-        # per pair of colors, the key of the cheapest pair between their classes
-        near = {(c, d): min(pair[a][b] for a in classes[c] for b in classes[d])
-                for c, d in itertools.combinations(sorted(classes), 2)}
-
-        def low(colors: tuple[int, ...]) -> object:
-            # a key at most that of any tuple of the colors' bundle: a tuple
-            # costs at least its costliest pair and its pair sum over s - 1
-            mins = [near[pair_colors] for pair_colors in itertools.combinations(colors, 2)]
-            s1 = len(colors) - 1
-            return max(max(mins), -(-sum(mins) // s1) if unit else sum(mins) / s1)
-
-        def rec(pool: tuple[int, ...], left: int, key) -> SolveResult | None:
-            # ``left`` merges are still owed; a part of s colors makes s - 1.
-            # ``key`` is the parts' key sum, and key + ahead[left] <= top
-            if left == 0:
-                total = summed_cost(order, [value for _, _, value in parts])
-                if not cost_le(total, inst.budget):  # float keys only filter
-                    return None
-                stats["families"] += 1
-                clustering = _assemble_clustering(order, initial, [p[0] for p in parts])
-                if not cost_eq(clustering.total_cost, total):
-                    raise AssertionError("the witness's optimal costs do not sum to the "
-                                         "search's total")
-                return SolveResult(True, clustering, stats)
-            first, rest = pool[0], pool[1:]
-            # m colors hold at most m - 1 merges, so while ``left`` is below
-            # len(rest) any part size leaves enough; at equality only the
-            # part of all of them fits, and above it nothing does
-            fits = left < len(rest)
-            if fits:  # leave the first color unmerged
-                hit = rec(rest, left, key)
-                if hit is not None:
-                    return hit
-            for size in range(1 if fits else left, min(left, len(rest)) + 1):
-                base = key + ahead[left - size]  # the branch's bound without the part
-                for extra in itertools.combinations(rest, size):
-                    bundle = tuple(sorted(classes[c] for c in (first,) + extra))
-                    if bundle in bundles:
-                        priced = bundles[bundle]
-                    else:  # cut by the bundle's pair bound before pricing it
-                        bound = low((first,) + extra)
-                        if base + bound > top:
-                            stats["cuts"] += 1
-                            if bound > top:
-                                bundles[bundle] = None
-                            continue
-                        priced = cheapest(bundle)
-                    if priced is None:
-                        continue
-                    part_key = priced[1]
-                    if base + part_key > top:  # the node cut, made before descending
-                        stats["cuts"] += 1
-                        continue
-                    parts.append(priced)
-                    hit = rec(tuple(c for c in rest if c not in extra), left - size,
-                              key + part_key)
-                    parts.pop()
-                    if hit is not None:
-                        return hit
-            return None
-
-        hit = rec(tuple(sorted(classes)), excess, 0)
-        del rec  # rec refers to itself: free the coloring's state now, not at a full collection
-        return hit
-
     n_iters = cfg.iterations or (
         MAX_ITERATIONS if t_colors >= math.log(MAX_ITERATIONS)
         else math.ceil(math.exp(t_colors)))
     for it in range(n_iters):
         rnd = random.Random(f"{cfg.seed}:{it}")
         stats["iterations"] += 1
-        hit = try_coloring([rnd.randrange(t_colors) for _ in range(n_ic)])
-        if hit is not None:
-            hit.stats["confidence"] = 1.0
-            return hit
+        by_color: dict[int, list[int]] = {}
+        for ic_idx in range(n_ic):
+            by_color.setdefault(rnd.randrange(t_colors), []).append(ic_idx)
+        classes = [tuple(by_color[color]) for color in sorted(by_color)]
+        # the walk's items are the classes, a pair of them keyed by the cheapest
+        # pair of initial clusters between them
+        near = [[0] * len(classes) for _ in classes]
+        for c, d in itertools.combinations(range(len(classes)), 2):
+            near[c][d] = near[d][c] = min(pair[a][b] for a in classes[c] for b in classes[d])
+        clustering, _, walk_stats = _member_walk(
+            order, initial, bounds, near,
+            lambda part: cheapest(tuple(sorted(classes[c] for c in part))),
+            excess, within=inst.budget)
+        stats["families"] += walk_stats["families"]
+        stats["parts"] += walk_stats["parts"]
+        if clustering is not None:
+            stats["confidence"] = 1.0
+            return SolveResult(True, clustering, stats)
     stats["confidence"] = 1.0 - (1.0 - math.exp(-t_colors)) ** n_iters
     return SolveResult(False, None, stats)

@@ -223,7 +223,7 @@ def test_bruteforce_oracles_reprice_their_winner(monkeypatch):
     slack = ClusteringInstance(ds, 2, Cost.of(3), DistanceOrder.l1())
     with pytest.raises(AssertionError, match="search's best"):
         solve_color_coding(slack, SolveConfig(policy="exhaustive"))
-    with pytest.raises(AssertionError, match="search's total"):
+    with pytest.raises(AssertionError, match="search's best"):
         solve_color_coding(slack, SolveConfig(seed=1, iterations=30))
     monkeypatch.setattr(selection, "cluster_cost", off_by_one)
     groups = [[(0, 1), (3, 3)], [(1, 1), (4, 0)]]
@@ -489,12 +489,12 @@ def _boundary_budgets(inst: ClusteringInstance, opt: Cost) -> list[Cost]:
                                    DistanceOrder.linf(), DistanceOrder.lp(Fraction(1, 2)),
                                    DistanceOrder.lp(Fraction(1, 3))], ids=str)
 def test_color_coding_cuts_keep_the_oracle_decision(order):
-    """The pair-bound cuts of the colour-coding search drop only branches
-    that cannot meet the budget: on weighted instances (weights 1-3) at the
-    optimum, just below it and just above it, 100 seeded colorings decide as
-    the brute-force oracle does, and some of their branches are cut."""
+    """The pair-bound cuts of the colour-coding search's member walk drop
+    only branches that cannot meet the budget: on weighted instances
+    (weights 1-3) at the optimum, just below it and just above it, 100
+    seeded colorings decide as the brute-force oracle does, and every yes
+    carries a witness that re-prices within the budget."""
     rnd = random.Random(241)
-    cuts = 0
     answers = Counter()
     for _ in range(30):
         inst = random_clustering_instance(rnd, order, Cost.of(0), max_initial=7, w_max=3)
@@ -503,10 +503,9 @@ def test_color_coding_cuts_keep_the_oracle_decision(order):
             res = solve_color_coding(bounded, SolveConfig(seed=1, iterations=100))
             assert res.decision == solve_bruteforce(bounded).decision, bounded
             if res.decision:
-                assert cost_le(res.clustering.total_cost, budget)
-            cuts += res.stats["cuts"]
+                assert_valid_witness(bounded, res.clustering)
             answers[res.decision] += 1
-    assert cuts >= 1 and answers[True] and answers[False]
+    assert answers[True] and answers[False]
 
 
 @pytest.mark.parametrize("order", [DistanceOrder.l0(), DistanceOrder.l1(), DistanceOrder.l2(),
@@ -618,7 +617,7 @@ def test_dense_family_is_an_exact_no_before_coloring():
     inst = dense_family(10)
     res = solve_color_coding(inst)
     assert not res.decision and res.stats["iterations"] == 0
-    assert res.stats["confidence"] == 1.0 and res.stats["cuts"] == 1
+    assert res.stats["confidence"] == 1.0
     res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
     assert not res.decision and res.stats["confidence"] == 1.0
     assert res.stats["families"] == 0 and res.stats["pricings"] == math.comb(10, 2)
@@ -634,7 +633,7 @@ def test_spread_family_cuts_its_selection_calls():
     inst = spread_family(10)
     res = solve_color_coding(inst, SolveConfig(iterations=126))
     assert not res.decision and res.stats["iterations"] == 126
-    assert res.stats["selection_calls"] <= 100 and res.stats["cuts"] > 0
+    assert res.stats["selection_calls"] <= 100
     assert not solve_bruteforce(inst).decision
 
 
