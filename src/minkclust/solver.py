@@ -1,13 +1,15 @@
 """k-Clustering solvers.
 
 One exact partition search, the member walk cut by pair bounds, serves all
-three paths.  Over the initial clusters it is the brute-force oracle when it
-minimises and the exhaustive policy when it stops at the first family within
-the budget.  The ``auto`` policy, the paper's randomised algorithm, colors
-the initial clusters and runs the walk over each coloring's color classes:
-a part is a set of classes (a future composite cluster), priced once per
-distinct bundle (the part's sorted classes) by one minimising selection
-call, or directly, cost only, when every class holds one vector.
+three paths on one set-up (``_pair_bounds``: the pair table, look-ahead and
+cached part pricer over the initial clusters).  Over the initial clusters
+it is the brute-force oracle when it minimises and the exhaustive policy
+when it stops at the first family within the budget.  The ``auto`` policy,
+the paper's randomised algorithm, colors the initial clusters and runs the
+walk over each coloring's color classes: a part is a set of classes (a
+future composite cluster), priced once per distinct bundle (the part's
+sorted classes) by one minimising selection call, or by the part pricer,
+cost only, when every class holds one vector.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import itemgetter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, pair_cost, summed_cost
+from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, summed_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
 from .cost_model import Cost, approx_terms, cost_eq, cost_eval, cost_floor, cost_le
 from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
@@ -113,8 +116,9 @@ class _PairBounds(NamedTuple):
     to_key: Callable  # a ``cluster_cost`` value -> its key
     top: Callable  # a Cost -> the largest key within it
     unit: int  # 1 for integer keys, 0 for float keys
-    pair: list[list]  # pair[a][b]: the key of the pair {a, b}
-    pairs: dict[tuple[int, int], tuple]  # (a, b), a < b -> ((a, b), key, exact value)
+    pair: list[list]  # pair[a][b]: at most the key of any part holding items a and b
+    price: Callable  # a part -> (its initial clusters, key, exact value), or None
+    parts: dict[tuple[int, ...], tuple]  # the initial-cluster parts ``price`` has priced
     ahead: list  # ahead[m]: at most the key of any parts making m merges
 
 
@@ -131,11 +135,13 @@ def _float_bounds(cost: Cost) -> tuple[float, float]:
     return value - bound, value + bound
 
 
-def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
-                 price: Callable[[int, int], object]) -> _PairBounds:
-    """The pair bounds of the member walk, over initial clusters of
-    weights ``sizes`` owing ``excess`` merges; ``price(a, b)`` is the exact
-    value of the pair {a, b} as ``cluster_cost`` returns it.
+def _pair_bounds(order: DistanceOrder, initial: Sequence[InitialCluster],
+                 excess: int) -> _PairBounds:
+    """The member walk's set-up over ``initial`` owing ``excess`` merges:
+    its pricer and the pair bounds.  ``price(part)``, a part being a sorted
+    tuple of initial clusters, gives the part, its key and its exact value
+    as ``cluster_cost`` returns it, each distinct part priced once into
+    ``parts``; every pair is priced first, in closed form, into ``pair``.
 
     A pair is priced at its own optimum P(a, b), and with c* any part's
     optimal centroid P(a, b) <= w_a d(a, c*) + w_b d(b, c*): summed over the
@@ -152,7 +158,9 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
     p in (0, 1) a key is a float at most its cost, and ``top`` one at least
     it (``_float_bounds``) above a band for the rounding of sums.
     """
-    n = len(sizes)
+    points = [ic.representative for ic in initial]
+    sizes = [ic.size for ic in initial]
+    n = len(initial)
     if order.kind == "lp" and order.p < 1:
         # A key is at most its cost, and top's float at least its value, but
         # for one rounding of 2**-53 relative each, and a float sum of j keys
@@ -167,13 +175,20 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
         unit = 1
         to_key = lambda value: _scaled(value, scale)  # noqa: E731
         top = lambda cost: cost_floor(cost, scale)  # noqa: E731
+    parts: dict[tuple[int, ...], tuple] = {}
+
+    def price(part: tuple[int, ...]) -> tuple:
+        hit = parts.get(part)
+        if hit is None:
+            get = itemgetter(*part)  # a part holds two or more, so get gives tuples
+            value = cluster_cost(order, get(points), get(sizes))
+            hit = parts[part] = (part, to_key(value), value)
+        return hit
+
     pair = [[0] * n for _ in range(n)]
-    pairs = {}
     for a, b in itertools.combinations(range(n), 2):
-        value = price(a, b)
-        key = pair[a][b] = pair[b][a] = to_key(value)
-        pairs[a, b] = ((a, b), key, value)
-    c2 = min(key for _, key, _ in pairs.values())
+        pair[a][b] = pair[b][a] = price((a, b))[1]
+    c2 = min(key for _, key, _ in parts.values())
     alpha = merge_cost_bound(order)
     if unit:  # rounded up, in integers
         num, den = alpha.numerator * scale, alpha.denominator
@@ -182,21 +197,21 @@ def _pair_bounds(order: DistanceOrder, sizes: Sequence[int], excess: int,
     else:
         ahead = [0] + [float(max(alpha * m, (m + 1) * Fraction(c2) / 2))
                        for m in range(1, excess + 1)]
-    return _PairBounds(to_key, top, unit, pair, pairs, ahead)
+    return _PairBounds(to_key, top, unit, pair, price, parts, ahead)
 
 
 def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds: _PairBounds,
-                 pair: Sequence[Sequence], price: Callable[[tuple[int, ...]], tuple | None],
                  excess: int, within: Cost | None = None, family_cap: float = math.inf
                  ) -> tuple[Clustering | None, Cost | None, dict]:
-    """The exact partition search over ``len(pair)`` items owing ``excess``
-    merges: the clustering of least cost (``within`` None) or the first one
-    within the budget ``within`` (None if there is none), its exact cost and
-    the search's stats.  ``pair[a][b]`` is a key at most that of any part
-    holding items a and b, and ``price(part)``, a part being a tuple of
-    items, gives the part's initial clusters, key and exact value as
-    ``cluster_cost`` returns it, or None for a part that cannot be taken.
-    The look-ahead ``bounds.ahead`` is over the initial clusters.
+    """The exact partition search over the items of ``bounds`` owing
+    ``excess`` merges: the clustering of least cost (``within`` None) or the
+    first one within the budget ``within`` (None if there is none), its
+    exact cost and the search's stats.  ``bounds.pair[a][b]`` is a key at
+    most that of any part holding items a and b, and ``bounds.price(part)``,
+    a part being a tuple of items, gives the part's initial clusters, key
+    and exact value, or None for a part that cannot be taken.  The items are
+    the initial clusters, or a caller's own by ``bounds._replace``; the
+    look-ahead ``bounds.ahead`` is over the initial clusters.
 
     Cluster costs only grow under merging, so only merge families of exactly
     ``excess`` are enumerated, each anchor's parts by size and, within a
@@ -220,7 +235,7 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds
     prefix or a whole part.  ``stats["families"]`` counts the families that
     became the incumbent and ``stats["parts"]`` the parts tried.
     """
-    unit, ahead = bounds.unit, bounds.ahead
+    unit, ahead, pair, price = bounds.unit, bounds.ahead, bounds.pair, bounds.price
     best_cost: Cost | None = None
     best = math.inf  # a branch whose key reaches best is cut
     if within is not None:  # cut only past the largest key within the budget
@@ -313,30 +328,17 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds
 def _initial_walk(order: DistanceOrder, initial: Sequence[InitialCluster], excess: int,
                   within: Cost | None = None, family_cap: float = math.inf
                   ) -> tuple[Clustering | None, Cost | None, dict]:
-    """``_member_walk`` over the initial clusters themselves, for the oracle
-    and the exhaustive policy.  Every pair is priced first, in closed form
-    (``centroids.pair_cost``) straight through ``cluster_cost``, into the
-    part cache, and each distinct part is priced once, cost only, so
-    ``stats["pricings"]``, the distinct parts priced, counts the pairs."""
+    """``_member_walk`` over the initial clusters themselves, for the oracle,
+    the exhaustive policy and every k >= n.  ``stats["pricings"]`` counts
+    the distinct parts ``_pair_bounds``' pricer priced, the pairs included.
+    With no merge owed the one clustering of singletons is returned with
+    ``families`` 1 and nothing tried or priced."""
     if excess <= 0:
         return (_assemble_clustering(order, initial, ()), Cost.of(0),
                 {"families": 1, "parts": 0, "pricings": 0})
-    points = [ic.representative for ic in initial]
-    sizes = [ic.size for ic in initial]
-    bounds = _pair_bounds(order, sizes, excess, lambda a, b: cluster_cost(
-        order, (points[a], points[b]), (sizes[a], sizes[b])))
-    part_cache = bounds.pairs  # part -> (part, key, exact value), every pair priced already
-
-    def price(part: tuple[int, ...]) -> tuple:
-        hit = part_cache.get(part)
-        if hit is None:
-            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
-            hit = part_cache[part] = (part, bounds.to_key(value), value)
-        return hit
-
-    clustering, cost, stats = _member_walk(order, initial, bounds, bounds.pair, price, excess,
-                                           within, family_cap)
-    stats["pricings"] = len(part_cache)
+    bounds = _pair_bounds(order, initial, excess)
+    clustering, cost, stats = _member_walk(order, initial, bounds, excess, within, family_cap)
+    stats["pricings"] = len(bounds.parts)
     return clustering, cost, stats
 
 
@@ -381,67 +383,59 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
 
     The ``exhaustive`` policy is the member walk of ``solve_bruteforce``
     stopped at the first family within the budget, an exact decision; its
-    stats are the walk's, with ``confidence`` 1.  The ``auto`` policy, the
-    paper's randomised algorithm, colors the initial clusters with T colors
-    (T from the budget and the per-merge cost floor) and runs the member
-    walk over each coloring's classes, stopped at the first family within
-    the budget: the parts are disjoint sets of classes that merge the
-    n - k excess initial clusters.  Each part's cost is the exact optimum
-    of its Cluster Selection bundle, the part's classes in sorted order,
-    and one cache keyed by that bundle prices each distinct bundle once,
-    across colorings and whatever colors its classes carry.  A bundle whose
-    classes each hold one initial cluster has a single tuple, priced cost
-    only by ``cluster_cost``; any other bundle takes one minimising
-    ``solve_selection`` call, with the instance budget as the bound.  A
-    composite cluster lists its members in that sorted-class order.
+    stats are the walk's, with ``confidence`` 1, and so are both policies'
+    with k >= n (``families`` 1, ``parts`` and ``pricings`` 0).  The
+    ``auto`` policy, the paper's randomised algorithm, colors the initial
+    clusters with T colors (T from the budget and the per-merge cost floor)
+    and runs the member walk over each coloring's classes, stopped at the
+    first family within the budget: the parts are disjoint sets of classes
+    that merge the n - k excess initial clusters.  Each part's cost is the
+    exact optimum of its Cluster Selection bundle, the part's classes in
+    sorted order, and one cache keyed by that bundle prices each distinct
+    bundle once, across colorings and whatever colors its classes carry.  A
+    bundle whose classes each hold one initial cluster has a single tuple,
+    priced cost only by the oracle's part pricer (``_pair_bounds``); any
+    other bundle takes one minimising ``solve_selection`` call, with the
+    instance budget as the bound.  A composite cluster lists its members in
+    that sorted-class order.
 
     The walk's pair key for two classes is their cheapest pair of initial
     clusters, and its look-ahead ``ahead[m] = max(alpha * m, (m + 1) * c2
-    / 2)`` is the oracle's (``_pair_bounds``, with every pair priced in
-    closed form by ``pair_cost``, not counted as a pricing), so a bundle is
-    cut by its pair bound before it is priced.  Before any coloring,
-    ``ahead[n - k]`` over the budget is an exact no, with confidence 1 and
-    no coloring.  As for the oracle, the walk compares keys, checks a
-    complete family's exact cost with ``cost_le`` and re-prices its witness.
+    / 2)`` is the oracle's (``_pair_bounds``, every pair priced through the
+    same pricer), so a bundle is cut by its pair bound before it is priced.
+    Before any coloring, ``ahead[n - k]`` over the budget is an exact no,
+    with confidence 1 and no coloring.  As for the oracle, the walk compares
+    keys, checks a complete family's exact cost with ``cost_le`` and
+    re-prices its witness.
 
     A no is one sided, with confidence 1 - (1 - e**-T)**N after N random
     colorings.  ``stats["iterations"]`` counts colorings,
     ``stats["families"]`` the complete families found within the budget,
-    ``stats["parts"]`` the walk's parts tried over all colorings,
-    ``stats["selection_calls"]`` the selection kernel calls and
-    ``stats["pricings"]`` the distinct one-vector parts priced; the stats
-    also sum the selection solvers' counters under their own names.
+    ``stats["parts"]`` the walk's parts tried over all colorings and
+    ``stats["selection_calls"]`` the selection kernel calls; the stats also
+    sum the selection solvers' counters under their own names.  Under
+    either policy, as for the oracle, ``stats["pricings"]`` counts the
+    distinct initial-cluster parts priced, the pair table included.
     """
     cfg = cfg or SolveConfig()
     order = inst.order
     initial = regularize(inst.dataset)
     n_ic = len(initial)
-    if cfg.policy == "exhaustive":
-        clustering, _, stats = _initial_walk(order, initial, n_ic - inst.k, within=inst.budget)
+    excess = n_ic - inst.k
+    if cfg.policy == "exhaustive" or excess <= 0:
+        clustering, _, stats = _initial_walk(order, initial, excess, within=inst.budget)
         stats["confidence"] = 1.0
         return SolveResult(clustering is not None, clustering, stats)
     stats = {"iterations": 0, "families": 0, "selection_calls": 0, "pricings": 0, "parts": 0}
-
-    if n_ic == 0 or inst.k >= n_ic:
-        clustering = _assemble_clustering(order, initial, ())
-        stats["confidence"] = 1.0
-        return SolveResult(True, clustering, stats)
 
     alpha = merge_cost_bound(order)
     t_colors = max(1, -cost_floor(inst.budget, -2 / alpha))  # ceil(2 budget / alpha)
     stats["T"] = t_colors
     stats.update(dict.fromkeys(SELECTION_COUNTERS, 0))
 
-    points = [ic.representative for ic in initial]
-    sizes = [ic.size for ic in initial]
-    excess = n_ic - inst.k
-    bounds = _pair_bounds(order, sizes, excess, lambda a, b: pair_cost(
-        order, points[a], sizes[a], points[b], sizes[b]))
-    to_key, pair = bounds.to_key, bounds.pair
+    bounds = _pair_bounds(order, initial, excess)
+    pair = bounds.pair
     top = bounds.top(inst.budget)
-    if bounds.ahead[excess] > top:
-        stats["confidence"] = 1.0
-        return SolveResult(False, None, stats)
 
     # per bundle, the part's color classes in sorted order: its cheapest part's
     # initial clusters, key and exact value, or None when that key exceeds top
@@ -451,14 +445,13 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         if bundle in bundles:
             return bundles[bundle]
         if all(len(members) == 1 for members in bundle):
-            part = tuple(members[0] for members in bundle)
-            stats["pricings"] += 1
-            value = cluster_cost(order, [points[i] for i in part], [sizes[i] for i in part])
-            hit = (part, key, value) if (key := to_key(value)) <= top else None
+            hit = bounds.price(tuple(members[0] for members in bundle))
+            if hit[1] > top:
+                hit = None
         else:
             sel = SelectionInstance(
-                tuple(tuple(points[i] for i in members) for members in bundle),
-                tuple(tuple(sizes[i] for i in members) for members in bundle),
+                tuple(tuple(initial[i].representative for i in members) for members in bundle),
+                tuple(tuple(initial[i].size for i in members) for members in bundle),
                 inst.dataset.dimension, inst.budget, order)
             stats["selection_calls"] += 1
             res = solve_selection(sel, minimize=True, centroid_cap=cfg.centroid_cap)
@@ -468,13 +461,16 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             if res.decision:
                 value = res.cost.exact if res.cost.terms is None else res.cost.terms
                 hit = (tuple(members[i] for members, i in zip(bundle, res.indices)),
-                       to_key(value), value)
+                       bounds.to_key(value), value)
         bundles[bundle] = hit
         return hit
 
     n_iters = cfg.iterations or (
         MAX_ITERATIONS if t_colors >= math.log(MAX_ITERATIONS)
         else math.ceil(math.exp(t_colors)))
+    if bounds.ahead[excess] > top:  # an exact no before any coloring
+        n_iters = 0
+    clustering = None
     for it in range(n_iters):
         rnd = random.Random(f"{cfg.seed}:{it}")
         stats["iterations"] += 1
@@ -487,14 +483,14 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         near = [[0] * len(classes) for _ in classes]
         for c, d in itertools.combinations(range(len(classes)), 2):
             near[c][d] = near[d][c] = min(pair[a][b] for a in classes[c] for b in classes[d])
-        clustering, _, walk_stats = _member_walk(
-            order, initial, bounds, near,
-            lambda part: cheapest(tuple(sorted(classes[c] for c in part))),
+        clustering, _, walk_stats = _member_walk(order, initial, bounds._replace(
+            pair=near, price=lambda part: cheapest(tuple(sorted(classes[c] for c in part)))),
             excess, within=inst.budget)
         stats["families"] += walk_stats["families"]
         stats["parts"] += walk_stats["parts"]
         if clustering is not None:
-            stats["confidence"] = 1.0
-            return SolveResult(True, clustering, stats)
-    stats["confidence"] = 1.0 - (1.0 - math.exp(-t_colors)) ** n_iters
-    return SolveResult(False, None, stats)
+            break
+    stats["pricings"] = len(bounds.parts)
+    stats["confidence"] = (1.0 if clustering is not None or not n_iters
+                           else 1.0 - (1.0 - math.exp(-t_colors)) ** n_iters)
+    return SolveResult(clustering is not None, clustering, stats)

@@ -225,11 +225,13 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert "total cost: 1" in out and "iterations" not in out
     assert "stat families: 1" in out and "stat parts: 1" in out and "stat pricings: 3" in out
     # the auto policy runs the same walk over its first coloring's classes,
-    # which tries one part, the bundle of its two colour classes
+    # which tries one part, the bundle of its two colour classes; its pair
+    # table is the same three pairs, counted as pricings
     assert run_cli(["solve", str(small)]) == 0
     out = capsys.readouterr().out
     assert "total cost: 1" in out and "stat iterations: 1" in out
     assert "stat parts: 1" in out and "stat cuts" not in out
+    assert "stat pricings: 3" in out
 
     assert run_cli(["solve", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()

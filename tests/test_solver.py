@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from collections import Counter
@@ -253,12 +254,26 @@ def test_color_coding_figures():
 
 
 def test_color_coding_trivial_cases():
+    """With k >= n (k = n, k > n, or no points at all) no merge is owed: both
+    policies return the clustering of singletons from the walk's trivial
+    case, one family with no part tried or priced, at confidence 1."""
     ds = Dataset(2, ((0, 0), (1, 1)), (2, 1))
     inst = ClusteringInstance(ds, 2, Cost.of(0), DistanceOrder.l1())
     res = solve_color_coding(inst, SolveConfig(policy="exhaustive"))
     assert res.decision and res.clustering.total_cost.exact == 0
     inst_k5 = ClusteringInstance(ds, 5, Cost.of(0), DistanceOrder.l1())
     assert solve_color_coding(inst_k5, SolveConfig()).decision
+    empty = dataclasses.replace(inst, dataset=Dataset(2, (), ()))
+    for case in (inst, inst_k5, empty):
+        singletons = len(regularize(case.dataset))
+        results = [solve_color_coding(case, SolveConfig(policy=policy))
+                   for policy in ("exhaustive", "auto")]
+        for res in results:
+            assert res.decision and res.clustering == results[0].clustering, case
+            assert len(res.clustering.clusters) == singletons
+            assert res.clustering.total_cost.exact == 0
+            assert res.stats["families"] == 1 and res.stats["parts"] == 0, res.stats
+            assert res.stats["pricings"] == 0 and res.stats["confidence"] == 1.0
 
 
 def test_color_coding_policies():
@@ -390,7 +405,9 @@ def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed, policy
     groups is priced once, cost only.  Under ``auto`` one set of classes meets
     several colour orders, so no two calls may get the same multiset of
     (group, weights) pairs.  The ``exhaustive`` walk makes no selection call
-    and prices each distinct part once."""
+    and prices each distinct part once.  Under both policies the pair table
+    is priced through the same ``cluster_cost`` pricer: every pair of
+    initial clusters is among the parts priced, once."""
     cfg = (SolveConfig(policy="exhaustive") if policy == "exhaustive"
            else SolveConfig(iterations=30, seed=seed))
     calls, priced = [], []
@@ -422,6 +439,11 @@ def test_one_selection_call_per_bundle(monkeypatch, order, budgets, seed, policy
         assert policy == "auto" or not calls
         assert all(any(len(g) > 1 for g, _ in pairs) for pairs in calls)
         assert stats["pricings"] == len(priced) == len(set(priced))
+        initial = regularize(inst.dataset)
+        if inst.k < len(initial):
+            counts = Counter(priced)
+            for x, y in itertools.combinations(initial, 2):
+                assert counts[(x.representative, y.representative), (x.size, y.size)] == 1, inst
         for name in solver.SELECTION_COUNTERS:
             assert stats.get(name, 0) == inner[name]
         assert "cost_set_size" not in stats
@@ -437,8 +459,8 @@ def test_one_vector_bundles_skip_selection(monkeypatch, order):
     of its own.  A bundle whose classes each hold one initial cluster is
     priced directly, cost only, and never reaches the selection solver; over
     200 seeded colorings the decision is still the brute-force oracle's.  A
-    no may be decided by the look-ahead before any coloring, with nothing
-    priced."""
+    no may be decided by the look-ahead before any coloring, with only the
+    pair table priced."""
     real_selection = solver.solve_selection
 
     def guarded(sel, **kwargs):
@@ -461,7 +483,7 @@ def test_one_vector_bundles_skip_selection(monkeypatch, order):
         assert res.stats["T"] >= n_ic
         assert res.decision == solve_bruteforce(inst).decision
         if res.stats["iterations"] == 0:  # decided before coloring
-            assert not res.decision and res.stats["pricings"] == 0
+            assert not res.decision and res.stats["pricings"] == math.comb(n_ic, 2)
         pricings += res.stats["pricings"]
         answers[res.decision] += 1
     assert answers[True] and answers[False] and pricings > 0
