@@ -7,9 +7,11 @@ exhaustively (all small subsets of the active coordinates) or by enumerating
 small quarter-covered patterns up to isomorphism and locating their
 appearances in the host hypergraph.
 
-This is the paper's pattern machinery.  No solver calls it (for p in (0, 1)
-``solve_selection`` searches the centroids built from present values
-instead); acceptance criterion 7 checks the paper's pattern lemma against it.
+This is the paper's pattern machinery.  No solver calls it: for Hamming and
+p in (0, 1) ``solve_selection`` searches the centroids built from present
+values instead, one coordinate at a time, cutting a branch once its greedy
+total plus a look-ahead over the unset coordinates exceeds the bound.
+Acceptance criterion 7 checks the paper's pattern lemma against it.
 """
 
 from __future__ import annotations

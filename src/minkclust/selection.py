@@ -25,9 +25,15 @@ p in (0, 1) the weighted sum of |x - c|**p is concave in c between
 consecutive values of the cluster and grows outside them, so some optimal
 centroid takes a present value at every coordinate.  It prices centroids one
 coordinate at a time, in integers for the Hamming distance and in floats for
-p in (0, 1), where the float total is only a filter.  Every candidate that
-passes is re-costed through the exact cost path, which alone decides, before
-it is returned.  The tuple search (``_tuple_search``) picks one vector per
+p in (0, 1), where the float total is only a filter.  A branch is cut once
+its greedy total, plus a look-ahead of what the unset coordinates must still
+cost, exceeds the bound.  The look-ahead is one table per call: for each row
+and depth, the sum over the unset coordinates of the least that the row's
+cost plus every other group's cheapest row can take at one value.  Any one
+group's cheapest row under a completion pays its own look-ahead at least,
+and each other group at least its cheapest rows, so no leaf within the bound
+is lost.  Every candidate that passes is re-costed through the exact cost
+path, which alone decides, before it is returned.  The tuple search (``_tuple_search``) picks one vector per
 group and prices each partial tuple exactly: through the exact cost path for
 p = 1 and the max distance, and by integer running sums for the squared
 Euclidean cost, whose optimal centroid is the weighted mean.  An instance
@@ -405,16 +411,45 @@ def _coordinate_search(
     each coordinate, priced one coordinate at a time; the Hamming and
     p in (0, 1) kernel.
 
-    Each row (a vector ``pt`` of weight ``w``) carries a partial cost, and
-    setting coordinate ``j`` to ``v`` adds ``w * coord_cost(pt[j], v)`` to
-    every row.  A node is cut once the greedy total, the sum over groups of
-    each group's smallest partial, exceeds ``limit(inc)``, which is re-read
-    only after a leaf.  Costs only grow as coordinates are set, so a cut never
-    loses a leaf within the limit, and a leaf's total is the greedy cost of
-    its centroid.  Every leaf is re-costed exactly (``_verified``), which
-    alone decides.  Nodes count against ``centroid_cap``; leaves count as
-    centroids tried.  Each (coordinate, value) pair's weighted costs are
-    computed on first use.
+    Each row r (a vector ``pt`` of weight ``w``) carries a partial cost P_r,
+    and setting coordinate ``j`` to ``v`` adds a_r(j, v) =
+    ``w * coord_cost(pt[j], v)`` to every row.  A leaf's greedy total is the
+    sum over groups of each group's smallest partial, the greedy cost of its
+    centroid.  Every leaf is re-costed exactly (``_verified``), which alone
+    decides, and ``limit(inc)``, the largest greedy total still admitted, is
+    re-read only after a leaf.
+
+    A child, whose rows carry the partials P_r once coordinate j is set, is
+    cut by two tests against that limit.  First by its greedy total
+    tot = sum_g m_g, where m_g is group g's smallest P_r.  Then by a
+    look-ahead over the unset coordinates.  With cheapest_g(j', v) the least
+    a_r(j', v) over the rows of group g, each row r of g carries
+
+        ahead_j(r) = sum_{j' >= j} min_v (a_r(j', v) + sum_{g' != g} cheapest_g'(j', v)),
+
+    built once per call (``after[j]`` holds ahead_{j+1}), and the child is
+    cut once tot + max_g (min_{r in g} (P_r + ahead_{j+1}(r)) - m_g) exceeds
+    the limit.  The first test is the second with every ahead 0; it runs
+    first because it is cheaper.  The look-ahead is safe: take any completion c of
+    the unset coordinates and let r*_g be group g's cheapest row under it.
+    For every g the leaf's total is at least P_r + sum_j' a_r(j', c_j') at
+    r = r*_g plus, for each other group g', m_g' + sum_j' cheapest_g'(j',
+    c_j'); that is at least min_{r in g} (P_r + ahead_{j+1}(r)) + tot - m_g.
+    So each group's term alone bounds every leaf below the child, and a cut
+    removes only subtrees whose every leaf's greedy total exceeds the limit.
+    The leaves visited within the limit, the witnesses and
+    ``centroids_tried`` are those of the greedy test alone; only ``nodes``
+    falls.
+
+    For p in (0, 1) the look-ahead sums the same floats in another order
+    than a leaf's own total.  The leaves that this rounding could newly cut
+    lie within a few ulps of the limit, and the limit already carries a
+    ``_FLOAT_SLACK`` share of the bound, so such a leaf costs more than the
+    bound exactly and would not be admitted.  A gap beyond the float range
+    costs inf; ahead never subtracts, so it holds no NaN, and where a child's
+    term is inf - inf, NaN, that term never cuts.
+
+    Nodes count against ``centroid_cap``; leaves count as centroids tried.
     """
     inc = _Incumbent(inst, minimize)
     stats = {"centroids_tried": 0, "nodes": 0}
@@ -425,8 +460,21 @@ def _coordinate_search(
         spans.append(slice(pos, pos + len(pts)))
         pos += len(pts)
     depth = inst.dimension
-    columns = [sorted({pt[j] for pt, _ in rows}) for j in range(depth)]
-    memo: dict = {}
+    # steps[j]: (v, a(j, v)) for each value v present at coordinate j
+    steps = [[(v, [w * coord_cost(pt[j], v) for pt, w in rows])
+              for v in sorted({pt[j] for pt, _ in rows})] for j in range(depth)]
+    owner = [g for g, pts in enumerate(inst.groups) for _ in pts]
+    # after[j]: each row's look-ahead over the coordinates after j
+    after = [[0] * len(rows)]
+    for column in reversed(steps[1:]):
+        raised = []
+        for _, costs in column:
+            cheapest = list(map(min, map(costs.__getitem__, spans)))
+            others = [sum(cheapest[:g]) + sum(cheapest[g + 1:]) for g in range(len(spans))]
+            raised.append(list(map(operator.add, costs, map(others.__getitem__, owner))))
+        # raised[0] twice: min needs two arguments when one value is present
+        after.append(list(map(operator.add, after[-1], map(min, raised[0], *raised))))
+    after.reverse()
     chosen = [0] * depth
     lim = limit(inc)
 
@@ -440,12 +488,15 @@ def _coordinate_search(
             done = _verified(inst, tuple(chosen), stats, inc)
             lim = limit(inc)
             return done
-        for v in columns[j]:
-            costs = memo.get((j, v))
-            if costs is None:
-                costs = memo[j, v] = [w * coord_cost(pt[j], v) for pt, w in rows]
+        rest = after[j]
+        for v, costs in steps[j]:
             nxt = list(map(operator.add, partial, costs))
-            if sum(map(min, map(nxt.__getitem__, spans))) > lim:
+            lows = list(map(min, map(nxt.__getitem__, spans)))
+            tot = sum(lows)
+            if tot > lim:
+                continue
+            est = list(map(operator.add, nxt, rest))
+            if tot + max(map(operator.sub, map(min, map(est.__getitem__, spans)), lows)) > lim:
                 continue
             chosen[j] = v
             if rec(j + 1, nxt):

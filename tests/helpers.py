@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,10 +18,13 @@ from minkclust import (
     SelectionResult,
     WeightedCluster,
     cost_eq,
+    cost_eval,
     cost_le,
     optimal_cluster_cost,
     regularize,
+    select_fixed_centroid,
 )
+from minkclust.selection import _FLOAT_SLACK
 
 
 # criterion-2 envelopes per order: (order, instance shape, budgets, seed)
@@ -118,6 +122,69 @@ def bruteforce_reference(inst: SelectionInstance) -> SelectionResult:
             best = SelectionResult(False, combo, centroid, cost)
     best.decision = cost_le(best.cost, inst.budget)
     return best
+
+
+def coordinate_search_reference(inst: SelectionInstance,
+                                minimize: bool = False) -> SelectionResult:
+    """The Hamming and p in (0, 1) centroid search without its cuts: every
+    centroid of the present-value grid in lexicographic order, priced by its
+    greedy total as the search sums it (integer mismatch counts, or floats
+    |a - v|**p; row partials summed coordinate by coordinate, then each
+    group's least partial summed in group order).  A centroid whose total is
+    within the limit (the bound's floor, or after a witness the largest
+    integer below it; for p < 1 the bound's float plus its ``_FLOAT_SLACK``
+    share) counts as tried and is re-costed exactly by
+    ``select_fixed_centroid``.  In decision form the first admitted centroid
+    ends the walk; in minimise form each strictly cheaper one becomes the
+    incumbent, reported at its tuple's own optimal centroid.
+
+    ``stats["nodes"]`` is the node count of the search cut by the greedy
+    total alone: the root plus each prefix within the limit in force when the
+    walk reaches the prefix's first leaf.  Small coordinates only: a gap
+    beyond the float range raises."""
+    order = inst.order
+    rows = [(g, pt, w) for g, _, pt, w in inst.iter_vectors()]
+    if order.kind == "l0":
+        price = lambda a, v: int(a != v)
+    else:
+        p = float(order.p)
+        price = lambda a, v: abs(a - v) ** p
+
+    def limit():
+        if order.kind == "l0":
+            return math.floor(bound.exact) if best is None else math.ceil(bound.exact) - 1
+        value = float(cost_eval(bound))
+        return value + _FLOAT_SLACK * max(1.0, value)
+
+    def greedy(partial):
+        lows = [math.inf] * inst.num_groups
+        for (g, _, _), cost in zip(rows, partial):
+            lows[g] = min(lows[g], cost)
+        return sum(lows)
+
+    columns = [sorted({pt[j] for _, pt, _ in rows}) for j in range(inst.dimension)]
+    best, bound, tried, nodes = None, inst.budget, 0, 1
+    lim = limit()
+    for centroid in itertools.product(*columns):
+        partial = [0] * len(rows)
+        for j, v in enumerate(centroid):
+            partial = [s + w * price(pt[j], v) for s, (_, pt, w) in zip(partial, rows)]
+            first = all(c == col[0] for c, col in zip(centroid[j + 1:], columns[j + 1:]))
+            if first and greedy(partial) <= lim:
+                nodes += 1
+        if greedy(partial) > lim:
+            continue
+        tried += 1
+        res = select_fixed_centroid(inst, centroid)
+        if cost_le(res.cost, bound) if best is None else not cost_le(bound, res.cost):
+            at, cost = optimal_cluster_cost(order, inst.chosen_cluster(res.indices))
+            best, bound = SelectionResult(True, res.indices, at, cost), cost
+            if not minimize or cost.exact == 0:
+                break
+            lim = limit()
+    result = best or SelectionResult(False)
+    result.stats = {"centroids_tried": tried, "nodes": nodes}
+    return result
 
 
 def set_partitions(items: list, k: int):

@@ -32,6 +32,7 @@ from tests.helpers import (
     EX_LINF_COLORED,
     SELECTION_ENVELOPES,
     bruteforce_reference,
+    coordinate_search_reference,
     random_selection_instance,
     tagged_selection_instance,
     tied_selection_instance,
@@ -344,9 +345,11 @@ def test_enumeration_caps_raise():
         [tuple((i + j) % 5 for j in range(6)) for i in range(3)],
         [tuple((i + j + 7) % 11 for j in range(6)) for i in range(3)],
     ]
+    # a yes that the centroid search reaches in 7 nodes, so the cap of 3
+    # stops it mid-search
     inst = SelectionInstance.of(groups, Cost.of(4), DistanceOrder.l0())
     with pytest.raises(EnumerationCapExceeded):
-        solve_selection(inst, centroid_cap=10)
+        solve_selection(inst, centroid_cap=3)
     inst_linf = SelectionInstance.of(groups, Cost.of(2), DistanceOrder.linf())
     with pytest.raises(EnumerationCapExceeded):
         solve_selection(inst_linf, centroid_cap=0)
@@ -391,6 +394,109 @@ def test_lp01_search_cuts_unit_vector_no_instance():
         assert not res.decision
         assert res.stats["nodes"] <= 100
         assert res.stats["centroids_tried"] == 0
+
+
+# name: (order, instance shape, budgets); Hamming and p = 1/2 on their
+# criterion-2 envelopes, p = 1/3 on the p = 1/2 shape
+REFERENCE_ORDERS = {
+    "p=0": (DistanceOrder.l0(), SELECTION_ENVELOPES["p=0"][1], range(0, 4)),
+    "p=1/2": (DistanceOrder.lp(Fraction(1, 2)), SELECTION_ENVELOPES["p=1/2"][1], range(0, 5)),
+    "p=1/3": (DistanceOrder.lp(Fraction(1, 3)), SELECTION_ENVELOPES["p=1/2"][1], range(0, 5)),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_ORDERS), ids=str)
+def test_coordinate_search_equals_the_uncut_walk(name):
+    """On 300 seeded instances per order, at the drawn budget and at the
+    optimum, in both forms, the centroid search returns the witness and
+    ``centroids_tried`` of the lexicographic walk over its whole grid
+    (``coordinate_search_reference``), and expands no more nodes than the
+    search cut by the greedy total alone."""
+    order, kwargs, budgets = REFERENCE_ORDERS[name]
+    rnd = random.Random(841)
+    drawn = 0
+    while drawn < 300:
+        inst = random_selection_instance(rnd, order, Cost.of(rnd.choice(budgets)), **kwargs)
+        if all(len(pts) == 1 for pts in inst.groups):
+            continue
+        drawn += 1
+        for budget in (inst.budget, select_bruteforce(inst).cost):
+            at = dataclasses.replace(inst, budget=budget)
+            for minimize in (False, True):
+                ref = coordinate_search_reference(at, minimize)
+                res = solve_selection(at, minimize=minimize)
+                assert ((res.decision, res.indices, res.centroid, res.cost)
+                        == (ref.decision, ref.indices, ref.centroid, ref.cost)), (at, minimize)
+                assert res.stats["centroids_tried"] == ref.stats["centroids_tried"], (at, minimize)
+                assert res.stats["nodes"] <= ref.stats["nodes"], (at, minimize)
+
+
+def unit_family(d: int, budget: Fraction, order: DistanceOrder, planted: list) -> SelectionInstance:
+    """G1 = {0^d, 1^d} and, for each (k, ones) in ``planted``, a group
+    {u, u + e_k} where u has ones on the coordinates ``ones``."""
+    def row(ones):
+        return tuple(int(i in ones) for i in range(d))
+
+    groups = [[row(()), row(range(d))]]
+    groups += [[row(ones), row({k, *ones})] for k, ones in planted]
+    return SelectionInstance.of(groups, Cost.of(budget), order)
+
+
+# families A and B of ROADMAP item 1 -- name: (planted groups at dimension d,
+# the "no" budget, the optimum); every row is 0/1, so p = 1/2 prices a
+# coordinate as the Hamming distance does
+UNIT_FAMILIES = {
+    "A": (lambda d: [(0, range(d - 7, d))], Fraction(13, 2), 7),
+    "B": (lambda d: [(0, range(d - 12, d - 4)), (1, range(d - 8, d))], Fraction(23, 2), 12),
+}
+
+
+@pytest.mark.parametrize("family", list(UNIT_FAMILIES))
+@pytest.mark.parametrize("name", ["p=0", "p=1/2"])
+def test_lookahead_decides_unit_families_at_the_root(family, name):
+    """On families where the greedy total alone cuts late (471,880 nodes for
+    the "no" of A at d = 64), the look-ahead over the unset coordinates cuts
+    every child of the root at a budget below the optimum, and minimising at
+    the optimum walks one path under Hamming (d + 1 nodes) and at most
+    d + 300 nodes under p = 1/2 (d + 248 on A).  Node counts, not time, are
+    the gate."""
+    planted, no, opt = UNIT_FAMILIES[family]
+    order = REFERENCE_ORDERS[name][0]
+    for d in (16, 32, 64, 128):
+        res = solve_selection(unit_family(d, no, order, planted(d)))
+        assert not res.decision and res.stats["nodes"] == 1, d
+        res = solve_selection(unit_family(d, opt, order, planted(d)), minimize=True)
+        assert res.decision and cost_eq(res.cost, Cost.of(opt)), d
+        if order.kind == "l0":
+            assert res.stats["nodes"] == d + 1, d
+        else:
+            assert res.stats["nodes"] <= d + 300, d
+
+
+def test_lp01_lookahead_with_infinite_float_costs():
+    """A gap of 10**700 under p = 1/2: its float cost is inf, and so is the
+    float limit of a budget near the optimum, where the look-ahead meets
+    inf - inf.  Both forms still agree with the oracle, at budgets above,
+    at and below the optimum and at a finite budget far below it."""
+    big = 10**700
+    half = Fraction(1, 2)
+    groups = [[(0, 0), (big, 0)], [(2 * big, 1), (4 * big, 0)], [(big, 1), (0, 1)]]
+    inst = SelectionInstance.of(groups, Cost.of(0), DistanceOrder.lp(half))
+    ref = select_bruteforce(inst)
+    assert ref.cost == Cost.basis({1: 1, big: 1}, half)
+    for budget in (Cost.basis({big: 3}, half), ref.cost, Cost.basis({big: 1}, half),
+                   Cost.of(5)):
+        at = dataclasses.replace(inst, budget=budget)
+        feasible = select_bruteforce(at).decision
+        for minimize in (False, True):
+            res = solve_selection(at, minimize=minimize)
+            assert res.decision == feasible, (budget, minimize)
+            if not feasible:
+                continue
+            assert cost_le(res.cost, budget)
+            assert optimal_cluster_cost(at.order, at.chosen_cluster(res.indices))[1] == res.cost
+            if minimize:
+                assert res.indices == ref.indices and cost_eq(res.cost, ref.cost)
 
 
 def test_linf_search_expands_only_partial_tuples():
