@@ -10,7 +10,10 @@ vertex up to three points, as a dense integer transportation flow beyond
 ``optimal_cluster_cost`` returns a centroid and a ``Cost``.  ``cluster_cost``
 returns the same optimum alone, as a plain value, for callers that price many
 clusters and keep few of them; each order's rule has one home that both
-share.
+share.  The max-distance LP takes the cluster's pairwise gaps: ``linf_solve``
+solves it from them, for ``_linf_doubled``, which builds the gaps whole, and
+for the selection tuple search, which carries them and adds one row per
+point.
 
 A two-point cluster {x, y} with weights w_x, w_y is priced in closed form
 (``pair_cost``), which ``cluster_cost`` uses for every pair.  Under a metric
@@ -295,7 +298,24 @@ def _linf_flow(gaps: list[list[int]], weights: Sequence[int]) -> list[int]:
 
 
 def _linf_doubled(points: Sequence[Point], weights: Sequence[int]) -> tuple[list[int], int]:
-    """A doubled optimal max-distance centroid and the doubled optimal cost.
+    """A doubled optimal max-distance centroid and the doubled optimal cost:
+    the pairwise max-distance gaps, then ``linf_solve``."""
+    n = len(points)
+    if n == 1:
+        return [2 * v for v in points[0]], 0
+    sub = operator.sub
+    gaps = [[0] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            gaps[u][v] = gaps[v][u] = max(map(abs, map(sub, points[u], points[v])))
+    return linf_solve(points, weights, gaps)
+
+
+def linf_solve(points: Sequence[Point], weights: Sequence[int],
+               gaps: list[list[int]]) -> tuple[list[int], int]:
+    """A doubled optimal max-distance centroid and the doubled optimal cost of
+    the cluster of ``points`` with ``weights``, given its gaps:
+    ``gaps[u][v]`` is the max distance between points u and v.
 
     Up to three points the LP's cheapest vertex gives the doubled radii
     (``_linf_vertex``), beyond that a dense integer transportation flow does
@@ -303,17 +323,10 @@ def _linf_doubled(points: Sequence[Point], weights: Sequence[int]) -> tuple[list
     intersections, and the cost it attains is checked exactly against the
     radii's.
     """
-    n = len(points)
-    if n == 1:
-        return [2 * v for v in points[0]], 0
+    radii2 = (_linf_vertex if len(weights) <= 3 else _linf_flow)(gaps, weights)
+    gain = sum(w * r for w, r in zip(weights, radii2))
     # the coordinate loops run as maps of operator functions, with v + v for 2 v
     sub, add = operator.sub, operator.add
-    gaps = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            gaps[u][v] = gaps[v][u] = max(map(abs, map(sub, points[u], points[v])))
-    radii2 = (_linf_vertex if n <= 3 else _linf_flow)(gaps, weights)
-    gain = sum(w * r for w, r in zip(weights, radii2))
     centroid2 = [max(map(sub, map(add, col, col), radii2)) for col in zip(*points)]
     attained = sum(w * max(map(abs, map(sub, map(add, x, x), centroid2)))
                    for x, w in zip(points, weights))

@@ -33,11 +33,19 @@ cost plus every other group's cheapest row can take at one value.  Any one
 group's cheapest row under a completion pays its own look-ahead at least,
 and each other group at least its cheapest rows, so no leaf within the bound
 is lost.  Every candidate that passes is re-costed through the exact cost
-path, which alone decides, before it is returned.  The tuple search (``_tuple_search``) picks one vector per
-group and prices each partial tuple exactly: through the exact cost path for
-p = 1 and the max distance, and by integer running sums for the squared
-Euclidean cost, whose optimal centroid is the weighted mean.  An instance
-with one vector per group is priced at its single tuple without a search.
+path, which alone decides, before it is returned.
+
+The tuple search (``_tuple_search``) picks one vector per group and prices
+each partial tuple as a plain exact number, which lies at or below a
+threshold exactly when the bound admits the tuple's cost: by integer running
+sums for the squared Euclidean cost, whose optimal centroid is the weighted
+mean; for the max distance by its doubled optimal cost, an integer that the
+exact gap LP returns from the max gaps between the tuple's vectors, carried
+one row per vector; and through the exact cost path for p = 1.  Only a
+complete tuple within the bound is built as a cluster and priced again
+through the exact cost path, for its centroid and the check of its cost.  An
+instance with one vector per group is priced at its single tuple without a
+search.
 """
 
 from __future__ import annotations
@@ -49,8 +57,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .centroids import (WeightedCluster, cluster_cost, mean_cost, optimal_cluster_cost,
-                        summed_cost)
+from .centroids import (WeightedCluster, cluster_cost, linf_solve, mean_cost,
+                        optimal_cluster_cost, summed_cost)
 from .core import DistanceOrder, Number, Point, distance, require_integer_vectors
 from .cost_model import Cost, approx_sign, approx_terms, cost_eq, cost_eval, cost_le
 from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
@@ -371,12 +379,14 @@ class _Incumbent:
             return cost_le(cost, self.bound)
         return not cost_le(self.bound, cost)
 
-    def limit(self) -> int:
-        """Largest integer cost admitted (rational bounds)."""
-        value = self.bound.exact
+    def limit(self, scale: int = 1) -> int:
+        """Largest integer admitted as ``scale`` times a cost (rational
+        bounds)."""
+        num, den = self.bound.exact.as_integer_ratio()
+        num *= scale
         if self.best is None:
-            return math.floor(value)
-        return math.ceil(value) - 1
+            return num // den
+        return -(-num // den) - 1
 
     def take(self, res: SelectionResult) -> bool:
         """Record an admitted witness; true when the search is over."""
@@ -402,7 +412,7 @@ def _verified(inst: SelectionInstance, centroid: Sequence[Number], stats: dict,
 
 def _coordinate_search(
     inst: SelectionInstance,
-    coord_cost: Callable[[int, int], Number],
+    coord_cost: Callable[[int], Number],
     limit: Callable[[_Incumbent], Number],
     centroid_cap: int,
     minimize: bool,
@@ -413,7 +423,7 @@ def _coordinate_search(
 
     Each row r (a vector ``pt`` of weight ``w``) carries a partial cost P_r,
     and setting coordinate ``j`` to ``v`` adds a_r(j, v) =
-    ``w * coord_cost(pt[j], v)`` to every row.  A leaf's greedy total is the
+    ``w * coord_cost(|pt[j] - v|)`` to every row.  A leaf's greedy total is the
     sum over groups of each group's smallest partial, the greedy cost of its
     centroid.  Every leaf is re-costed exactly (``_verified``), which alone
     decides, and ``limit(inc)``, the largest greedy total still admitted, is
@@ -460,8 +470,10 @@ def _coordinate_search(
         spans.append(slice(pos, pos + len(pts)))
         pos += len(pts)
     depth = inst.dimension
-    # steps[j]: (v, a(j, v)) for each value v present at coordinate j
-    steps = [[(v, [w * coord_cost(pt[j], v) for pt, w in rows])
+    # steps[j]: (v, a(j, v)) for each value v present at coordinate j, from
+    # one coord_cost call per distinct gap
+    gap_cost = _Memo(coord_cost)
+    steps = [[(v, [w * gap_cost[abs(pt[j] - v)] for pt, w in rows])
               for v in sorted({pt[j] for pt, _ in rows})] for j in range(depth)]
     owner = [g for g, pts in enumerate(inst.groups) for _ in pts]
     # after[j]: each row's look-ahead over the coordinates after j
@@ -516,6 +528,7 @@ def _tuple_search(
     inst: SelectionInstance,
     price: Callable,
     start,
+    limit: Callable[[_Incumbent], Number],
     centroid_cap: int,
     minimize: bool,
 ) -> SelectionResult:
@@ -523,37 +536,50 @@ def _tuple_search(
 
     Picks one vector per group, in group order and index order.  ``price``
     takes the partial tuple's state and the next vector and weight, and
-    returns the grown state, the grown partial tuple's exact optimal cost, and
-    its optimal centroid, or None when that is left to the exact path; the
-    search begins at ``start``.  Adding a vector never lowers a cluster's
-    optimal cost, so a partial tuple the incumbent rejects bounds every
-    completion and its branch is cut.  ``nodes`` counts the partial tuples
-    expanded, bounded by ``centroid_cap``, and ``centroids_tried`` the
-    complete tuples admitted.  With ``minimize`` the search runs on under the
-    strict incumbent and a yes carries the first minimum-cost tuple in
-    lexicographic order, the one ``select_bruteforce`` returns.
+    returns the grown state and the grown partial tuple's value, an exact
+    number that a fixed positive factor turns into its optimal cost; the
+    search begins at ``start``.  ``limit(inc)`` is the threshold the value
+    must not exceed, so that a value is at most it exactly when the incumbent
+    admits the cost; it is re-read only after a taken witness.  Adding a
+    vector never lowers a cluster's optimal cost, so a partial tuple above
+    the threshold bounds every completion and its branch is cut.  Only a
+    complete tuple within it is built as a cluster: it is priced again
+    through ``optimal_cluster_cost``, for its centroid and a ``Cost`` the
+    incumbent must admit, and the search raises if it does not.
+
+    ``nodes`` counts the partial tuples expanded, bounded by
+    ``centroid_cap``, and ``centroids_tried`` the complete tuples admitted.
+    With ``minimize`` the search runs on under the strict incumbent and a yes
+    carries the first minimum-cost tuple in lexicographic order, the one
+    ``select_bruteforce`` returns.
     """
     inc = _Incumbent(inst, minimize)
     stats = {"centroids_tried": 0, "nodes": 0}
     last = inst.num_groups - 1
     chosen: list[int] = []
+    lim = limit(inc)
 
     def rec(g: int, state) -> bool:
+        nonlocal lim
         stats["nodes"] += 1
         if stats["nodes"] > centroid_cap:
             raise EnumerationCapExceeded("search node cap exceeded")
         for i, row in enumerate(zip(inst.groups[g], inst.weights[g])):
+            nxt, value = price(state, *row)
+            if value > lim:
+                continue
             chosen.append(i)
-            nxt, cost, centroid = price(state, *row)
             if g < last:
-                if inc.admits(cost) and rec(g + 1, nxt):
+                if rec(g + 1, nxt):
                     return True
-            elif inc.admits(cost):
+            else:
                 stats["centroids_tried"] += 1
-                if centroid is None:
-                    centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(chosen))
+                centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(chosen))
+                if not inc.admits(cost):
+                    raise AssertionError("a tuple within the threshold costs more than the bound")
                 if inc.take(SelectionResult(True, tuple(chosen), centroid, cost, stats)):
                     return True
+                lim = limit(inc)
             chosen.pop()
         return False
 
@@ -565,13 +591,25 @@ def _tuple_search(
 def _l2_price(state, pt: Point, w: int):
     """Grow a partial tuple's integer running sums, its weight W, S = sum w x
     and Q = sum w |x|^2, and price it at (W Q - |S|^2) / W, its squared
-    Euclidean cost about the weighted mean; the centroid is left to the exact
-    path."""
+    Euclidean cost about the weighted mean."""
     total, sums, sq = state
     total += w
     sums = [s + w * x for s, x in zip(sums, pt)]
     sq += w * sum(x * x for x in pt)
-    return (total, sums, sq), Cost.of(mean_cost(total, sums, sq)), None
+    return (total, sums, sq), mean_cost(total, sums, sq)
+
+
+def _linf_price(state, pt: Point, w: int):
+    """Grow a partial tuple's points, weights and max-distance gap rows by one
+    vector, which adds one gap row, and price it at twice its optimal cost,
+    an integer (``linf_solve``)."""
+    pts, ws, gaps = state
+    sub = operator.sub
+    row = [max(map(abs, map(sub, pt, x))) for x in pts]
+    gaps = [old + [gap] for old, gap in zip(gaps, row)]
+    gaps.append(row + [0])
+    pts, ws = pts + (pt,), ws + (w,)
+    return (pts, ws, gaps), linf_solve(pts, ws, gaps)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +633,16 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
     - Hamming: the centroid search with integer mismatch counts.
     - Squared Euclidean: a no at once when more than 4D + 1 groups exist,
       else the tuple search priced by integer running sums (``_l2_price``).
-    - p = 1 and the max distance: the tuple search with every partial tuple
-      priced at its exact optimum through ``optimal_cluster_cost``, the
-      weighted median or the exact pairwise-gap LP.  k-Clustering under the
-      max distance is W[1]-hard parameterized by the budget, so only
-      exactness is owed there.
+    - The max distance: the tuple search with every partial tuple priced at
+      its doubled optimum by the exact pairwise-gap LP, from gap rows it
+      carries (``_linf_price``).  k-Clustering under the max distance is
+      W[1]-hard parameterized by the budget, so only exactness is owed there.
+    - p = 1: the tuple search with every partial tuple priced at its exact
+      optimum, the weighted median, through ``optimal_cluster_cost``.
 
-    The Hamming, squared Euclidean and max-distance orders need a rational
+    The tuple search builds a cluster, its centroid and a ``Cost`` only for
+    an admitted complete tuple, through ``optimal_cluster_cost``.  The
+    Hamming, p = 1, squared Euclidean and max-distance orders need a rational
     budget.  Pass ``minimize=True`` for the optimisation form: the budget is
     only an upper bound, and a yes carries a tuple of minimum optimal cost.
     ``centroid_cap`` bounds the search nodes; beyond it
@@ -624,8 +665,7 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
             bound = float(cost_eval(inc.bound))
             return bound + _FLOAT_SLACK * max(1.0, bound)
 
-        def coord_cost(a: int, v: int) -> float:
-            gap = abs(a - v)
+        def coord_cost(gap: int) -> float:
             try:
                 return gap**p
             except OverflowError:  # the gap is beyond the float range, gap**p may not be
@@ -635,20 +675,30 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
                     return math.inf
 
         return _coordinate_search(inst, coord_cost, limit, centroid_cap, minimize)
-    if order.kind != "lp" and inst.budget.exact is None:
+    if (order.kind != "lp" or order.p == 1) and inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    if order.kind == "l0":
-        return _coordinate_search(inst, operator.ne, _Incumbent.limit, centroid_cap, minimize)
+    if order.kind == "l0":  # a coordinate costs 1 where its gap is nonzero
+        return _coordinate_search(inst, bool, _Incumbent.limit, centroid_cap, minimize)
     if order.kind == "l2":
         if Fraction(inst.num_groups) > 4 * inst.budget.exact + 1:
             return SelectionResult(False, stats={"centroids_tried": 0, "nodes": 0,
                                                  "rejected": "group-count"})
-        return _tuple_search(inst, _l2_price, (0, [0] * inst.dimension, 0), centroid_cap,
-                             minimize)
+        heaviest = sum(map(max, inst.weights))
+
+        def limit(inc: _Incumbent) -> Fraction:
+            # a partial tuple of weight W <= heaviest costs some m / W, which
+            # lies below the bound n / d only by 1 / (d W) or more
+            bound = inc.bound.exact
+            return bound if inc.best is None else bound - Fraction(1, bound.denominator * heaviest)
+
+        return _tuple_search(inst, _l2_price, (0, [0] * inst.dimension, 0), limit,
+                             centroid_cap, minimize)
+    if order.kind == "linf":
+        return _tuple_search(inst, _linf_price, ((), (), []), lambda inc: inc.limit(2),
+                             centroid_cap, minimize)
 
     def price(state, pt: Point, w: int):
         pts, ws = state[0] + (pt,), state[1] + (w,)
-        centroid, cost = optimal_cluster_cost(order, WeightedCluster(pts, ws))
-        return (pts, ws), cost, centroid
+        return (pts, ws), optimal_cluster_cost(order, WeightedCluster(pts, ws))[1].exact
 
-    return _tuple_search(inst, price, ((), ()), centroid_cap, minimize)
+    return _tuple_search(inst, price, ((), ()), _Incumbent.limit, centroid_cap, minimize)

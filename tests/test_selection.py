@@ -13,6 +13,7 @@ from minkclust import (
     Graph,
     SelectionInstance,
     centroid_lp,
+    cluster_cost,
     cost_eq,
     cost_eval,
     cost_le,
@@ -26,7 +27,7 @@ from minkclust import (
     solve_selection,
     summed_cost,
 )
-from minkclust import selection
+from minkclust import centroids, selection
 from tests.helpers import (
     EX_CLIQUE_COLORED,
     EX_LINF_COLORED,
@@ -552,6 +553,66 @@ def test_tuple_search_cuts_partial_tuples_above_the_bound(name):
         res = solve_selection(inst, minimize=minimize)
         assert not res.decision
         assert res.stats == {"centroids_tried": 0, "nodes": 5}
+
+
+def test_linf_price_from_carried_gap_rows_is_the_doubled_optimum(monkeypatch):
+    """The tuple search's max-distance price, grown one vector at a time from
+    its carried gap rows, is exactly twice ``cluster_cost`` at every size, on
+    seeded weighted clusters of up to 6 points: the LP's vertex (up to 3
+    points) and its flow (beyond) are both reached."""
+    solved = {"_linf_vertex": 0, "_linf_flow": 0}
+    for name in solved:
+        def counted(*args, _name=name, _fn=getattr(centroids, name)):
+            solved[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(centroids, name, counted)
+    linf = DistanceOrder.linf()
+    rnd = random.Random(31)
+    for _ in range(60):
+        n, d = rnd.randint(2, 6), rnd.randint(1, 4)
+        pts = list({tuple(rnd.randint(-5, 5) for _ in range(d)) for _ in range(n)})
+        ws = [rnd.randint(1, 3) for _ in pts]
+        state = ((), (), [])
+        for k, (pt, w) in enumerate(zip(pts, ws), 1):
+            state, doubled = selection._linf_price(state, pt, w)
+            assert isinstance(doubled, int)
+            assert doubled == 2 * cluster_cost(linf, pts[:k], ws[:k]), (pts[:k], ws[:k])
+    assert solved["_linf_vertex"] > 0 and solved["_linf_flow"] > 0
+
+
+# the groups of test_linf_search_expands_only_partial_tuples
+SPREAD_GROUPS = [
+    [(-2, -1, -3, 2, 0), (0, -2, -3, -3, -3), (0, 1, -1, 3, 3), (-3, -2, 1, 1, -1)],
+    [(-1, 3, -2, 3, -3), (-1, -2, -3, 3, 2), (3, -1, 3, -1, -2), (-2, -1, -1, 2, 3)],
+    [(2, 3, 3, -1, -3), (3, 1, -1, 2, 0), (1, -2, -2, -2, 0), (-1, -3, 3, 3, 1)],
+]
+
+
+@pytest.mark.parametrize("order", [DistanceOrder.linf(), DistanceOrder.l2()], ids=str)
+def test_tuple_search_builds_a_cluster_only_for_admitted_tuples(monkeypatch, order):
+    """Under the max distance and the squared Euclidean cost the tuple search
+    prices partial tuples without ``optimal_cluster_cost``: it is called once
+    per admitted complete tuple, ``centroids_tried`` times, in both forms,
+    below, at and above the optimum."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return optimal_cluster_cost(*args)
+
+    monkeypatch.setattr(selection, "optimal_cluster_cost", counted)
+    tried = 0
+    for groups in (LINE_GROUPS, SPREAD_GROUPS):
+        optimum = select_bruteforce(SelectionInstance.of(groups, Cost.of(0), order)).cost.exact
+        for budget in (optimum - Fraction(1, 2), optimum, optimum + 3):
+            inst = SelectionInstance.of(groups, Cost.of(budget), order)
+            for minimize in (False, True):
+                calls.clear()
+                res = solve_selection(inst, minimize=minimize)
+                assert res.decision == (budget >= optimum)
+                assert len(calls) == res.stats["centroids_tried"], (groups, budget, minimize)
+                tried += res.stats["centroids_tried"]
+    assert tried > 8  # minimising above the optimum admits several leaves
 
 
 def test_p1_selection_runs_the_tuple_search(monkeypatch):

@@ -28,6 +28,9 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
         half = SelectionInstance.of(groups, Cost.of(1), DistanceOrder.lp(Fraction(1, 2)))
         assert minkclust.solve_selection(l1).decision
         assert minkclust.solve_selection(half).decision
+        linf = SelectionInstance.of(groups + [[(4, 4), (2, 2)]], Cost.of(4), DistanceOrder.linf())
+        at_linf = minkclust.solve_selection(linf, minimize=True)
+        assert at_linf.decision
     finally:
         tracer.uninstall()
     assert [dict(vars(mod)) for mod in modules] == before
@@ -35,6 +38,9 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
     # the tuple search prices partial tuples, and the centroid search reads its
     # float limit, through the names the tracer patches
     assert tracer.calls["centroids.l1"] > 1
+    # the max-distance tuple search prices partial tuples from its gap rows and
+    # builds a cluster only for each admitted complete tuple
+    assert tracer.calls["centroids.linf"] == at_linf.stats["centroids_tried"] > 1
     assert tracer.calls["cost_model.cost_le"] > 0
     assert tracer.counts["cost_model.cost_eval.calls"] > 0
 
