@@ -403,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap-centroids", dest="cap_centroids", type=int,
                        default=CENTROID_CAP,
                        help="bound on the search nodes of each selection "
-                            "call: the tuple search for p = 1, squared "
-                            "Euclidean and max distance, or the present-value "
-                            "centroid search for p in (0, 1) and Hamming")
+                            "call: the tuple search for squared Euclidean and "
+                            "max distance, or the present-value centroid "
+                            "search for p in (0, 1] and Hamming")
 
     p_solve = sub.add_parser("solve", help="solve a clustering instance")
     p_solve.add_argument("instance")

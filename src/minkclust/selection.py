@@ -13,39 +13,39 @@ p in (0, 1) a column's price also carries a float and a proven error bound,
 and tuples are ordered by those bounds, exactly only where two overlap.  The
 max distance is not separable, and there the oracle prices every tuple whole.
 ``solve_selection`` is the one exact solver: it runs a centroid
-search for exponents p in (0, 1) and the Hamming distance, and an exact tuple
-search for p = 1, the squared Euclidean cost and the max distance.  Both
-searches also have a minimising form, a branch and bound in which the best
-witness so far takes the budget's place in the pruning tests.
+search for the Hamming distance and exponents p in (0, 1], and an exact tuple
+search for the squared Euclidean cost and the max distance.  Both searches
+also have a minimising form, a branch and bound in which the best witness so
+far takes the budget's place in the pruning tests.
 
 The centroid search (``_coordinate_search``) tries every centroid assembled
-from the values present at each coordinate, which is complete for both: the
-Hamming cost of a coordinate is least at its weighted mode, and for
-p in (0, 1) the weighted sum of |x - c|**p is concave in c between
-consecutive values of the cluster and grows outside them, so some optimal
-centroid takes a present value at every coordinate.  It prices centroids one
-coordinate at a time, in integers for the Hamming distance and in floats for
-p in (0, 1), where the float total is only a filter.  A branch is cut once
-its greedy total, plus a look-ahead of what the unset coordinates must still
-cost, exceeds the bound.  The look-ahead is one table per call: for each row
-and depth, the sum over the unset coordinates of the least that the row's
-cost plus every other group's cheapest row can take at one value.  Any one
-group's cheapest row under a completion pays its own look-ahead at least,
-and each other group at least its cheapest rows, so no leaf within the bound
-is lost.  Every candidate that passes is re-costed through the exact cost
-path, which alone decides, before it is returned.
+from the values present at each coordinate, which is complete for its
+orders: a coordinate's Hamming cost is least at its weighted mode, its p = 1
+cost at its weighted median, and for p in (0, 1) the weighted sum of
+|x - c|**p is concave in c between consecutive values of the cluster and
+grows outside them, so some optimal centroid takes a present value at every
+coordinate.  It prices centroids one coordinate at a time, in integers, or
+for p in (0, 1) in floats, whose total is only a filter.  A branch is cut
+once its greedy total, plus a look-ahead of what the unset coordinates must
+still cost, exceeds the bound.  The look-ahead is one table per call: for
+each row and depth, the sum over the unset coordinates of the least that the
+row's cost plus every other group's cheapest row can take at one value.  Any
+one group's cheapest row under a completion pays its own look-ahead at
+least, and each other group at least its cheapest rows, so no leaf within
+the bound is lost.  A leaf within it is priced through the exact cost path:
+in integers its tuple only, for p in (0, 1) after an exact re-costing, which
+alone decides.
 
 The tuple search (``_tuple_search``) picks one vector per group and prices
 each partial tuple as a plain exact number, which lies at or below a
 threshold exactly when the bound admits the tuple's cost: by integer running
 sums for the squared Euclidean cost, whose optimal centroid is the weighted
-mean; for the max distance by its doubled optimal cost, an integer that the
-exact gap LP returns from the max gaps between the tuple's vectors, carried
-one row per vector; and through the exact cost path for p = 1.  Only a
-complete tuple within the bound is built as a cluster and priced again
-through the exact cost path, for its centroid and the check of its cost.  An
-instance with one vector per group is priced at its single tuple without a
-search.
+mean; and for the max distance by its doubled optimal cost, an integer that
+the exact gap LP returns from the max gaps between the tuple's vectors,
+carried one row per vector.  Only a complete tuple within the bound is built
+as a cluster and priced again through the exact cost path, for its centroid
+and the check of its cost.  An instance with one vector per group is priced
+at its single tuple without a search.
 """
 
 from __future__ import annotations
@@ -397,17 +397,14 @@ class _Incumbent:
         return self.best or SelectionResult(False, stats=stats)
 
 
-def _verified(inst: SelectionInstance, centroid: Sequence[Number], stats: dict,
-              inc: _Incumbent) -> bool:
-    """Complete ``centroid`` greedily and offer the tuple to the incumbent if
-    it is admitted; true when the search is over."""
-    res = select_fixed_centroid(inst, centroid)
-    if not inc.admits(res.cost):
-        return False
-    # report the chosen tuple at its own optimal centroid (never worse than
-    # the enumerated one, so the admission stands)
-    best_c, best_cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(res.indices))
-    return inc.take(SelectionResult(True, res.indices, best_c, best_cost, stats))
+def _taken(inst: SelectionInstance, indices: tuple[int, ...], stats: dict,
+           inc: _Incumbent) -> bool:
+    """Offer a tuple found within the threshold, at its optimal centroid, to
+    the incumbent, which must admit it; true when the search is over."""
+    centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(indices))
+    if not inc.admits(cost):
+        raise AssertionError("a tuple within the threshold costs more than the bound")
+    return inc.take(SelectionResult(True, indices, centroid, cost, stats))
 
 
 def _coordinate_search(
@@ -419,15 +416,17 @@ def _coordinate_search(
 ) -> SelectionResult:
     """Depth-first search over the centroids built from the values present at
     each coordinate, priced one coordinate at a time; the Hamming and
-    p in (0, 1) kernel.
+    p in (0, 1] kernel.
 
     Each row r (a vector ``pt`` of weight ``w``) carries a partial cost P_r,
     and setting coordinate ``j`` to ``v`` adds a_r(j, v) =
     ``w * coord_cost(|pt[j] - v|)`` to every row.  A leaf's greedy total is the
     sum over groups of each group's smallest partial, the greedy cost of its
-    centroid.  Every leaf is re-costed exactly (``_verified``), which alone
-    decides, and ``limit(inc)``, the largest greedy total still admitted, is
-    re-read only after a leaf.
+    centroid; ``limit(inc)``, the largest one still admitted, is re-read only
+    after a leaf.  In integers that total is exact, and ``_taken`` prices the
+    leaf's tuple, each group's first row at its least partial; for p in
+    (0, 1) ``select_fixed_centroid`` first re-costs the leaf exactly, which
+    alone decides.
 
     A child, whose rows carry the partials P_r once coordinate j is set, is
     cut by two tests against that limit.  First by its greedy total
@@ -463,6 +462,7 @@ def _coordinate_search(
     """
     inc = _Incumbent(inst, minimize)
     stats = {"centroids_tried": 0, "nodes": 0}
+    basis = inst.order.kind == "lp" and inst.order.p != 1
     rows = [(pt, w) for _, _, pt, w in inst.iter_vectors()]
     spans = []
     pos = 0
@@ -470,10 +470,8 @@ def _coordinate_search(
         spans.append(slice(pos, pos + len(pts)))
         pos += len(pts)
     depth = inst.dimension
-    # steps[j]: (v, a(j, v)) for each value v present at coordinate j, from
-    # one coord_cost call per distinct gap
-    gap_cost = _Memo(coord_cost)
-    steps = [[(v, [w * gap_cost[abs(pt[j] - v)] for pt, w in rows])
+    # steps[j]: (v, a(j, v)) for each value v present at coordinate j
+    steps = [[(v, [w * coord_cost(abs(pt[j] - v)) for pt, w in rows])
               for v in sorted({pt[j] for pt, _ in rows})] for j in range(depth)]
     owner = [g for g, pts in enumerate(inst.groups) for _ in pts]
     # after[j]: each row's look-ahead over the coordinates after j
@@ -497,7 +495,12 @@ def _coordinate_search(
             raise EnumerationCapExceeded("search node cap exceeded")
         if j == depth:
             stats["centroids_tried"] += 1
-            done = _verified(inst, tuple(chosen), stats, inc)
+            if basis:  # the tuple's optimal centroid is never worse than this one
+                res = select_fixed_centroid(inst, tuple(chosen))
+                done = inc.admits(res.cost) and _taken(inst, res.indices, stats, inc)
+            else:
+                segs = map(partial.__getitem__, spans)
+                done = _taken(inst, tuple(seg.index(min(seg)) for seg in segs), stats, inc)
             lim = limit(inc)
             return done
         rest = after[j]
@@ -521,7 +524,7 @@ def _coordinate_search(
 
 
 # ---------------------------------------------------------------------------
-# tuple search: p = 1, squared Euclidean, max distance
+# tuple search: squared Euclidean, max distance
 
 
 def _tuple_search(
@@ -544,8 +547,8 @@ def _tuple_search(
     vector never lowers a cluster's optimal cost, so a partial tuple above
     the threshold bounds every completion and its branch is cut.  Only a
     complete tuple within it is built as a cluster: it is priced again
-    through ``optimal_cluster_cost``, for its centroid and a ``Cost`` the
-    incumbent must admit, and the search raises if it does not.
+    through ``optimal_cluster_cost`` (``_taken``), for its centroid and a
+    ``Cost`` the incumbent must admit, and the search raises if it does not.
 
     ``nodes`` counts the partial tuples expanded, bounded by
     ``centroid_cap``, and ``centroids_tried`` the complete tuples admitted.
@@ -574,10 +577,7 @@ def _tuple_search(
                     return True
             else:
                 stats["centroids_tried"] += 1
-                centroid, cost = optimal_cluster_cost(inst.order, inst.chosen_cluster(chosen))
-                if not inc.admits(cost):
-                    raise AssertionError("a tuple within the threshold costs more than the bound")
-                if inc.take(SelectionResult(True, tuple(chosen), centroid, cost, stats)):
+                if _taken(inst, tuple(chosen), stats, inc):
                     return True
                 lim = limit(inc)
             chosen.pop()
@@ -602,13 +602,15 @@ def _l2_price(state, pt: Point, w: int):
 def _linf_price(state, pt: Point, w: int):
     """Grow a partial tuple's points, weights and max-distance gap rows by one
     vector, which adds one gap row, and price it at twice its optimal cost,
-    an integer (``linf_solve``)."""
+    an integer (``linf_solve``, or ``pair_cost``'s closed form up to two)."""
     pts, ws, gaps = state
     sub = operator.sub
     row = [max(map(abs, map(sub, pt, x))) for x in pts]
     gaps = [old + [gap] for old, gap in zip(gaps, row)]
     gaps.append(row + [0])
     pts, ws = pts + (pt,), ws + (w,)
+    if len(pts) <= 2:  # row holds no gap for one vector, and one for two
+        return (pts, ws, gaps), 2 * min(ws) * sum(row)
     return (pts, ws, gaps), linf_solve(pts, ws, gaps)[1]
 
 
@@ -627,28 +629,25 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
     """Decide Cluster Selection with the search for the instance's order.
 
     - p in (0, 1): the centroid search (``_coordinate_search``) with
-      coordinate cost |a - v|**p, as exp(p * log|a - v|) for a gap beyond
-      the float range.  Its float totals only filter, within a
+      coordinate cost |a - v|**p, once per gap, as exp(p * log|a - v|) for a
+      gap beyond the float range.  Its float totals only filter, within a
       ``_FLOAT_SLACK`` share of the bound; the exact greedy cost decides.
-    - Hamming: the centroid search with integer mismatch counts.
+    - Hamming and p = 1: the centroid search, a gap costing ``bool(gap)`` or ``gap``.
     - Squared Euclidean: a no at once when more than 4D + 1 groups exist,
       else the tuple search priced by integer running sums (``_l2_price``).
     - The max distance: the tuple search with every partial tuple priced at
-      its doubled optimum by the exact pairwise-gap LP, from gap rows it
-      carries (``_linf_price``).  k-Clustering under the max distance is
-      W[1]-hard parameterized by the budget, so only exactness is owed there.
-    - p = 1: the tuple search with every partial tuple priced at its exact
-      optimum, the weighted median, through ``optimal_cluster_cost``.
+      its doubled optimum from gap rows it carries (``_linf_price``).
+      k-Clustering under the max distance is W[1]-hard parameterized by the
+      budget, so only exactness is owed there.
 
-    The tuple search builds a cluster, its centroid and a ``Cost`` only for
-    an admitted complete tuple, through ``optimal_cluster_cost``.  The
-    Hamming, p = 1, squared Euclidean and max-distance orders need a rational
-    budget.  Pass ``minimize=True`` for the optimisation form: the budget is
-    only an upper bound, and a yes carries a tuple of minimum optimal cost.
-    ``centroid_cap`` bounds the search nodes; beyond it
-    ``EnumerationCapExceeded`` is raised.  An instance with one vector per
-    group has a single tuple, so in either form it is priced directly at its
-    optimal centroid and no kernel runs.
+    Save for p in (0, 1) a search builds a cluster, its centroid and a
+    ``Cost`` only for an admitted tuple, through ``optimal_cluster_cost``,
+    and the order needs a rational budget.  Pass ``minimize=True`` for
+    the optimisation form: the budget is only an upper bound, and a yes
+    carries a tuple of minimum optimal cost.  ``centroid_cap`` bounds the
+    search nodes; beyond it ``EnumerationCapExceeded`` is raised.  An
+    instance with one vector per group has a single tuple, so in either form
+    it is priced directly at its optimal centroid and no kernel runs.
     """
     if all(len(pts) == 1 for pts in inst.groups):
         indices = (0,) * inst.num_groups
@@ -665,7 +664,7 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
             bound = float(cost_eval(inc.bound))
             return bound + _FLOAT_SLACK * max(1.0, bound)
 
-        def coord_cost(gap: int) -> float:
+        def gap_cost(gap: int) -> float:
             try:
                 return gap**p
             except OverflowError:  # the gap is beyond the float range, gap**p may not be
@@ -674,11 +673,12 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
                 except OverflowError:
                     return math.inf
 
-        return _coordinate_search(inst, coord_cost, limit, centroid_cap, minimize)
-    if (order.kind != "lp" or order.p == 1) and inst.budget.exact is None:
+        return _coordinate_search(inst, _Memo(gap_cost).__getitem__, limit, centroid_cap, minimize)
+    if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
-    if order.kind == "l0":  # a coordinate costs 1 where its gap is nonzero
-        return _coordinate_search(inst, bool, _Incumbent.limit, centroid_cap, minimize)
+    if order.kind in ("l0", "lp"):  # Hamming counts the nonzero gaps, p = 1 sums them
+        gap_cost = bool if order.kind == "l0" else int
+        return _coordinate_search(inst, gap_cost, _Incumbent.limit, centroid_cap, minimize)
     if order.kind == "l2":
         if Fraction(inst.num_groups) > 4 * inst.budget.exact + 1:
             return SelectionResult(False, stats={"centroids_tried": 0, "nodes": 0,
@@ -693,12 +693,5 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
 
         return _tuple_search(inst, _l2_price, (0, [0] * inst.dimension, 0), limit,
                              centroid_cap, minimize)
-    if order.kind == "linf":
-        return _tuple_search(inst, _linf_price, ((), (), []), lambda inc: inc.limit(2),
-                             centroid_cap, minimize)
-
-    def price(state, pt: Point, w: int):
-        pts, ws = state[0] + (pt,), state[1] + (w,)
-        return (pts, ws), optimal_cluster_cost(order, WeightedCluster(pts, ws))[1].exact
-
-    return _tuple_search(inst, price, ((), ()), _Incumbent.limit, centroid_cap, minimize)
+    return _tuple_search(inst, _linf_price, ((), (), []), lambda inc: inc.limit(2),
+                         centroid_cap, minimize)

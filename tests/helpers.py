@@ -126,10 +126,10 @@ def bruteforce_reference(inst: SelectionInstance) -> SelectionResult:
 
 def coordinate_search_reference(inst: SelectionInstance,
                                 minimize: bool = False) -> SelectionResult:
-    """The Hamming and p in (0, 1) centroid search without its cuts: every
+    """The Hamming and p in (0, 1] centroid search without its cuts: every
     centroid of the present-value grid in lexicographic order, priced by its
-    greedy total as the search sums it (integer mismatch counts, or floats
-    |a - v|**p; row partials summed coordinate by coordinate, then each
+    greedy total as the search sums it (integer mismatch counts or gaps, or
+    floats |a - v|**p; row partials summed coordinate by coordinate, then each
     group's least partial summed in group order).  A centroid whose total is
     within the limit (the bound's floor, or after a witness the largest
     integer below it; for p < 1 the bound's float plus its ``_FLOAT_SLACK``
@@ -144,14 +144,17 @@ def coordinate_search_reference(inst: SelectionInstance,
     beyond the float range raises."""
     order = inst.order
     rows = [(g, pt, w) for g, _, pt, w in inst.iter_vectors()]
+    integer = order.kind == "l0" or order.p == 1
     if order.kind == "l0":
         price = lambda a, v: int(a != v)
+    elif integer:
+        price = lambda a, v: abs(a - v)
     else:
         p = float(order.p)
         price = lambda a, v: abs(a - v) ** p
 
     def limit():
-        if order.kind == "l0":
+        if integer:
             return math.floor(bound.exact) if best is None else math.ceil(bound.exact) - 1
         value = float(cost_eval(bound))
         return value + _FLOAT_SLACK * max(1.0, value)

@@ -397,12 +397,13 @@ def test_lp01_search_cuts_unit_vector_no_instance():
         assert res.stats["centroids_tried"] == 0
 
 
-# name: (order, instance shape, budgets); Hamming and p = 1/2 on their
+# name: (order, instance shape, budgets); Hamming, p = 1/2 and p = 1 on their
 # criterion-2 envelopes, p = 1/3 on the p = 1/2 shape
 REFERENCE_ORDERS = {
     "p=0": (DistanceOrder.l0(), SELECTION_ENVELOPES["p=0"][1], range(0, 4)),
     "p=1/2": (DistanceOrder.lp(Fraction(1, 2)), SELECTION_ENVELOPES["p=1/2"][1], range(0, 5)),
     "p=1/3": (DistanceOrder.lp(Fraction(1, 3)), SELECTION_ENVELOPES["p=1/2"][1], range(0, 5)),
+    "p=1": (DistanceOrder.l1(), SELECTION_ENVELOPES["p=1"][1], range(0, 5)),
 }
 
 
@@ -535,7 +536,6 @@ def test_l2_search_expands_only_partial_tuples():
 # groups stay within the budgets below, and every tuple costs at least 2
 LINE_GROUPS = [[(0,), (10,)], [(1,), (11,), (20,)], [(2,), (12,)]]
 LINE_BUDGETS = {
-    "p=1": (DistanceOrder.l1(), Cost.of(1)),
     "p=2": (DistanceOrder.l2(), Cost.of(Fraction(1, 2))),
     "p=inf": (DistanceOrder.linf(), Cost.of(1)),
 }
@@ -553,6 +553,19 @@ def test_tuple_search_cuts_partial_tuples_above_the_bound(name):
         res = solve_selection(inst, minimize=minimize)
         assert not res.decision
         assert res.stats == {"centroids_tried": 0, "nodes": 5}
+
+
+def test_l1_centroid_search_cuts_line_groups_at_the_root():
+    """Under p = 1 the centroid search prices each value of the one coordinate
+    of ``LINE_GROUPS`` at the root, and at budget 1 cuts every one by its
+    greedy total, the cost of the cheapest tuple about that value (at least
+    the optimum 2): 1 node in both forms, where the tuple search took 5."""
+    inst = SelectionInstance.of(LINE_GROUPS, Cost.of(1), DistanceOrder.l1())
+    assert select_bruteforce(inst).cost == Cost.of(2)
+    for minimize in (False, True):
+        res = solve_selection(inst, minimize=minimize)
+        assert not res.decision
+        assert res.stats == {"centroids_tried": 0, "nodes": 1}
 
 
 def test_linf_price_from_carried_gap_rows_is_the_doubled_optimum(monkeypatch):
@@ -615,13 +628,13 @@ def test_tuple_search_builds_a_cluster_only_for_admitted_tuples(monkeypatch, ord
     assert tried > 8  # minimising above the optimum admits several leaves
 
 
-def test_p1_selection_runs_the_tuple_search(monkeypatch):
-    """``solve_selection`` sends p = 1 to the tuple search, never to the
-    centroid search (``_coordinate_search``), which raises here."""
-    def centroid_search(*args, **kwargs):
-        raise AssertionError("p = 1 reached the centroid search")
+def test_p1_selection_runs_the_centroid_search(monkeypatch):
+    """``solve_selection`` sends p = 1 to the centroid search, never to the
+    tuple search (``_tuple_search``), which raises here."""
+    def tuple_search(*args, **kwargs):
+        raise AssertionError("p = 1 reached the tuple search")
 
-    monkeypatch.setattr(selection, "_coordinate_search", centroid_search)
+    monkeypatch.setattr(selection, "_tuple_search", tuple_search)
     rnd = random.Random(57)
     for _ in range(30):
         inst = random_selection_instance(rnd, DistanceOrder.l1(), Cost.of(rnd.randint(0, 4)))
@@ -631,6 +644,46 @@ def test_p1_selection_runs_the_tuple_search(monkeypatch):
             res = solve_selection(inst, minimize=minimize)
             assert res.decision == select_bruteforce(inst).decision
             assert set(res.stats) == {"centroids_tried", "nodes"}
+
+
+@pytest.mark.parametrize("name", ["p=0", "p=1"])
+def test_integer_centroid_search_prices_only_admitted_leaves(monkeypatch, name):
+    """Under the Hamming distance and p = 1 a leaf's greedy total is its exact
+    cost, so the centroid search never completes a centroid greedily through
+    ``select_fixed_centroid`` (which raises here) and calls
+    ``optimal_cluster_cost`` once per leaf, ``centroids_tried`` times, in
+    both forms, below, at and above the optimum; the answers are the
+    oracle's."""
+    def fixed_centroid(*args):
+        raise AssertionError("an integer leaf was completed greedily")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return optimal_cluster_cost(*args)
+
+    monkeypatch.setattr(selection, "select_fixed_centroid", fixed_centroid)
+    monkeypatch.setattr(selection, "optimal_cluster_cost", counted)
+    order, kwargs, _ = REFERENCE_ORDERS[name]
+    rnd = random.Random(853)
+    tried = 0
+    for _ in range(60):
+        inst = random_selection_instance(rnd, order, Cost.of(0), **kwargs)
+        if all(len(pts) == 1 for pts in inst.groups):
+            continue
+        optimum = select_bruteforce(inst).cost.exact
+        for budget in {max(optimum - 1, 0), optimum, optimum + 2}:
+            for minimize in (False, True):
+                calls.clear()
+                res = solve_selection(dataclasses.replace(inst, budget=Cost.of(budget)),
+                                      minimize=minimize)
+                assert res.decision == (budget >= optimum)
+                if res.decision and minimize:
+                    assert res.cost == Cost.of(optimum)
+                assert len(calls) == res.stats["centroids_tried"], (inst, budget, minimize)
+                tried += res.stats["centroids_tried"]
+    assert tried > 100
 
 
 def test_pell_near_tie_budget_is_exact():

@@ -659,6 +659,21 @@ def test_spread_family_cuts_its_selection_calls():
     assert not solve_bruteforce(inst).decision
 
 
+def test_auto_prices_l1_bundles_by_the_centroid_search():
+    """The points 0, 2, ..., 78 on a line under L1, k = 37 and budget 5: the
+    three merges owed cost 2 each, so the answer is no.  Over 20 colorings at
+    seed 1 the minimising selection calls of ``auto`` run the centroid search,
+    1,964 nodes and 758 leaves in all (the tuple search took 10,335 nodes for
+    the same 758 admitted tuples), and answer the exhaustive policy's no."""
+    inst = ClusteringInstance(Dataset(1, tuple((2 * i,) for i in range(40)), (1,) * 40), 37,
+                              Cost.of(5), DistanceOrder.l1())
+    res = solve_color_coding(inst, SolveConfig(seed=1, iterations=20))
+    assert res.decision == solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision
+    assert not res.decision
+    assert res.stats["selection_calls"] == 1_206
+    assert (res.stats["nodes"], res.stats["centroids_tried"]) == (1_964, 758)
+
+
 def test_exhaustive_walk_decides_spread_family_24_in_bounded_parts():
     """``spread_family(24)``: 24 initial clusters, 3 merges owed, all priced
     over the budget.  The exhaustive policy's walk answers the exact no

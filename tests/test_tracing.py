@@ -26,7 +26,8 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
         groups = [[(0, 1), (3, 3)], [(1, 1), (4, 0)]]
         l1 = SelectionInstance.of(groups, Cost.of(1), DistanceOrder.l1())
         half = SelectionInstance.of(groups, Cost.of(1), DistanceOrder.lp(Fraction(1, 2)))
-        assert minkclust.solve_selection(l1).decision
+        at_l1 = minkclust.solve_selection(l1)
+        assert at_l1.decision
         assert minkclust.solve_selection(half).decision
         linf = SelectionInstance.of(groups + [[(4, 4), (2, 2)]], Cost.of(4), DistanceOrder.linf())
         at_linf = minkclust.solve_selection(linf, minimize=True)
@@ -35,9 +36,9 @@ def test_tracer_installs_traces_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert [dict(vars(mod)) for mod in modules] == before
     assert tracer.calls["selection.l1"] == tracer.calls["selection.lp01"] == 1
-    # the tuple search prices partial tuples, and the centroid search reads its
-    # float limit, through the names the tracer patches
-    assert tracer.calls["centroids.l1"] > 1
+    # the centroid search prices each admitted p = 1 leaf, and reads its float
+    # limit for p < 1, through the names the tracer patches
+    assert tracer.calls["centroids.l1"] == at_l1.stats["centroids_tried"]
     # the max-distance tuple search prices partial tuples from its gap rows and
     # builds a cluster only for each admitted complete tuple
     assert tracer.calls["centroids.linf"] == at_linf.stats["centroids_tried"] > 1
