@@ -5,8 +5,8 @@ depending on the distance order they are nonnegative integers, half-integers,
 rationals of the form z / s**2, or formal nonnegative-integer combinations
 over the basis {a**p : a positive integer} when the exponent p lies in (0, 1).
 This module provides the shared value type, one exact comparison, an exact
-floor, and the enumeration of every achievable optimal cluster cost up to a
-budget.
+floor, the key rule of the exact searches (``Keys``), and the enumeration of
+every achievable optimal cluster cost up to a budget.
 
 No comparison depends on a tolerance.  With p = r/q every basis term a**p is
 m * s**(1/q), where a**r = m**q * s and s is q-th-power-free.  Roots of
@@ -16,12 +16,28 @@ coefficients of their difference on these roots all cancel.  Otherwise the
 difference has a sign: a float estimate settles it when its proven error
 bound separates the two values, and integer q-th roots at doubling
 precision settle it in every other case.
+
+The searches compare keys, plain numbers, with the largest key admitted:
+``top(budget)`` before the first witness and ``below(incumbent)`` after it
+(``Keys``, for an order and a total weight W).  A cost of integer points is
+an integer under Hamming and p = 1, a half-integer under the max distance
+and some z / V under squared L2 at weight V <= W, so its key, ``scale`` =
+1, 2 or lcm(1, ..., W) times it, is an ``int``; ``top`` and ``below`` are
+exact floors.  For p in (0, 1) a key is a float at most its cost,
+``approx_terms``' value less its proven bound (with no bound, the 50-digit
+value less a rounding; past the float range, the largest float), and
+``top``, which is ``below``, the value plus it (inf past the float range).
+Each float is off by a rounding of 2**-53 relative and a float sum of j
+keys adds j - 1 more, so a bound of at most W**2 + 4 keys and ``top`` are
+off by under (W**2 + 4) * 2**-52 together; ``top`` is widened by four times
+that.  Float keys only cut, and ``cost_le`` decides what they let through.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -140,10 +156,7 @@ def _cmp(a: Cost, b: Cost) -> int:
     """The sign of ``a - b``: -1, 0 or 1."""
     if a == b:
         return 0
-    try:
-        sign = approx_sign(_approx(a), _approx(b))
-    except OverflowError:  # a rational beyond the float range: the exact stage decides
-        sign = 0
+    sign = approx_sign(_approx(a), _approx(b))
     if sign:
         return sign
     coeffs, root, den = _radicals((a, 1), (b, -1))
@@ -166,10 +179,13 @@ def approx_sign(a: tuple[float, float], b: tuple[float, float]) -> int:
 
 
 def _approx(cost: Cost) -> tuple[float, float]:
-    """A float value of the cost and a bound on its error: a rational is
-    rounded once, and a basis cost is priced by ``approx_terms``."""
+    """A float value of the cost and a bound on its error, (0.0, inf) past the
+    float range: a rational rounded once, a basis cost by ``approx_terms``."""
     if cost.exact is not None:
-        value = cost.exact.numerator / cost.exact.denominator
+        try:
+            value = cost.exact.numerator / cost.exact.denominator
+        except OverflowError:
+            return 0.0, math.inf
         return value, value * 2.0**-52 + 5e-324
     return approx_terms(cost.terms, cost.p)
 
@@ -254,8 +270,8 @@ def _iroot(n: int, root: int) -> int:
 
 def cost_floor(cost: Cost, scale: int | Fraction = 1) -> int:
     """The largest integer at most ``scale`` times the cost, exactly."""
-    if cost.exact is not None:
-        return math.floor(cost.exact * scale)
+    if cost.exact is not None:  # an int scale keeps this in integers
+        return cost.exact.numerator * scale // cost.exact.denominator
     return _floor(*_radicals((cost, scale)))
 
 
@@ -274,6 +290,43 @@ def _floor(coeffs: Mapping[int, int], root: int, den: int) -> int:
         if lo // (den << bits) == hi // (den << bits):
             return lo // (den << bits)
         bits *= 2
+
+
+class Keys:
+    """The key rule of the module docstring for one order, over vectors of
+    total weight at most ``weight``; ``scale`` is None for float keys."""
+
+    def __init__(self, order: "DistanceOrder", weight: int):
+        self.p = order.p if order.kind == "lp" and order.p < 1 else None
+        self.scale = (None if self.p else math.lcm(*range(1, weight + 1)) if order.kind == "l2"
+                      else 2 if order.kind == "linf" else 1)
+        self._band = 1 + (weight * weight + 4) * 2.0**-50
+
+    def key(self, value) -> int | float:
+        """The key of a cost as ``centroids.cluster_cost`` gives it."""
+        if self.scale is None:
+            return self._floats(Cost(terms=value, p=self.p))[0]
+        key, rest = divmod(self.scale * value.numerator, value.denominator)
+        if rest:
+            raise ValueError("the exact searches take integer vectors")
+        return key
+
+    def top(self, cost: Cost) -> int | float:
+        return cost_floor(cost, self.scale) if self.scale else self._floats(cost)[1] * self._band
+
+    def below(self, cost: Cost) -> int | float:
+        return -cost_floor(cost, -self.scale) - 1 if self.scale else self.top(cost)
+
+    @staticmethod
+    def _floats(cost: Cost) -> tuple[float, float]:
+        """Floats at most and at least a cost."""
+        value, bound = _approx(cost)
+        if bound == math.inf:
+            value = float(cost_eval(cost))
+            if value == math.inf:
+                return sys.float_info.max, math.inf
+            bound = value * 2.0**-52
+        return value - bound, value + bound
 
 
 @dataclass(frozen=True)

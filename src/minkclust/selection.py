@@ -37,19 +37,21 @@ in integers its tuple only, for p in (0, 1) after an exact re-costing, which
 alone decides.
 
 The tuple search (``_tuple_search``) picks one vector per group and prices
-each partial tuple as a plain exact number, which lies at or below a
-threshold exactly when the bound admits the tuple's cost: by integer running
-sums for the squared Euclidean cost, whose optimal centroid is the weighted
-mean; and for the max distance by its doubled optimal cost, an integer that
-the exact gap LP returns from the max gaps between the tuple's vectors,
-carried one row per vector.  Only a complete tuple within the bound is built
-as a cluster and priced again through the exact cost path, for its centroid
-and the check of its cost.  An instance with one vector per group is priced
+each partial tuple at its integer key (``cost_model.Keys``), which lies at
+or below the incumbent's limit exactly when the bound admits its cost: for
+the squared Euclidean cost, whose optimal centroid is the weighted mean, the
+cost times lcm(1, ..., H), H the heaviest tuple's weight, from integer
+running sums; and for the max distance the doubled optimal cost that the
+exact gap LP returns from the max gaps between the tuple's vectors, carried
+one row per vector.  Only a complete tuple within the bound is built as a
+cluster and priced again through the exact cost path, for its centroid and
+the check of its cost.  An instance with one vector per group is priced
 at its single tuple without a search.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -57,10 +59,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .centroids import (WeightedCluster, cluster_cost, linf_solve, mean_cost,
-                        optimal_cluster_cost, summed_cost)
+from .centroids import (WeightedCluster, cluster_cost, linf_solve, optimal_cluster_cost,
+                        summed_cost)
 from .core import DistanceOrder, Number, Point, distance, require_integer_vectors
-from .cost_model import Cost, approx_sign, approx_terms, cost_eq, cost_eval, cost_le
+from .cost_model import Cost, Keys, approx_sign, approx_terms, cost_eq, cost_eval, cost_le
 from .hypergraph import build_difference_hypergraph  # noqa: F401  (traced by perfbench/)
 from .hypergraph import candidate_coordinate_sets  # noqa: F401  (traced by perfbench/)
 
@@ -379,14 +381,9 @@ class _Incumbent:
             return cost_le(cost, self.bound)
         return not cost_le(self.bound, cost)
 
-    def limit(self, scale: int = 1) -> int:
-        """Largest integer admitted as ``scale`` times a cost (rational
-        bounds)."""
-        num, den = self.bound.exact.as_integer_ratio()
-        num *= scale
-        if self.best is None:
-            return num // den
-        return -(-num // den) - 1
+    def limit(self, keys: Keys) -> int:
+        """The largest exact key admitted (``Keys``)."""
+        return keys.top(self.bound) if self.best is None else keys.below(self.bound)
 
     def take(self, res: SelectionResult) -> bool:
         """Record an admitted witness; true when the search is over."""
@@ -539,16 +536,15 @@ def _tuple_search(
 
     Picks one vector per group, in group order and index order.  ``price``
     takes the partial tuple's state and the next vector and weight, and
-    returns the grown state and the grown partial tuple's value, an exact
-    number that a fixed positive factor turns into its optimal cost; the
-    search begins at ``start``.  ``limit(inc)`` is the threshold the value
-    must not exceed, so that a value is at most it exactly when the incumbent
-    admits the cost; it is re-read only after a taken witness.  Adding a
-    vector never lowers a cluster's optimal cost, so a partial tuple above
-    the threshold bounds every completion and its branch is cut.  Only a
-    complete tuple within it is built as a cluster: it is priced again
-    through ``optimal_cluster_cost`` (``_taken``), for its centroid and a
-    ``Cost`` the incumbent must admit, and the search raises if it does not.
+    returns the grown state and the grown partial tuple's optimal cost as an
+    integer key (``Keys``); the search begins at ``start``.  ``limit(inc)``
+    is the incumbent's largest key admitted, re-read only after a taken
+    witness.  Adding a vector never lowers a cluster's optimal cost, so a
+    partial tuple above the limit bounds every completion and its branch is
+    cut.  Only a complete tuple within it is built as a cluster: it is
+    priced again through ``optimal_cluster_cost`` (``_taken``), for its
+    centroid and a ``Cost`` the incumbent must admit, and the search raises
+    if it does not.
 
     ``nodes`` counts the partial tuples expanded, bounded by
     ``centroid_cap``, and ``centroids_tried`` the complete tuples admitted.
@@ -588,15 +584,16 @@ def _tuple_search(
     return inc.result(stats)
 
 
-def _l2_price(state, pt: Point, w: int):
+def _l2_price(scale: int, state, pt: Point, w: int):
     """Grow a partial tuple's integer running sums, its weight W, S = sum w x
-    and Q = sum w |x|^2, and price it at (W Q - |S|^2) / W, its squared
-    Euclidean cost about the weighted mean."""
+    and Q = sum w |x|^2, and price it at its key (W Q - |S|^2) * (scale / W),
+    ``scale`` times its squared Euclidean cost about the weighted mean; W
+    divides ``scale``."""
     total, sums, sq = state
     total += w
     sums = [s + w * x for s, x in zip(sums, pt)]
     sq += w * sum(x * x for x in pt)
-    return (total, sums, sq), mean_cost(total, sums, sq)
+    return (total, sums, sq), (total * sq - sum(s * s for s in sums)) * (scale // total)
 
 
 def _linf_price(state, pt: Point, w: int):
@@ -634,15 +631,17 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
       ``_FLOAT_SLACK`` share of the bound; the exact greedy cost decides.
     - Hamming and p = 1: the centroid search, a gap costing ``bool(gap)`` or ``gap``.
     - Squared Euclidean: a no at once when more than 4D + 1 groups exist,
-      else the tuple search priced by integer running sums (``_l2_price``).
+      else the tuple search, a partial tuple priced at lcm(1, ..., H) times
+      its cost from integer running sums (``_l2_price``).
     - The max distance: the tuple search with every partial tuple priced at
       its doubled optimum from gap rows it carries (``_linf_price``).
       k-Clustering under the max distance is W[1]-hard parameterized by the
       budget, so only exactness is owed there.
 
-    Save for p in (0, 1) a search builds a cluster, its centroid and a
-    ``Cost`` only for an admitted tuple, through ``optimal_cluster_cost``,
-    and the order needs a rational budget.  Pass ``minimize=True`` for
+    Save for p in (0, 1) a search compares integer keys (``Keys``), builds
+    a cluster, its centroid and a ``Cost`` only for an admitted tuple,
+    through ``optimal_cluster_cost``, and the order needs a rational
+    budget.  Pass ``minimize=True`` for
     the optimisation form: the budget is only an upper bound, and a yes
     carries a tuple of minimum optimal cost.  ``centroid_cap`` bounds the
     search nodes; beyond it ``EnumerationCapExceeded`` is raised.  An
@@ -676,22 +675,15 @@ def solve_selection(inst: SelectionInstance, minimize: bool = False,
         return _coordinate_search(inst, _Memo(gap_cost).__getitem__, limit, centroid_cap, minimize)
     if inst.budget.exact is None:
         raise ValueError("budget must be rational in this regime")
+    keys = Keys(order, sum(map(max, inst.weights)))  # that sum bounds a tuple's weight
+    limit = functools.partial(_Incumbent.limit, keys=keys)
     if order.kind in ("l0", "lp"):  # Hamming counts the nonzero gaps, p = 1 sums them
         gap_cost = bool if order.kind == "l0" else int
-        return _coordinate_search(inst, gap_cost, _Incumbent.limit, centroid_cap, minimize)
+        return _coordinate_search(inst, gap_cost, limit, centroid_cap, minimize)
     if order.kind == "l2":
         if Fraction(inst.num_groups) > 4 * inst.budget.exact + 1:
             return SelectionResult(False, stats={"centroids_tried": 0, "nodes": 0,
                                                  "rejected": "group-count"})
-        heaviest = sum(map(max, inst.weights))
-
-        def limit(inc: _Incumbent) -> Fraction:
-            # a partial tuple of weight W <= heaviest costs some m / W, which
-            # lies below the bound n / d only by 1 / (d W) or more
-            bound = inc.bound.exact
-            return bound if inc.best is None else bound - Fraction(1, bound.denominator * heaviest)
-
-        return _tuple_search(inst, _l2_price, (0, [0] * inst.dimension, 0), limit,
-                             centroid_cap, minimize)
-    return _tuple_search(inst, _linf_price, ((), (), []), lambda inc: inc.limit(2),
-                         centroid_cap, minimize)
+        return _tuple_search(inst, functools.partial(_l2_price, keys.scale),
+                             (0, [0] * inst.dimension, 0), limit, centroid_cap, minimize)
+    return _tuple_search(inst, _linf_price, ((), (), []), limit, centroid_cap, minimize)

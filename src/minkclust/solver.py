@@ -19,13 +19,12 @@ import math
 import random
 from operator import itemgetter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from .centroids import WeightedCluster, cluster_cost, optimal_cluster_cost, summed_cost
 from .core import Clustering, Dataset, DistanceOrder, InitialCluster, merge_cost_bound, regularize
-from .cost_model import Cost, approx_terms, cost_eq, cost_eval, cost_floor, cost_le
-from .cost_model import enumerate_cost_set  # noqa: F401  (traced by perfbench/)
+from .cost_model import Cost, Keys, cost_eq, cost_floor, cost_le
+from .cost_model import cost_eval, enumerate_cost_set  # noqa: F401  (traced by perfbench/)
 from .selection import CENTROID_CAP, SelectionInstance, solve_selection
 
 MAX_ITERATIONS = 100_000  # the default random coloring count stops here
@@ -113,26 +112,11 @@ class BruteForceResult:
 
 
 class _PairBounds(NamedTuple):
-    to_key: Callable  # a ``cluster_cost`` value -> its key
-    top: Callable  # a Cost -> the largest key within it
-    unit: int  # 1 for integer keys, 0 for float keys
+    keys: Keys  # the key rule over the initial clusters' total weight
     pair: list[list]  # pair[a][b]: at most the key of any part holding items a and b
     price: Callable  # a part -> (its initial clusters, key, exact value), or None
     parts: dict[tuple[int, ...], tuple]  # the initial-cluster parts ``price`` has priced
     ahead: list  # ahead[m]: at most the key of any parts making m merges
-
-
-def _float_bounds(cost: Cost) -> tuple[float, float]:
-    """Floats at most and at least a cost, but for one rounding each:
-    ``approx_terms``' value less and plus its proven bound, a rational
-    rounded, and past the float range, where no bound is, the 50-digit value."""
-    try:
-        value, bound = approx_terms(cost.terms, cost.p) if cost.terms else (float(cost.exact), 0.0)
-    except OverflowError:  # a rational past the float range
-        bound = math.inf
-    if bound == math.inf:
-        value, bound = float(cost_eval(cost)), 0.0
-    return value - bound, value + bound
 
 
 def _pair_bounds(order: DistanceOrder, initial: Sequence[InitialCluster],
@@ -150,31 +134,13 @@ def _pair_bounds(order: DistanceOrder, initial: Sequence[InitialCluster],
     cheapest pair, parts making m > 0 merges therefore cost at least
     max(alpha * m, (m + 1) * c2 / 2), alpha the per-merge floor.
 
-    Keys: costs of integer points are integers or halves under Hamming,
-    p = 1 and max distance, and multiples of 1/W for a squared L2 part of
-    weight W.  Scaled by 2, or for squared L2 by lcm(1, ..., W) with W the
-    total weight, they are integers, the look-ahead is rounded up, and
-    ``top(cost)``, the largest key within a cost, is its scaled floor.  For
-    p in (0, 1) a key is a float at most its cost, and ``top`` one at least
-    it (``_float_bounds``) above a band for the rounding of sums.
+    The look-ahead is rounded up in exact keys (``cost_model.Keys``), and a
+    bound sums at most comb(n, 2) keys, or n part keys, c2 and a look-ahead.
     """
     points = [ic.representative for ic in initial]
     sizes = [ic.size for ic in initial]
     n = len(initial)
-    if order.kind == "lp" and order.p < 1:
-        # A key is at most its cost, and top's float at least its value, but
-        # for one rounding of 2**-53 relative each, and a float sum of j keys
-        # adds j - 1 more.  A bound sums at most comb(n, 2) pair keys, or n
-        # part keys, pair minima and a look-ahead, so the two sides are off
-        # by under (n**2 + 4) * 2**-52 together; the band is four times that.
-        unit, rel, p = 0, (n * n + 4) * 2.0**-50, order.p
-        to_key = lambda value: _float_bounds(Cost(terms=value, p=p))[0]  # noqa: E731
-        top = lambda cost: _float_bounds(cost)[1] * (1 + rel)  # noqa: E731
-    else:
-        scale = math.lcm(*range(1, sum(sizes) + 1)) if order.kind == "l2" else 2
-        unit = 1
-        to_key = lambda value: _scaled(value, scale)  # noqa: E731
-        top = lambda cost: cost_floor(cost, scale)  # noqa: E731
+    keys = Keys(order, sum(sizes))
     parts: dict[tuple[int, ...], tuple] = {}
 
     def price(part: tuple[int, ...]) -> tuple:
@@ -182,7 +148,7 @@ def _pair_bounds(order: DistanceOrder, initial: Sequence[InitialCluster],
         if hit is None:
             get = itemgetter(*part)  # a part holds two or more, so get gives tuples
             value = cluster_cost(order, get(points), get(sizes))
-            hit = parts[part] = (part, to_key(value), value)
+            hit = parts[part] = (part, keys.key(value), value)
         return hit
 
     pair = [[0] * n for _ in range(n)]
@@ -190,14 +156,13 @@ def _pair_bounds(order: DistanceOrder, initial: Sequence[InitialCluster],
         pair[a][b] = pair[b][a] = price((a, b))[1]
     c2 = min(key for _, key, _ in parts.values())
     alpha = merge_cost_bound(order)
-    if unit:  # rounded up, in integers
-        num, den = alpha.numerator * scale, alpha.denominator
+    if keys.scale:  # in integers, rounded up
+        num, den = alpha.numerator * keys.scale, alpha.denominator
         ahead = [0] + [max(-(-num * m // den), -(-(m + 1) * c2 // 2))
                        for m in range(1, excess + 1)]
-    else:
-        ahead = [0] + [float(max(alpha * m, (m + 1) * Fraction(c2) / 2))
-                       for m in range(1, excess + 1)]
-    return _PairBounds(to_key, top, unit, pair, price, parts, ahead)
+    else:  # in floats, inf past the float range
+        ahead = [0] + [max(float(alpha * m), (m + 1) * c2 / 2) for m in range(1, excess + 1)]
+    return _PairBounds(keys, pair, price, parts, ahead)
 
 
 def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds: _PairBounds,
@@ -206,59 +171,54 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds
     """The exact partition search over the items of ``bounds`` owing
     ``excess`` merges: the clustering of least cost (``within`` None) or the
     first one within the budget ``within`` (None if there is none), its
-    exact cost and the search's stats.  ``bounds.pair[a][b]`` is a key at
-    most that of any part holding items a and b, and ``bounds.price(part)``,
-    a part being a tuple of items, gives the part's initial clusters, key
-    and exact value, or None for a part that cannot be taken.  The items are
-    the initial clusters, or a caller's own by ``bounds._replace``; the
-    look-ahead ``bounds.ahead`` is over the initial clusters.
+    exact cost and the search's stats.  ``bounds.pair[a][b]`` is a key
+    (``bounds.keys``) at most that of any part holding items a and b, and
+    ``bounds.price(part)``, a part being a tuple of items, gives the part's
+    initial clusters, key and exact value, or None for a part that cannot be
+    taken.  The items are the initial clusters, or a caller's own by
+    ``bounds._replace``; the look-ahead ``bounds.ahead`` is over the initial
+    clusters.
 
     Cluster costs only grow under merging, so only merge families of exactly
     ``excess`` are enumerated, each anchor's parts by size and, within a
     size, in lexicographic order.  A branch is cut once its lower bound, its
-    parts' keys plus a look-ahead for the merges left, reaches the
-    incumbent: the best family's key so far, whose ties it keeps, or from
-    the start the budget's top key, which it must exceed.  The winning
-    family is priced again part by part through ``optimal_cluster_cost`` for
-    its witness, and that total must equal the search's cost.
+    parts' keys plus a look-ahead for the merges left, exceeds ``lim``: the
+    budget's top key, or inf when minimising, and after a family the largest
+    key below its cost.  The winning family is priced again part by part
+    through ``optimal_cluster_cost`` for its witness, and that total must
+    equal the search's cost.
 
     A part of s members costs at least its costliest pair and its pair sum
     over s - 1, and parts making m > 0 merges at least ``bounds.ahead[m]``
     (``_pair_bounds``).  A part is grown member by member, dropping a prefix
-    whose costliest pair already reaches the incumbent, and a part whose
-    pair sum does is cut before it is priced.  Keys are exact integers but
-    for p in (0, 1), where a complete family the float keys let through is
-    compared with the incumbent or the budget by ``cost_le``.
+    whose costliest pair already takes the branch past ``lim``, and a part
+    whose pair sum does is cut before it is priced.  ``cost_le`` compares a
+    complete family the keys let through with the budget or the incumbent;
+    only for the float keys of p in (0, 1) can it refuse one.
 
     ``family_cap`` bounds the parts tried, cut or not, and raises
     ``RuntimeError`` past it; a part tried is a step of the member walk, a
     prefix or a whole part.  ``stats["families"]`` counts the families that
     became the incumbent and ``stats["parts"]`` the parts tried.
     """
-    unit, ahead, pair, price = bounds.unit, bounds.ahead, bounds.pair, bounds.price
+    keys, ahead, pair, price = bounds.keys, bounds.ahead, bounds.pair, bounds.price
     best_cost: Cost | None = None
-    best = math.inf  # a branch whose key reaches best is cut
-    if within is not None:  # cut only past the largest key within the budget
-        top = bounds.top(within)
-        best = top + 1 if unit else math.nextafter(top, math.inf)
+    lim = math.inf if within is None else keys.top(within)  # a branch above lim is cut
     best_family: tuple[tuple[int, ...], ...] | None = None
     families = tried = 0
     current: list[tuple] = []  # the family's parts, as ``price`` gives them
 
     def rec(pool: tuple[int, ...], left: int, total) -> bool:
         # True stops the search: a decision has found its family
-        nonlocal best_cost, best, best_family, families
+        nonlocal best_cost, lim, best_family, families
         if left == 0:
-            # the cuts let through only a family whose key is below best: with integer
-            # keys a cheaper one or one within the budget, with floats one cost_le tells
             cost = summed_cost(order, [value for _, _, value in current])
-            if within is not None:
-                if not cost_le(cost, within):
-                    return False
-            elif not unit and best_cost is not None and cost_le(best_cost, cost):
+            if within is not None and not cost_le(cost, within):
+                return False
+            if best_cost is not None and cost_le(best_cost, cost):
                 return False
             families += 1
-            best_cost, best = cost, bounds.top(cost)
+            best_cost, lim = cost, keys.below(cost)
             best_family = tuple(members for members, _, _ in current)
             return within is not None
         # m items hold at most m - 1 merges: an anchor needs ``left`` items
@@ -274,9 +234,9 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds
              after: int, total, top, pair_sum) -> bool:
         # grow part (an anchor and its first extras) by rest[start:] towards
         # size extras; top and pair_sum are its costliest pair and pair sum.
-        # best starts as a float inf, which an integer key beyond the float
-        # range may be compared with but not subtracted from, so the cuts
-        # add to the branch's bound.
+        # lim may be a float inf, which an integer key beyond the float range
+        # may be compared with but not subtracted from, so the cuts add to
+        # the branch's bound.
         nonlocal tried
         base = total + ahead[after]
         for i in range(start, len(rest) - size + len(part)):
@@ -290,22 +250,22 @@ def _member_walk(order: DistanceOrder, initial: Sequence[InitialCluster], bounds
                 s += row[y]
                 if row[y] > t:
                     t = row[y]
-            if base + t >= best:
+            if base + t > lim:
                 continue
             grown = part + (x,)
             if len(grown) <= size:
                 if walk(grown, rest, i + 1, size, after, total, t, s):
                     return True
-            elif s + (base + unit) * size <= best * size:  # the part's key is at least s / size
+            elif s + base * size <= lim * size:  # the part's key is at least s / size
                 if take(grown, rest, after, total):
                     return True
         return False
 
     def take(part: tuple[int, ...], rest: tuple[int, ...], after: int, total) -> bool:
         # price part and search on without it, unless the branch's bound
-        # reaches best
+        # exceeds lim
         priced = price(part)
-        if priced is None or total + priced[1] + ahead[after] >= best:
+        if priced is None or total + priced[1] + ahead[after] > lim:
             return False
         current.append(priced)
         found = rec(tuple(x for x in rest if x not in part), after, total + priced[1])
@@ -350,14 +310,6 @@ def solve_bruteforce(inst: ClusteringInstance, family_cap: int = 5_000_000) -> B
     clustering, min_cost, stats = _initial_walk(inst.order, initial, len(initial) - inst.k,
                                                 family_cap=family_cap)
     return BruteForceResult(cost_le(min_cost, inst.budget), clustering, min_cost, stats)
-
-
-def _scaled(value: int | Fraction, scale: int) -> int:
-    """``scale`` times a cost of integer points (all a ``Dataset`` holds), an integer."""
-    key, rest = divmod(scale * value.numerator, value.denominator)
-    if rest:
-        raise ValueError("the clustering searches take integer vectors")
-    return key
 
 
 def coloring_success_estimate(t_colors: int, trials: int, seed: int = 0) -> tuple[float, int]:
@@ -435,7 +387,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
 
     bounds = _pair_bounds(order, initial, excess)
     pair = bounds.pair
-    top = bounds.top(inst.budget)
+    top = bounds.keys.top(inst.budget)
 
     # per bundle, the part's color classes in sorted order: its cheapest part's
     # initial clusters, key and exact value, or None when that key exceeds top
@@ -461,7 +413,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
             if res.decision:
                 value = res.cost.exact if res.cost.terms is None else res.cost.terms
                 hit = (tuple(members[i] for members, i in zip(bundle, res.indices)),
-                       bounds.to_key(value), value)
+                       bounds.keys.key(value), value)
         bundles[bundle] = hit
         return hit
 
@@ -491,6 +443,7 @@ def solve_color_coding(inst: ClusteringInstance, cfg: SolveConfig | None = None)
         if clustering is not None:
             break
     stats["pricings"] = len(bounds.parts)
+    # e**-T is 0.0 long before T, an int, leaves the float range
     stats["confidence"] = (1.0 if clustering is not None or not n_iters
-                           else 1.0 - (1.0 - math.exp(-t_colors)) ** n_iters)
+                           else 1.0 - (1.0 - math.exp(max(-t_colors, -1e4))) ** n_iters)
     return SolveResult(clustering is not None, clustering, stats)

@@ -194,9 +194,9 @@ def test_cli_selection_lists_must_have_one_length(tmp_path, capsys, field, value
 
 def test_cli_solve_paths(tmp_path, capsys):
     """The oracle's counters on the example Hamming clique instance read 297
-    parts tried (steps of the member walk) and 86 pricings (66 pairs and the
-    20 triples the pair bounds let through); before the pair table they read
-    556 and 286."""
+    parts tried (steps of the member walk) and 77 pricings (66 pairs and the
+    11 triples the pair bounds let through at key scale 1; 20 at scale 2);
+    before the pair table they read 556 and 286."""
     graph = tmp_path / "g.json"
     graph.write_text(json.dumps({"n": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 4]]}))
     inst = tmp_path / "cl.json"
@@ -205,7 +205,7 @@ def test_cli_solve_paths(tmp_path, capsys):
     assert run_cli(["solve", str(inst), "--mode", "oracle"]) == 0
     out = capsys.readouterr().out
     assert "minimal cost: 3" in out
-    assert "stat parts: 297" in out and "stat pricings: 86" in out
+    assert "stat parts: 297" in out and "stat pricings: 77" in out
 
     body = json.loads(inst.read_text())
     body["budget"] = "2"

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from minkclust import (
     enumerate_cost_set,
     optimal_cluster_cost,
 )
-from minkclust.cost_model import approx_sign, approx_terms, cost_floor
+from minkclust.cost_model import Keys, approx_sign, approx_terms, cost_floor
 
 
 def test_cost_eval_examples():
@@ -107,6 +108,51 @@ def test_cost_floor_is_exact():
     assert cost_floor(Cost.basis({4: 1, 1: 1}, half)) == 3  # exactly 3
     assert cost_floor(Cost.basis({2: 3}, half), Fraction(-2)) == -9  # -8.48...
     assert cost_floor(Cost.basis({2: PELL_Y}, half)) == PELL_X - 1
+
+
+def test_keys_decide_as_cost_le():
+    """Exact keys, integer multiples of a cost, sit within ``top(b)`` exactly
+    when the cost is within b, and within ``below(b)`` exactly when it is
+    below b, for seeded values and budgets, some past the float range; a
+    value that scales to no integer is refused.  For p in (0, 1) a float key
+    is at most its cost and ``top`` at least it, at 50 digits, with bases
+    whose powers or costs leave the float range."""
+    rnd = random.Random(61)
+    huge = 10**400
+    for order, weight, denominators in ((DistanceOrder.l0(), 5, (1,)),
+                                        (DistanceOrder.l1(), 5, (1,)),
+                                        (DistanceOrder.linf(), 5, (1, 2)),
+                                        (DistanceOrder.l2(), 6, range(1, 7))):
+        keys = Keys(order, weight)
+        for _ in range(300):
+            den = rnd.choice(denominators)
+            value = Fraction(rnd.choice([0, huge]) + rnd.randint(0, 40), den)
+            if value.denominator == 1:
+                value = value.numerator  # as cluster_cost gives the integer orders
+            budget = Cost.of(Fraction(rnd.choice([0, huge]) + rnd.randint(0, 40),
+                                      rnd.randint(1, 12)))
+            if rnd.random() < 0.3:
+                budget = Cost.of(value)
+            elif rnd.random() < 0.1:
+                budget = Cost.basis({rnd.randint(1, 50): rnd.randint(1, 3)}, Fraction(1, 2))
+            key = keys.key(value)
+            assert (key <= keys.top(budget)) == cost_le(Cost.of(value), budget)
+            assert (key <= keys.below(budget)) == (not cost_le(budget, Cost.of(value)))
+    with pytest.raises(ValueError, match="integer vectors"):
+        Keys(DistanceOrder.l1(), 5).key(Fraction(1, 2))
+    with pytest.raises(ValueError, match="integer vectors"):
+        Keys(DistanceOrder.l2(), 3).key(Fraction(1, 4))  # lcm(1, 2, 3) = 6
+    for p in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+        keys = Keys(DistanceOrder.lp(p), 6)
+        for _ in range(100):
+            bases = [rnd.randint(1, 40), rnd.randint(1, 2**80), 3 * 2**1100, 10**700]
+            terms = {rnd.choice(bases): rnd.randint(1, 5) for _ in range(rnd.randint(1, 4))}
+            cost = Cost.basis(terms, p)
+            assert keys.key(cost.terms) <= cost_eval(cost) <= keys.top(cost)
+            assert keys.below(cost) == keys.top(cost)
+            budget = Cost.of(Fraction(rnd.choice([1, huge]) * rnd.randint(1, 40), rnd.randint(1, 12)))
+            assert cost_eval(budget) <= keys.top(budget)
+    assert Keys(DistanceOrder.lp(Fraction(1, 2)), 2).key(((10**700, 1),)) == sys.float_info.max
 
 
 def test_cost_arithmetic():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from minkclust import selection, simplex, solver
+from minkclust import cost_model, selection, simplex, solver
 from minkclust.cost_model import cost_floor
 from minkclust import (
     ClusteringInstance,
@@ -175,16 +175,19 @@ def test_solve_bruteforce_counts_parts_and_pricings():
     """The example Hamming clique instance merges 12 initial clusters into 10.
     Without the pair table every pair and triple was priced (66 + 220
     pricings, 556 parts tried).  Now all 66 pairs are priced first and only
-    20 triples pass the pair bounds, and a part tried is a step of the member
-    walk, so ``family_cap`` still bounds the work.  An anchor with too few
-    clusters after it for the merges owed tries no part (300 parts before
-    that rule, 297 with it).  The early return of a k at or above the
-    initial cluster count reports both counters at zero."""
+    11 triples pass the pair bounds, and a part tried is a step of the member
+    walk, so ``family_cap`` still bounds the work.  Hamming costs are keyed
+    at scale 1, as the integers they are: keyed at scale 2, the pair-sum cut
+    admitted a part up to half a unit above the largest key admitted, and
+    20 triples were priced.  An anchor with too few clusters after it for
+    the merges owed tries no part (300 parts before that rule, 297 with it).
+    The early return of a k at or above the initial cluster count reports
+    both counters at zero."""
     inst = gen_l0_clustering_from_clique(EX_CLIQUE_GRAPH, 3)
     assert len(regularize(inst.dataset)) == 12 and inst.k == 10
     res = solve_bruteforce(inst)
     assert res.min_cost.exact == 3
-    assert res.stats == {"families": 2, "parts": 297, "pricings": 86}
+    assert res.stats == {"families": 2, "parts": 297, "pricings": 77}
     ds = Dataset(1, ((0,), (10,)), (1, 1))
     res = solve_bruteforce(ClusteringInstance(ds, 2, Cost.of(0), DistanceOrder.l1()))
     assert res.stats == {"families": 1, "parts": 0, "pricings": 0}
@@ -586,15 +589,18 @@ def test_float_keys_hold_under_hostile_error_bounds(monkeypatch):
     2**-20 of its float, far wider than the rounding band; a cluster value
     is moved up 0.9 of its bound and the budget's down 0.9.  A key taken as
     the float alone would then cut the optimal family at a budget equal to
-    its cost."""
-    true_terms = solver.approx_terms
+    its cost.  Patched in ``cost_model``, the stub also serves the float
+    stage of ``cost_le``, which any valid pair leaves exact, and it is called
+    there before the first budget is set."""
+    true_terms = cost_model.approx_terms
     budget = None
 
     def hostile(terms, p):
         value, _ = true_terms(terms, p)
-        return value * (1 + (-0.9 if terms is budget.terms else 0.9) * 2.0**-20), value * 2.0**-20
+        down = budget is not None and terms is budget.terms
+        return value * (1 + (-0.9 if down else 0.9) * 2.0**-20), value * 2.0**-20
 
-    monkeypatch.setattr(solver, "approx_terms", hostile)
+    monkeypatch.setattr(cost_model, "approx_terms", hostile)
     decisions = Counter()
     for inst, decision in _fractional_boundary_cases(251, 12):
         budget = inst.budget
@@ -610,7 +616,7 @@ def test_clustering_searches_do_not_evaluate_to_50_digits(monkeypatch):
     def refuse(*args):
         raise AssertionError("cost_eval called")
 
-    monkeypatch.setattr(solver, "cost_eval", refuse)
+    monkeypatch.setattr(cost_model, "cost_eval", refuse)
     for inst, decision in _fractional_boundary_cases(252, 6):
         assert _decisions(inst) == [decision] * 3
 
@@ -628,6 +634,27 @@ def test_gaps_beyond_the_float_range():
         inst = ClusteringInstance(ds, 2, budget, half)
         assert _decisions(inst) == [decision] * 3
         assert cost_eq(solve_bruteforce(inst).min_cost, opt)
+
+
+def test_costs_beyond_the_float_range():
+    """Under p = 1/2 the points 0, 10**700 and 2 * 10**700 price each
+    neighbouring pair at (10**700)**(1/2) = 10**350, past the float range:
+    its key is the largest float, the budget's top is inf, and ``cost_le``
+    decides, whose trial division is short on bases of 2s and 5s.  All three
+    paths answer at 10**350 and refuse 10**350 - 1; there ``auto``'s T is
+    2 * 10**350 colours, past the float range, and its confidence still
+    reads as a probability."""
+    half = DistanceOrder.lp(Fraction(1, 2))
+    ds = Dataset(1, ((0,), (10**700,), (2 * 10**700,)), (1, 1, 1))
+    opt = Cost.basis({10**700: 1}, half.p)
+    for budget, decision in ((Cost.of(10**350), True), (Cost.of(10**350 - 1), False)):
+        inst = ClusteringInstance(ds, 2, budget, half)
+        res = solve_color_coding(inst, SolveConfig(seed=1, iterations=20))
+        assert res.decision == decision
+        assert 0.0 <= res.stats["confidence"] <= 1.0
+        assert solve_color_coding(inst, SolveConfig(policy="exhaustive")).decision == decision
+        res = solve_bruteforce(inst)
+        assert res.decision == decision and cost_eq(res.min_cost, opt)
 
 
 def test_dense_family_is_an_exact_no_before_coloring():
